@@ -17,11 +17,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from .collision_maps import MapId, fixed_point
 from .dynamics import (
+    WALLS,
     CartesianState,
     CollisionEvent,
     RotatingFrameMomentum,
@@ -31,6 +31,7 @@ from .dynamics import (
     hamiltonian,
     launch_from_wall,
     simulate,
+    wedge_energies,
     wedge_hamiltonians,
 )
 from .frames import frame_angle
@@ -75,18 +76,6 @@ class OutputFormat(Enum):
     SVG = "svg"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized per-invocation options shared by the simulation commands."""
-
-    command: str
-    theta: WedgeAngle
-    initial: CartesianState
-    n_collisions: int
-    out: str | None = None
-    fmt: OutputFormat | None = None
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
@@ -97,38 +86,41 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _event_row(index: int, event: CollisionEvent, angle: WedgeAngle) -> dict:
-    post = event.post
-    sin_t, cos_t = angle.sin, angle.cos
-    hx, hy = wedge_hamiltonians(post, angle)
-    return {
-        "event_index": index,
-        "t": post.t,
-        "wall": event.wall.value,
-        "x": post.x,
-        "y": post.y,
-        "u_post": post.u,
-        "w_post": post.w,
-        "u_bar_post": event.rotating_post.u_bar,
-        "w_bar_post": event.rotating_post.w_bar,
-        "x_tilde": post.x * sin_t + post.y * cos_t,
-        "y_tilde": -post.x * cos_t + post.y * sin_t,
-        "H": hamiltonian(post),
-        "Hx_tilde": hx,
-        "Hy_tilde": hy,
-    }
+def _event_values(traj: Trajectory):
+    """Each event's values in ``CSV_COLUMNS`` order, then ``u_pre, w_pre``."""
+    events = traj.events
+    sin_t, cos_t = traj.theta.sin, traj.theta.cos
+    columns = [
+        events.column(name).tolist()
+        for name in ("wall", "t", "x", "y", "u", "w", "u_bar", "w_bar", "u_pre", "w_pre")
+    ]
+    for index, (code, t, x, y, u, w, u_bar, w_bar, u_pre, w_pre) in enumerate(zip(*columns)):
+        hx, hy = wedge_energies(x, y, u, w, sin_t, cos_t)
+        yield (
+            index,
+            t,
+            WALLS[code].value,
+            x,
+            y,
+            u,
+            w,
+            u_bar,
+            w_bar,
+            x * sin_t + y * cos_t,
+            -x * cos_t + y * sin_t,
+            (u * u + w * w) / 2.0 + y,
+            hx,
+            hy,
+            u_pre,
+            w_pre,
+        )
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for i, event in enumerate(traj.events):
-        row = _event_row(i, event, traj.theta)
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row[col]
-            cells.append(value if isinstance(value, str) else
-                         str(value) if isinstance(value, int) else _fmt(value))
-        lines.append(",".join(cells))
+    for index, t, wall, *floats in _event_values(traj):
+        del floats[-2:]  # u_pre and w_pre are exported to JSON only
+        lines.append(",".join([str(index), _fmt(t), wall, *map(_fmt, floats)]))
     return "\n".join(lines) + "\n"
 
 
@@ -137,12 +129,8 @@ def _state_dict(s: CartesianState) -> dict:
 
 
 def trajectory_json(traj: Trajectory) -> str:
-    events = []
-    for i, event in enumerate(traj.events):
-        row = _event_row(i, event, traj.theta)
-        row["u_pre"] = event.pre.u
-        row["w_pre"] = event.pre.w
-        events.append(row)
+    keys = (*CSV_COLUMNS, "u_pre", "w_pre")
+    events = [dict(zip(keys, values)) for values in _event_values(traj)]
     term = traj.termination
     doc = {
         "theta": traj.theta.theta,
@@ -262,21 +250,18 @@ def trajectory_svg(traj: Trajectory, samples_per_arc: int = 64) -> str:
             f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
             f'stroke="black" stroke-width="2"/>'
         )
-    start = traj.initial
-    for event in traj.events:
-        duration = event.t - start.t
+    for duration, x0, y0, u0, w0 in traj.flights():
         points = []
         for i in range(samples_per_arc + 1):
             tau = duration * i / samples_per_arc
-            x = start.x + start.u * tau
-            y = start.y + start.w * tau - 0.5 * tau * tau
+            x = x0 + u0 * tau
+            y = y0 + w0 * tau - 0.5 * tau * tau
             sx, sy = to_svg(x, y)
             points.append(f"{sx:.3f},{sy:.3f}")
         body.append(
             f'<polyline fill="none" stroke="#1f77b4" stroke-width="1" '
             f'points="{" ".join(points)}"/>'
         )
-        start = event.post
     label_x, label_y = to_svg(x_max - margin, y_min + margin)
     body.append(f'<text x="{label_x - 20:.1f}" y="{label_y:.1f}" font-size="14">x</text>')
     label_x, label_y = to_svg(x_min + margin, y_max - margin)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .collision_maps import MapState
 from .dynamics import (
-    CollisionEvent,
+    WALLS,
     TerminationKind,
     Trajectory,
     launch_from_wall,
@@ -177,24 +177,6 @@ def build_periodic_orbit(spec: OrbitSpec, n_collisions: int | None = None) -> Tr
     return simulate(initial, angle, spec.period if n_collisions is None else n_collisions)
 
 
-def _event_state(event: CollisionEvent) -> tuple[float, float, float, float]:
-    return (
-        event.post.x,
-        event.post.y,
-        event.rotating_post.u_bar,
-        event.rotating_post.w_bar,
-    )
-
-
-def _events_match(
-    a: CollisionEvent, b: CollisionEvent, tol: float
-) -> bool:
-    if a.wall is not b.wall:
-        return False
-    sa, sb = _event_state(a), _event_state(b)
-    return all(abs(x - y) <= tol for x, y in zip(sa, sb))
-
-
 def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> OrbitClass:
     """Classify a trajectory as periodic, dense, sliding or degenerate.
 
@@ -215,17 +197,29 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
             return OrbitClass.sliding()
         return OrbitClass.degenerate("grazing")
     events = traj.events
-    if len(events) < 2:
+    n = len(events)
+    if n < 2:
         raise ValueError("need at least two events or a termination to classify")
 
     threshold = tol * math.sqrt(traj.energy)
-    first = events[0]
-    n = len(events)
-    for k in range(1, n // 2 + 1):
-        if not _events_match(events[k], first, threshold):
-            continue
-        if all(_events_match(events[i + k], events[i], threshold) for i in range(n - k)):
-            hits_a = sum(1 for e in events[:k] if e.wall is Wall.A)
+    walls = events.column("wall")
+    # events 1 .. n//2 that reproduce event 0, narrowed by one value at a
+    # time: post-collision position, then collision-frame momentum
+    head = slice(1, n // 2 + 1)
+    returns = walls[head] == walls[0]
+    states = []
+    for name in ("x", "y", "u_bar", "w_bar"):
+        if not returns.any():
+            return OrbitClass.dense()
+        values = events.column(name)
+        returns &= np.abs(values[head] - values[0]) <= threshold
+        states.append(values)
+    for k in np.flatnonzero(returns) + 1:
+        k = int(k)
+        if (walls[k:] == walls[:n - k]).all() and all(
+            (np.abs(values[k:] - values[:n - k]) <= threshold).all() for values in states
+        ):
+            hits_a = int(np.count_nonzero(walls[:k] == WALLS.index(Wall.A)))
             return OrbitClass.periodic(k, hits_a, k - hits_a)
     return OrbitClass.dense()
 
@@ -253,19 +247,16 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     speed_cap = math.sqrt(2.0 * traj.energy)
 
     visited = np.zeros((ny, nx), dtype=bool)
-    start = traj.initial
-    for event in traj.events:
-        duration = event.t - start.t
+    for duration, x0, y0, u0, w0 in traj.flights():
         n_samples = max(2, int(math.ceil(duration * speed_cap / step)) + 1)
         ts = np.linspace(0.0, duration, n_samples)
-        xs = start.x + start.u * ts
-        ys = start.y + start.w * ts - 0.5 * ts * ts
+        xs = x0 + u0 * ts
+        ys = y0 + w0 * ts - 0.5 * ts * ts
         x_tilde = xs * sin_t + ys * cos_t
         y_tilde = -xs * cos_t + ys * sin_t
         ix = np.clip((x_tilde / width * nx).astype(int), 0, nx - 1)
         iy = np.clip((y_tilde / height * ny).astype(int), 0, ny - 1)
         visited[iy, ix] = True
-        start = event.post
     return float(visited.sum()) / float(nx * ny)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -84,6 +85,39 @@ class TestSimulateCommand:
         monkeypatch.setenv("WEDGE_SEED", "12345")
         assert run(*SIMULATE_ARGS, "--n", "10", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# The paper's 60-degree launch and the first launch the acceptance suite
+# draws from seed 977, each 200 collisions.
+GOLDEN_LAUNCHES = {
+    "dense60": SIMULATE_ARGS + ("--n", "200"),
+    "seed977": (
+        "simulate", "--theta-deg", "51.54807695875984", "--wall", "B",
+        "--s", "0.7889605216983491", "--u-bar", "0.7499209292109801",
+        "--w-bar", "1.4013097017164222", "--n", "200",
+    ),
+}
+
+# (SHA-256, size in bytes) of the files the object-per-event engine wrote
+# for these launches at commit ef77ed3.
+GOLDEN_EXPORTS = {
+    ("dense60", "csv"): ("c7fa4eaa211049c5975f333d3c163aa8176b045b32c168564c0f8012e54326a5", 45334),
+    ("dense60", "json"): ("b6a33c45e61fa9329d4749ee359fafaeefe6a6c8f6b99b29a14e59289f3c70c5", 108628),
+    ("dense60", "svg"): ("3df1078d5f109690f9bb149d3a0cb898527de084c56fd41d1e06512f49eb96e9", 221780),
+    ("seed977", "csv"): ("c913f5def2455b8174fa0108120c3c512398db967487452caa1732ec17e0ff77", 46163),
+    ("seed977", "json"): ("46465bf1390f34cf11d0405d6904bb3783810c6b1d6963a3f414c5b2bb716e84", 109406),
+    ("seed977", "svg"): ("c77c23b0d3d011a1e06d3d7b63dd8a2934c9ef97f0f166289ab5f179556f4e01", 221780),
+}
+
+
+@pytest.mark.parametrize("launch, fmt", sorted(GOLDEN_EXPORTS))
+def test_exports_match_recorded_bytes(launch, fmt, tmp_path):
+    """The same invocation writes the same bytes as the recorded version,
+    not only as a second run of this one."""
+    out = tmp_path / f"{launch}.{fmt}"
+    assert run(*GOLDEN_LAUNCHES[launch], "--format", fmt, "--out", str(out)) == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_EXPORTS[launch, fmt]
 
 
 class TestPeriodicCommand:

@@ -1,13 +1,21 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wedge_billiard import (
     CartesianState,
+    OrbitClass,
+    OrbitSpec,
     TerminationKind,
+    Trajectory,
     Wall,
     WedgeAngle,
+    build_periodic_orbit,
+    classify_orbit,
+    coverage_fraction,
     decoupled_simulate,
     free_flight,
     hamiltonian,
@@ -18,8 +26,11 @@ from wedge_billiard import (
     wall_momentum,
     wedge_hamiltonians,
 )
+from wedge_billiard.cli import OutputFormat, export_trajectory, read_trajectory_json
 from wedge_billiard.dynamics import (
+    WALLS,
     DegenerateError,
+    EventSequence,
     NotOnWallError,
     OutgoingMomentumError,
     VertexHitError,
@@ -352,3 +363,125 @@ class TestDecoupledSimulate:
         initial = launch_from_wall(Wall.B, 1.0, 0.2, 0.8, angle)
         traj = decoupled_simulate(initial, angle, 0)
         assert traj.events == ()
+
+
+def dense_60(n: int, engine=simulate):
+    """The paper's 60-degree launch (wall A, s = 1, u_bar = 0, w_bar = 1)."""
+    angle = WedgeAngle.from_degrees(60)
+    return engine(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, n)
+
+
+EVENT_FIELDS = {
+    "wall": lambda e: WALLS.index(e.wall),
+    "t": lambda e: e.t,
+    "x": lambda e: e.post.x,
+    "y": lambda e: e.post.y,
+    "u_pre": lambda e: e.pre.u,
+    "w_pre": lambda e: e.pre.w,
+    "u": lambda e: e.post.u,
+    "w": lambda e: e.post.w,
+    "u_bar": lambda e: e.rotating_post.u_bar,
+    "w_bar": lambda e: e.rotating_post.w_bar,
+}
+
+
+class TestEventSequence:
+    """``Trajectory.events`` is a read-only view over per-event columns."""
+
+    def test_length_negative_index_and_step_slices(self):
+        events = dense_60(200).events
+        as_tuple = tuple(events)
+        assert len(events) == len(as_tuple) == 200
+        assert events[-1] == as_tuple[199]
+        assert events[-200] == as_tuple[0]
+        assert events[3] == events[3]
+        strided = events[::37]
+        assert isinstance(strided, EventSequence)
+        assert len(strided) == 6
+        assert strided == as_tuple[::37]
+        assert list(strided) == list(as_tuple[::37])
+        assert strided[-1] == as_tuple[185]
+        assert events[::-1] == as_tuple[::-1]
+        assert events[150:20:-7] == as_tuple[150:20:-7]
+        assert events[5:40][::3][-2:] == as_tuple[5:40][::3][-2:]
+        for index in (200, -201):
+            with pytest.raises(IndexError):
+                events[index]
+        with pytest.raises(TypeError):
+            events[0] = events[1]
+
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
+    @pytest.mark.parametrize("index", [slice(None), slice(None, None, 37), slice(None, None, -3), slice(7, 2, -1)])
+    def test_columns_equal_the_built_events(self, engine, index):
+        events = dense_60(200, engine).events[index]
+        for name, field in EVENT_FIELDS.items():
+            column = events.column(name)
+            assert column.tolist() == [field(e) for e in events], name
+            with pytest.raises(ValueError):
+                column[:1] = 0
+
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
+    def test_iteration_matches_json_round_trip(self, engine, tmp_path):
+        traj = dense_60(120, engine)
+        path = tmp_path / "traj.json"
+        export_trajectory(traj, OutputFormat.JSON, str(path))
+        loaded = read_trajectory_json(str(path))
+        assert list(traj.events) == list(loaded.events)
+        assert traj.events == loaded.events
+        assert traj == loaded
+
+    def test_launch_with_no_events_compares_equal_to_empty_tuple(self):
+        traj = simulate(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4), 10)
+        assert traj.termination is not None
+        assert traj.events == ()
+        assert () == traj.events
+        assert not traj.events
+        assert list(traj.events) == []
+        assert traj.events.column("x").size == 0
+
+    @pytest.mark.parametrize("k", [2, 17, 40])
+    def test_replaced_prefix_feeds_coverage_and_classify(self, k):
+        traj = build_periodic_orbit(OrbitSpec(2, 3), n_collisions=40)
+        prefix = dataclasses.replace(traj, events=traj.events[:k])
+        from_tuple = dataclasses.replace(traj, events=tuple(traj.events)[:k])
+        rerun = simulate(traj.initial, traj.theta, k)
+        assert prefix.events == from_tuple.events == rerun.events
+        coverage = coverage_fraction(rerun, (32, 32))
+        assert coverage_fraction(prefix, (32, 32)) == coverage
+        assert coverage_fraction(from_tuple, (32, 32)) == coverage
+        verdict = classify_orbit(rerun)
+        assert classify_orbit(prefix) == classify_orbit(from_tuple) == verdict
+        assert verdict == (OrbitClass.dense() if k < 10 else OrbitClass.periodic(5, 2, 3))
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (3, 1), (2, 5), (4, 7)])
+    def test_periodic_hits_from_wall_column(self, p, q):
+        traj = build_periodic_orbit(OrbitSpec(p, q), n_collisions=3 * (p + q))
+        walls = traj.events[: p + q].column("wall")
+        assert [WALLS[code] for code in walls.tolist()] == [e.wall for e in traj.events[: p + q]]
+        hits_a = int(np.count_nonzero(walls == WALLS.index(Wall.A)))
+        assert (hits_a, len(walls) - hits_a) == (p, q)
+        assert classify_orbit(traj) == OrbitClass.periodic(p + q, p, q)
+
+    def test_events_that_do_not_fit_the_columns_rejected(self):
+        traj = dense_60(3)
+        first = traj.events[0]
+        moved = dataclasses.replace(first, pre=dataclasses.replace(first.pre, x=first.pre.x + 1.0))
+        with pytest.raises(ValueError):
+            dataclasses.replace(traj, events=(moved,))
+        with pytest.raises(ValueError):
+            Trajectory(traj.initial, traj.theta, (first, moved), traj.energy, traj.wedge_integrals)
+
+
+def test_simulate_holds_at_most_100_bytes_per_event():
+    # a deterministic allocation count, not a timing
+    angle = WedgeAngle.from_degrees(60)
+    initial = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate(initial, angle, 10_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.events) == 10_000
+    assert held / 10_000 <= 100

@@ -21,7 +21,11 @@ from wedge_billiard import (
     simulate,
     sweep_periodic_points,
 )
+from wedge_billiard.dynamics import Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
+from wedge_billiard.orbits import OrbitClass, launch_arclength
+
+from conftest import random_angle, random_launch
 
 
 def coprime_pairs(limit: int):
@@ -173,6 +177,52 @@ class TestClassifyOrbit:
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=1)
         with pytest.raises(ValueError):
             classify_orbit(traj, 1e-8)
+
+
+def classify_by_event_loop(traj, tol: float = 1e-8) -> OrbitClass:
+    """Per-event loop over built events: the reference for the recurrence
+    search that ``classify_orbit`` runs on the columns."""
+
+    def same(a, b, threshold):
+        sa = (a.post.x, a.post.y, a.rotating_post.u_bar, a.rotating_post.w_bar)
+        sb = (b.post.x, b.post.y, b.rotating_post.u_bar, b.rotating_post.w_bar)
+        return a.wall is b.wall and all(abs(x - y) <= threshold for x, y in zip(sa, sb))
+
+    events = tuple(traj.events)
+    threshold = tol * math.sqrt(traj.energy)
+    n = len(events)
+    for k in range(1, n // 2 + 1):
+        if same(events[k], events[0], threshold) and all(
+            same(events[i + k], events[i], threshold) for i in range(n - k)
+        ):
+            hits_a = sum(1 for e in events[:k] if e.wall is Wall.A)
+            return OrbitClass.periodic(k, hits_a, k - hits_a)
+    return OrbitClass.dense()
+
+
+class TestClassifyAgainstEventLoop:
+    @pytest.mark.parametrize("p, q", coprime_pairs(5))
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_perturbed_periodic_launches(self, p, q, eps):
+        spec = OrbitSpec(p, q, 1.0)
+        angle = critical_angle(spec)
+        seed = periodic_initial_condition(spec)
+        initial = launch_from_wall(Wall.A, launch_arclength(spec), seed.u_bar + eps, seed.w_bar, angle)
+        traj = simulate(initial, angle, 6 * (p + q) + 1)
+        for tol in (1e-8, 1e-5):
+            assert classify_orbit(traj, tol) == classify_by_event_loop(traj, tol)
+
+    def test_views_and_short_runs(self):
+        traj = build_periodic_orbit(OrbitSpec(3, 4, 2.0), n_collisions=70)
+        for view in (traj.events[1:], traj.events[::2], traj.events[::-1], traj.events[:3]):
+            sub = Trajectory(traj.initial, traj.theta, view, traj.energy, traj.wedge_integrals)
+            assert classify_orbit(sub) == classify_by_event_loop(sub)
+
+    def test_dense_launches(self, rng):
+        for _ in range(5):
+            angle = random_angle(rng)
+            traj = simulate(random_launch(rng, angle), angle, 400)
+            assert classify_orbit(traj) == classify_by_event_loop(traj) == OrbitClass.dense()
 
 
 class TestCoverageFraction:
