@@ -34,8 +34,7 @@ from .dynamics import (
     wedge_energies,
     wedge_hamiltonians,
 )
-from .frames import frame_angle
-from .geometry import Wall, WedgeAngle, config_bounds, contains, wall_point
+from .geometry import Wall, WedgeAngle, config_bounds, contains, to_wedge, wall_point
 from .orbits import (
     OrbitSpec,
     SweepPoint,
@@ -90,30 +89,18 @@ def _event_values(traj: Trajectory):
     """Each event's values in ``CSV_COLUMNS`` order, then ``u_pre, w_pre``."""
     events = traj.events
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
-    columns = [
-        events.column(name).tolist()
-        for name in ("wall", "t", "x", "y", "u", "w", "u_bar", "w_bar", "u_pre", "w_pre")
-    ]
-    for index, (code, t, x, y, u, w, u_bar, w_bar, u_pre, w_pre) in enumerate(zip(*columns)):
-        hx, hy = wedge_energies(x, y, u, w, sin_t, cos_t)
-        yield (
-            index,
-            t,
-            WALLS[code].value,
-            x,
-            y,
-            u,
-            w,
-            u_bar,
-            w_bar,
-            x * sin_t + y * cos_t,
-            -x * cos_t + y * sin_t,
-            (u * u + w * w) / 2.0 + y,
-            hx,
-            hy,
-            u_pre,
-            w_pre,
-        )
+    t, x, y, u, w, u_bar, w_bar, u_pre, w_pre = (
+        events.column(name)
+        for name in ("t", "x", "y", "u", "w", "u_bar", "w_bar", "u_pre", "w_pre")
+    )
+    x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
+    hx, hy = wedge_energies(x_tilde, y_tilde, *to_wedge(u, w, sin_t, cos_t), sin_t, cos_t)
+    energy = (u * u + w * w) / 2.0 + y
+    walls = [WALLS[code].value for code in events.column("wall").tolist()]
+    floats = (x, y, u, w, u_bar, w_bar, x_tilde, y_tilde, energy, hx, hy, u_pre, w_pre)
+    rows = zip(t.tolist(), walls, *(column.tolist() for column in floats))
+    for index, row in enumerate(rows):
+        yield (index, *row)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -155,9 +142,7 @@ def read_trajectory_json(path: str) -> Trajectory:
         wall = Wall(row["wall"])
         pre = CartesianState(row["x"], row["y"], row["u_pre"], row["w_pre"], row["t"])
         post = CartesianState(row["x"], row["y"], row["u_post"], row["w_post"], row["t"])
-        rotating = RotatingFrameMomentum(
-            row["u_bar_post"], row["w_bar_post"], frame_angle(wall, angle)
-        )
+        rotating = RotatingFrameMomentum(row["u_bar_post"], row["w_bar_post"])
         events.append(CollisionEvent(wall, row["t"], pre, post, rotating))
     term = doc["termination"]
     termination = (
@@ -425,8 +410,8 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise CliError("--max must be at least 1")
-    if args.energy <= 0:
-        raise CliError("--energy must be positive")
+    if not math.isfinite(args.energy) or args.energy <= 0:
+        raise CliError("--energy must be positive and finite")
     points = sweep_periodic_points(args.max, args.max, args.energy, half=args.half)
     if _resolve_format(args) is OutputFormat.SVG:
         render_plot(points, args.out)
@@ -438,8 +423,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     angle = _resolve_angle(args)
     initial = _resolve_launch(args, angle)
-    if args.tol <= 0:
-        raise CliError("--tol must be positive")
+    if not math.isfinite(args.tol) or args.tol <= 0:
+        raise CliError("--tol must be positive and finite")
     traj = simulate(initial, angle, args.n)
     result = classify_orbit(traj, args.tol)
     if result.period is not None:

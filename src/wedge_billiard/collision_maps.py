@@ -6,12 +6,12 @@ can be reproduced by iterating four algebraic maps, one per (source wall,
 target wall) pair.
 
 All map states use the collision-frame convention of
-:func:`wedge_billiard.frames.wall_momentum`: ``u_bar`` along the wall away
-from the vertex, ``w_bar`` along the inward normal, so post-collision states
-always carry ``w_bar >= 0``.  Both walls rise away from the vertex, so with
-this orientation the same-wall maps always decelerate the tangential motion,
-and the cross-wall maps exchange the roles of the two one-dimensional
-energies.
+:class:`wedge_billiard.dynamics.RotatingFrameMomentum`: ``u_bar`` along the
+wall away from the vertex, ``w_bar`` along the inward normal, so
+post-collision states always carry ``w_bar >= 0``.  Both walls rise away
+from the vertex, so with this orientation the same-wall maps always
+decelerate the tangential motion, and the cross-wall maps exchange the roles
+of the two one-dimensional energies.
 """
 
 from __future__ import annotations

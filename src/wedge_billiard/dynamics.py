@@ -27,8 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .frames import RotatingFrameMomentum, frame_angle
-from .geometry import Wall, WedgeAngle, contains, wall_frame, wall_point
+from .geometry import Wall, WedgeAngle, contains, to_wedge, wall_frame, wall_point
 
 # Roots below this are treated as re-detections of the wall just left.
 T_EPS = 1e-10
@@ -99,6 +98,15 @@ class CartesianState:
 
 
 @dataclass(frozen=True, slots=True)
+class RotatingFrameMomentum:
+    """Momentum in a wall's collision frame: ``u_bar`` along the wall away
+    from the vertex, ``w_bar`` along the inward normal."""
+
+    u_bar: float
+    w_bar: float
+
+
+@dataclass(frozen=True, slots=True)
 class CollisionEvent:
     """One wall collision.
 
@@ -138,48 +146,46 @@ class EventColumns:
 
     ``wall`` holds the index of the wall in :data:`WALLS`, ``t`` the clock,
     ``x, y`` the collision point, ``u_pre, w_pre`` the landing momentum and
-    ``u, w`` the reflected one.  The collision-frame momentum is stored in
-    ``u_bar, w_bar`` only when it was not computed as the projection of
-    ``(u, w)`` on the wall's tangent and normal (the decoupled oracle
-    resolves it in wedge coordinates).  Otherwise those two are ``None`` and
-    the projection is made on read, in the same floating-point operations
-    the lab-frame reflection would use, so its values are the same.
+    ``u, w`` the reflected one.  The collision-frame momentum ``u_bar,
+    w_bar`` is not stored: :meth:`collision_frame` works it out from
+    ``(u, w)`` and the wall.  Wall A's tangent and inward normal are the two
+    wedge axes, and wall B's are the same axes in the other order.
     """
 
-    __slots__ = (
-        "wall", "t", "x", "y", "u_pre", "w_pre", "u", "w", "u_bar", "w_bar",
-        "frames", "phi", "_memo",
-    )
+    __slots__ = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w", "sin_t", "cos_t", "_memo")
 
-    def __init__(self, angle: WedgeAngle, stores_collision_frame: bool = False):
+    def __init__(self, angle: WedgeAngle):
         self.wall = array("B")
         self.t, self.x, self.y = array("d"), array("d"), array("d")
         self.u_pre, self.w_pre = array("d"), array("d")
         self.u, self.w = array("d"), array("d")
-        self.u_bar = array("d") if stores_collision_frame else None
-        self.w_bar = array("d") if stores_collision_frame else None
-        sin_t, cos_t = angle.sin, angle.cos
-        # (tangent, inward normal) of each wall, indexed like WALLS
-        self.frames = ((sin_t, cos_t, -cos_t, sin_t), (-cos_t, sin_t, sin_t, cos_t))
-        self.phi = (frame_angle(Wall.A, angle), frame_angle(Wall.B, angle))
+        self.sin_t, self.cos_t = angle.sin, angle.cos
         # (index, event) of the last event built: iterating ``events`` and
         # ``events[1:]`` side by side then builds each event once
         self._memo: tuple[int, CollisionEvent | None] = (-1, None)
+
+    def collision_frame(self, code: int, u: float, w: float) -> RotatingFrameMomentum:
+        """Outgoing momentum ``(u, w)`` in the frame of wall ``WALLS[code]``."""
+        u_tilde, w_tilde = to_wedge(u, w, self.sin_t, self.cos_t)
+        if code == 0:
+            return RotatingFrameMomentum(u_tilde, w_tilde)
+        return RotatingFrameMomentum(w_tilde, u_tilde)
 
     @classmethod
     def from_events(cls, events, angle: WedgeAngle) -> "EventColumns":
         """Columns holding the given events.
 
         Raises ValueError for an event the columns cannot hold: ``pre`` and
-        ``post`` must share the collision point and clock, and the frame
-        angle must be the wall's.
+        ``post`` must share the collision point and clock, and
+        ``rotating_post`` must equal the collision frame of ``post``'s
+        momentum exactly.
         """
-        columns = cls(angle, stores_collision_frame=True)
+        columns = cls(angle)
         for event in events:
-            pre, post, rotating = event.pre, event.post, event.rotating_post
+            pre, post = event.pre, event.post
             code = WALLS.index(event.wall)
             if (pre.x, pre.y, pre.t, post.t) != (post.x, post.y, event.t, event.t) or (
-                rotating.phi != columns.phi[code]
+                event.rotating_post != columns.collision_frame(code, post.u, post.w)
             ):
                 raise ValueError(f"event at t={event.t!r} does not fit the event columns")
             columns.wall.append(code)
@@ -190,8 +196,6 @@ class EventColumns:
             columns.w_pre.append(pre.w)
             columns.u.append(post.u)
             columns.w.append(post.w)
-            columns.u_bar.append(rotating.u_bar)
-            columns.w_bar.append(rotating.w_bar)
         return columns
 
     def __len__(self) -> int:
@@ -204,28 +208,28 @@ class EventColumns:
             return memo_event
         code, t, x, y = self.wall[i], self.t[i], self.x[i], self.y[i]
         u, w = self.u[i], self.w[i]
-        if self.u_bar is None:
-            tx, ty, nx, ny = self.frames[code]
-            u_bar, w_bar = u * tx + w * ty, u * nx + w * ny
-        else:
-            u_bar, w_bar = self.u_bar[i], self.w_bar[i]
         event = CollisionEvent(
             WALLS[code],
             t,
             CartesianState(x, y, self.u_pre[i], self.w_pre[i], t),
             CartesianState(x, y, u, w, t),
-            RotatingFrameMomentum(u_bar, w_bar, self.phi[code]),
+            self.collision_frame(code, u, w),
         )
         self._memo = (i, event)
         return event
 
     def column(self, name: str, index: slice) -> np.ndarray:
         """Read-only array of one column's entries at ``index``."""
-        if name in ("u_bar", "w_bar") and self.u_bar is None:
-            # the same operations as event() does per event
-            tx, ty, nx, ny = np.array(self.frames)[self.column("wall", index)].T
-            u, w = self.column("u", index), self.column("w", index)
-            values = u * tx + w * ty if name == "u_bar" else u * nx + w * ny
+        if name in ("u_bar", "w_bar"):
+            # the same operations as collision_frame() does per event
+            u_tilde, w_tilde = to_wedge(
+                self.column("u", index), self.column("w", index), self.sin_t, self.cos_t
+            )
+            on_a = self.column("wall", index) == 0
+            if name == "u_bar":
+                values = np.where(on_a, u_tilde, w_tilde)
+            else:
+                values = np.where(on_a, w_tilde, u_tilde)
         else:
             stored = getattr(self, name)
             values = np.frombuffer(stored, dtype=np.uint8 if name == "wall" else float)[index]
@@ -336,17 +340,15 @@ def wedge_hamiltonians(s: CartesianState, angle: WedgeAngle) -> tuple[float, flo
     reverses only ``w_tilde``, a wall-B collision only ``u_tilde``, and free
     flight splits into two independent constant-gravity motions.
     """
-    return wedge_energies(s.x, s.y, s.u, s.w, angle.sin, angle.cos)
+    sin_t, cos_t = angle.sin, angle.cos
+    x_tilde, y_tilde = to_wedge(s.x, s.y, sin_t, cos_t)
+    u_tilde, w_tilde = to_wedge(s.u, s.w, sin_t, cos_t)
+    return wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t, cos_t)
 
 
-def wedge_energies(
-    x: float, y: float, u: float, w: float, sin_t: float, cos_t: float
-) -> tuple[float, float]:
-    """:func:`wedge_hamiltonians` of the lab state ``(x, y, u, w)``."""
-    x_tilde = x * sin_t + y * cos_t
-    y_tilde = -x * cos_t + y * sin_t
-    u_tilde = u * sin_t + w * cos_t
-    w_tilde = -u * cos_t + w * sin_t
+def wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t: float, cos_t: float):
+    """:func:`wedge_hamiltonians` of the wedge-frame state ``(x_tilde,
+    y_tilde, u_tilde, w_tilde)``, which may be floats or numpy arrays."""
     return (
         u_tilde * u_tilde / 2.0 + x_tilde * cos_t,
         w_tilde * w_tilde / 2.0 + y_tilde * sin_t,
@@ -407,19 +409,19 @@ def _smallest_root(d0: float, v0: float, g: float) -> float | None:
 
 
 def _next_collision_scalar(
-    x_tilde: float,
-    y_tilde: float,
-    u_tilde: float,
-    w_tilde: float,
-    sin_t: float,
-    cos_t: float,
-    t: float,
+    x: float, y: float, u: float, w: float, sin_t: float, cos_t: float, t: float
 ) -> tuple[float, Wall, float, float] | Termination:
-    """Next collision in wedge scalars: (dt, wall, landing arclength, speed).
+    """Next collision from the lab state ``(x, y, u, w)`` at clock ``t``:
+    (dt, wall, landing arclength, landing normal speed).
 
     A flight that ends at the vertex or in a grazing landing returns its
     :class:`Termination` instead, stamped with the clock ``t + dt``.
     """
+    # to_wedge written out: two calls would cost 7-10% of simulate's loop
+    x_tilde = x * sin_t + y * cos_t
+    y_tilde = -x * cos_t + y * sin_t
+    u_tilde = u * sin_t + w * cos_t
+    w_tilde = -u * cos_t + w * sin_t
     # a state resting on a wall with no normal momentum is already sliding
     if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
         return Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
@@ -453,12 +455,7 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall]:
     :class:`NoCollisionError` when the flight does not end in a clean
     reflection.
     """
-    sin_t, cos_t = angle.sin, angle.cos
-    x_tilde = s.x * sin_t + s.y * cos_t
-    y_tilde = -s.x * cos_t + s.y * sin_t
-    u_tilde = s.u * sin_t + s.w * cos_t
-    w_tilde = -s.u * cos_t + s.w * sin_t
-    step = _next_collision_scalar(x_tilde, y_tilde, u_tilde, w_tilde, sin_t, cos_t, 0.0)
+    step = _next_collision_scalar(s.x, s.y, s.u, s.w, angle.sin, angle.cos, 0.0)
     if isinstance(step, Termination):
         # from clock 0 the termination's clock is the time of flight
         if step.kind is TerminationKind.VERTEX_HIT:
@@ -476,17 +473,17 @@ def reflect(s: CartesianState, wall: Wall, angle: WedgeAngle) -> CartesianState:
     unchanged.
     """
     sin_t, cos_t = angle.sin, angle.cos
+    x_tilde, y_tilde = to_wedge(s.x, s.y, sin_t, cos_t)
+    u_tilde, w_tilde = to_wedge(s.u, s.w, sin_t, cos_t)
+    # wall A's inward normal is wall B's direction, and the other way round
     if wall is Wall.A:
-        dist = -s.x * cos_t + s.y * sin_t
-        nx, ny = -cos_t, sin_t
+        dist, p_n, nx, ny = y_tilde, w_tilde, -cos_t, sin_t
     else:
-        dist = s.x * sin_t + s.y * cos_t
-        nx, ny = sin_t, cos_t
+        dist, p_n, nx, ny = x_tilde, u_tilde, sin_t, cos_t
     if abs(dist) > ON_WALL_TOL:
         raise NotOnWallError(
             f"state sits {dist!r} off wall {wall.value}; cannot reflect"
         )
-    p_n = s.u * nx + s.w * ny
     if p_n > 0.0:
         raise OutgoingMomentumError(
             f"normal momentum {p_n!r} already points into the region"
@@ -528,13 +525,8 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     x, y, u, w, t = initial.x, initial.y, initial.u, initial.w, initial.t
     termination: Termination | None = None
 
-    x_tilde = x * sin_t + y * cos_t
-    y_tilde = -x * cos_t + y * sin_t
-    u_tilde = u * sin_t + w * cos_t
-    w_tilde = -u * cos_t + w * sin_t
-
     for _ in range(n):
-        step = _next_collision_scalar(x_tilde, y_tilde, u_tilde, w_tilde, sin_t, cos_t, t)
+        step = _next_collision_scalar(x, y, u, w, sin_t, cos_t, t)
         if isinstance(step, Termination):
             termination = step
             break
@@ -562,10 +554,6 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
         add_w_pre(w_land)
         add_u(u)
         add_w(w)
-        x_tilde = x * sin_t + y * cos_t
-        y_tilde = -x * cos_t + y * sin_t
-        u_tilde = u * sin_t + w * cos_t
-        w_tilde = -u * cos_t + w * sin_t
 
     return Trajectory(
         initial=initial,
@@ -591,13 +579,11 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     energy = _validate_launch(initial, angle)
     integrals = wedge_hamiltonians(initial, angle)
     sin_t, cos_t = angle.sin, angle.cos
-    columns = EventColumns(angle, stores_collision_frame=True)
+    columns = EventColumns(angle)
 
     t = initial.t
-    xt = initial.x * sin_t + initial.y * cos_t
-    yt = -initial.x * cos_t + initial.y * sin_t
-    ut = initial.u * sin_t + initial.w * cos_t
-    wt = -initial.u * cos_t + initial.w * sin_t
+    xt, yt = to_wedge(initial.x, initial.y, sin_t, cos_t)
+    ut, wt = to_wedge(initial.u, initial.w, sin_t, cos_t)
     termination: Termination | None = None
 
     for _ in range(n):
@@ -643,13 +629,9 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
         if wall is Wall.A:
             wt_land = -wt_land
             columns.wall.append(0)
-            columns.u_bar.append(ut_land)
-            columns.w_bar.append(wt_land)
         else:
             ut_land = -ut_land
             columns.wall.append(1)
-            columns.u_bar.append(wt_land)
-            columns.w_bar.append(ut_land)
         columns.u.append(ut_land * sin_t - wt_land * cos_t)
         columns.w.append(ut_land * cos_t + wt_land * sin_t)
         xt, yt, ut, wt = xt_land, yt_land, ut_land, wt_land

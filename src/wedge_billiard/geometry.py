@@ -27,9 +27,6 @@ class Wall(Enum):
     A = "A"
     B = "B"
 
-    def other(self) -> "Wall":
-        return Wall.B if self is Wall.A else Wall.A
-
 
 @dataclass(frozen=True, slots=True)
 class WedgeAngle:
@@ -76,21 +73,22 @@ class ConfigBounds:
             raise ValueError("configuration bounds must be strictly positive")
 
 
-def wall_coordinates(point: np.ndarray | tuple[float, float], angle: WedgeAngle) -> tuple[float, float]:
-    """Signed distances of a point from the two walls.
+def to_wedge(a, b, sin_t: float, cos_t: float):
+    """Resolve the lab vector ``(a, b)`` along the two walls.
 
-    Returns ``(x_tilde, y_tilde)`` where ``x_tilde`` is the distance from
-    wall B measured along wall A's direction and ``y_tilde`` the distance
-    from wall A measured along wall B's direction.  Both are nonnegative
-    inside the wedge.
+    Returns ``(a_tilde, b_tilde)``, the components along wall A's direction
+    ``(sin, cos)`` and wall B's direction ``(-cos, sin)``.  For a position
+    these are ``(x_tilde, y_tilde)``, the distances from walls B and A, both
+    nonnegative inside the wedge; for a momentum they are
+    ``(u_tilde, w_tilde)``.  This is the one lab-to-wedge projection.
+    Elementwise, so ``a`` and ``b`` may be floats or numpy arrays.
     """
-    x, y = float(point[0]), float(point[1])
-    return x * angle.sin + y * angle.cos, -x * angle.cos + y * angle.sin
+    return a * sin_t + b * cos_t, -a * cos_t + b * sin_t
 
 
 def contains(point: np.ndarray | tuple[float, float], angle: WedgeAngle) -> bool:
     """True if the point lies on or above both walls."""
-    x_tilde, y_tilde = wall_coordinates(point, angle)
+    x_tilde, y_tilde = to_wedge(float(point[0]), float(point[1]), angle.sin, angle.cos)
     return x_tilde >= -BOUNDARY_TOL and y_tilde >= -BOUNDARY_TOL
 
 

@@ -26,7 +26,7 @@ from .dynamics import (
     launch_from_wall,
     simulate,
 )
-from .geometry import Wall, WedgeAngle
+from .geometry import Wall, WedgeAngle, to_wedge
 
 # Joint recurrence tolerance on (position, collision-frame momentum), scaled
 # by sqrt(E): an order above the simulator's worst drift, far below any
@@ -53,8 +53,8 @@ class OrbitSpec:
             raise ValueError(f"p and q must be positive integers, got ({self.p}, {self.q})")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"p and q must be coprime, got ({self.p}, {self.q})")
-        if self.energy <= 0.0:
-            raise ValueError(f"energy must be positive, got {self.energy!r}")
+        if not math.isfinite(self.energy) or self.energy <= 0.0:
+            raise ValueError(f"energy must be positive and finite, got {self.energy!r}")
 
     @property
     def period(self) -> int:
@@ -187,8 +187,8 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     vertex hits are degenerate.  Everything else is reported dense, meaning
     only that no recurrence was found within the horizon.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     term = traj.termination
     if term is not None:
         if term.kind is TerminationKind.VERTEX_HIT:
@@ -252,8 +252,7 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         ts = np.linspace(0.0, duration, n_samples)
         xs = x0 + u0 * ts
         ys = y0 + w0 * ts - 0.5 * ts * ts
-        x_tilde = xs * sin_t + ys * cos_t
-        y_tilde = -xs * cos_t + ys * sin_t
+        x_tilde, y_tilde = to_wedge(xs, ys, sin_t, cos_t)
         ix = np.clip((x_tilde / width * nx).astype(int), 0, nx - 1)
         iy = np.clip((y_tilde / height * ny).astype(int), 0, ny - 1)
         visited[iy, ix] = True
@@ -311,8 +310,8 @@ def sweep_periodic_points(
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("sweep bounds must be at least 1")
-    if energy <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy!r}")
+    if not math.isfinite(energy) or energy <= 0.0:
+        raise ValueError(f"energy must be positive and finite, got {energy!r}")
     root_e = math.sqrt(energy)
     points = []
     for p in range(1, p_max + 1):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -5,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from wedge_billiard import WedgeAngle, hamiltonian
-from wedge_billiard.cli import main, read_trajectory_json
+from wedge_billiard.cli import build_parser, main, read_trajectory_json
 
 
 def run(*args: str) -> int:
@@ -310,3 +311,42 @@ def test_launch_state_energy_inferred():
     angle = WedgeAngle.from_degrees(60)
     state = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
     assert hamiltonian(state) == pytest.approx(1.0)
+
+
+def float_options():
+    """(subcommand, option) for every float-valued option of the parser."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, subparser in commands.choices.items()
+        for action in subparser._actions
+        if action.type is float
+    ]
+
+
+WALL_LAUNCH = {"--theta-deg": "60", "--wall": "A", "--s": "1", "--u-bar": "0", "--w-bar": "1"}
+CARTESIAN_LAUNCH = {"--theta-deg": "45", "--x": "0", "--y": "1", "--u": "0.3", "--w": "0"}
+VALID_ARGS = {
+    "simulate": {"--n": "20", "--out": "{out}"},
+    "classify": {"--n": "100"},
+    "periodic": {"--p": "1", "--q": "2", "--out": "{out}"},
+    "sweep": {"--max": "3", "--out": "{out}"},
+    "fixed-points": {"--theta-deg": "60"},
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", float_options())
+def test_non_finite_float_option_is_a_usage_error(command, option, value, tmp_path, capsys):
+    args = dict(VALID_ARGS[command])
+    if command in ("simulate", "classify"):
+        launch = CARTESIAN_LAUNCH if option in CARTESIAN_LAUNCH else WALL_LAUNCH
+        args = {**launch, **args}
+    args[option] = value
+    # "--s=-inf" keeps argparse from reading the value as an option
+    argv = [command] + [f"{k}={v.format(out=tmp_path / 'out.csv')}" for k, v in args.items()]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+    assert "Traceback" not in err

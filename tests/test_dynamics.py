@@ -23,7 +23,7 @@ from wedge_billiard import (
     next_collision,
     reflect,
     simulate,
-    wall_momentum,
+    wall_frame,
     wedge_hamiltonians,
 )
 from wedge_billiard.cli import OutputFormat, export_trajectory, read_trajectory_json
@@ -179,10 +179,10 @@ class TestReflect:
             assert math.hypot(out.u, out.w) == pytest.approx(
                 math.hypot(incoming.u, incoming.w)
             )
-            res_in = wall_momentum(incoming.momentum, wall, angle)
-            res_out = wall_momentum(out.momentum, wall, angle)
-            assert res_out.u_bar == pytest.approx(res_in.u_bar, abs=1e-14)
-            assert res_out.w_bar == pytest.approx(-res_in.w_bar, abs=1e-14)
+            tangent, normal = wall_frame(wall, angle)
+            p_in, p_out = np.array(incoming.momentum), np.array(out.momentum)
+            assert p_out @ tangent == pytest.approx(p_in @ tangent, abs=1e-14)
+            assert p_out @ normal == pytest.approx(-(p_in @ normal), abs=1e-14)
 
     def test_involution(self, rng):
         for _ in range(50):
@@ -269,9 +269,10 @@ class TestSimulate:
                 math.hypot(event.post.u, event.post.w)
             )
             assert event.rotating_post.w_bar >= 0.0
-            resolved = wall_momentum(event.post.momentum, event.wall, angle)
-            assert event.rotating_post.u_bar == pytest.approx(resolved.u_bar, abs=1e-14)
-            assert event.rotating_post.w_bar == pytest.approx(resolved.w_bar, abs=1e-14)
+            tangent, normal = wall_frame(event.wall, angle)
+            p = np.array(event.post.momentum)
+            assert event.rotating_post.u_bar == pytest.approx(p @ tangent, abs=1e-14)
+            assert event.rotating_post.w_bar == pytest.approx(p @ normal, abs=1e-14)
 
     def test_conserved_quantities_over_long_run(self, rng):
         angle = random_angle(rng)
@@ -470,18 +471,27 @@ class TestEventSequence:
             dataclasses.replace(traj, events=(moved,))
         with pytest.raises(ValueError):
             Trajectory(traj.initial, traj.theta, (first, moved), traj.energy, traj.wedge_integrals)
+        # the collision frame is worked out from the wall, to the last bit
+        for name in ("u_bar", "w_bar"):
+            value = getattr(first.rotating_post, name)
+            rotating = dataclasses.replace(
+                first.rotating_post, **{name: math.nextafter(value, math.inf)}
+            )
+            with pytest.raises(ValueError):
+                dataclasses.replace(traj, events=(dataclasses.replace(first, rotating_post=rotating),))
 
 
-def test_simulate_holds_at_most_100_bytes_per_event():
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+def test_engine_holds_at_most_64_bytes_per_event(engine):
     # a deterministic allocation count, not a timing
     angle = WedgeAngle.from_degrees(60)
     initial = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        traj = simulate(initial, angle, 10_000)
+        traj = engine(initial, angle, 10_000)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(traj.events) == 10_000
-    assert held / 10_000 <= 100
+    assert held / 10_000 <= 64

@@ -1,3 +1,7 @@
+"""The three frames and the maps between them: the lab frame, the wedge frame
+of :func:`wedge_billiard.geometry.to_wedge`, and each wall's collision frame,
+in which events carry ``rotating_post``."""
+
 import math
 
 import numpy as np
@@ -5,19 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wedge_billiard import (
-    RotatingFrameMomentum,
-    Wall,
-    WedgeAngle,
-    WedgeCoords,
-    cartesian_to_rotating,
-    cartesian_to_wedge,
-    frame_angle,
-    rotating_to_wedge,
-    rotation,
-    wall_momentum,
-    wedge_to_cartesian,
-)
+from wedge_billiard import Wall, WedgeAngle, launch_from_wall, simulate, wall_frame
+from wedge_billiard.dynamics import WALLS, EventColumns
+from wedge_billiard.geometry import to_wedge
 
 angles = st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01)
 momenta = st.floats(min_value=-10, max_value=10)
@@ -25,184 +19,118 @@ momenta = st.floats(min_value=-10, max_value=10)
 SQRT2_2 = math.sqrt(2) / 2
 
 
+def collision_frame(p, wall: Wall, angle: WedgeAngle):
+    return EventColumns(angle).collision_frame(WALLS.index(wall), p[0], p[1])
+
+
 class TestRotation:
+    """``to_wedge`` turns the plane by ``theta - pi/2``."""
+
     def test_zero_angle_is_identity(self):
-        np.testing.assert_allclose(rotation(0.0), np.eye(2))
+        # theta = pi/2: sin 1, cos 0
+        assert to_wedge(0.3, -0.7, 1.0, 0.0) == (0.3, -0.7)
 
     def test_quarter_turn(self):
-        np.testing.assert_allclose(
-            rotation(math.pi / 2), [[0, -1], [1, 0]], atol=1e-16
-        )
+        # theta = 0: a clockwise quarter turn
+        assert to_wedge(0.3, -0.7, 0.0, 1.0) == (-0.7, -0.3)
 
     def test_inverse_property(self):
-        np.testing.assert_allclose(
-            rotation(0.7) @ rotation(-0.7), np.eye(2), atol=1e-16
-        )
+        # the opposite turn is theta's mirror pi - theta, whose cos is negated
+        angle = WedgeAngle(0.7)
+        there = to_wedge(0.3, -0.7, angle.sin, angle.cos)
+        back = to_wedge(*there, angle.sin, -angle.cos)
+        np.testing.assert_allclose(back, (0.3, -0.7), atol=1e-16)
 
-    @given(st.floats(min_value=-10, max_value=10))
-    def test_determinant_one(self, a):
-        assert np.linalg.det(rotation(a)) == pytest.approx(1.0)
+    @given(angles)
+    def test_determinant_one(self, theta):
+        angle = WedgeAngle(theta)
+        columns = [to_wedge(1.0, 0.0, angle.sin, angle.cos), to_wedge(0.0, 1.0, angle.sin, angle.cos)]
+        assert np.linalg.det(np.array(columns).T) == pytest.approx(1.0)
 
 
 class TestCartesianToWedge:
     def test_point_on_right_wall(self):
-        wc = cartesian_to_wedge((SQRT2_2, SQRT2_2), (0.0, 0.0), WedgeAngle(math.pi / 4))
-        assert wc.x_tilde == pytest.approx(1.0)
-        assert wc.y_tilde == pytest.approx(0.0, abs=1e-15)
-        assert wc.u_tilde == wc.w_tilde == 0.0
+        angle = WedgeAngle(math.pi / 4)
+        x_tilde, y_tilde = to_wedge(SQRT2_2, SQRT2_2, angle.sin, angle.cos)
+        assert x_tilde == pytest.approx(1.0)
+        assert y_tilde == pytest.approx(0.0, abs=1e-15)
 
     def test_vertical_momentum_at_vertex(self):
         # oracle: dot the momentum with the wall directions
         angle = WedgeAngle(math.pi / 3)
-        e_r = np.array([angle.sin, angle.cos])
-        e_t = np.array([-angle.cos, angle.sin])
+        e_a = np.array([angle.sin, angle.cos])
+        e_b = np.array([-angle.cos, angle.sin])
         p = np.array([0.0, 1.0])
-        wc = cartesian_to_wedge((0.0, 0.0), p, angle)
-        assert wc.u_tilde == pytest.approx(p @ e_r) == pytest.approx(0.5)
-        assert wc.w_tilde == pytest.approx(p @ e_t) == pytest.approx(math.sqrt(3) / 2)
+        u_tilde, w_tilde = to_wedge(p[0], p[1], angle.sin, angle.cos)
+        assert u_tilde == pytest.approx(p @ e_a) == pytest.approx(0.5)
+        assert w_tilde == pytest.approx(p @ e_b) == pytest.approx(math.sqrt(3) / 2)
 
     @given(angles)
     def test_norm_preserved(self, theta):
-        wc = cartesian_to_wedge((0.3, 0.9), (0.3, -0.4), WedgeAngle(theta))
-        assert wc.u_tilde**2 + wc.w_tilde**2 == pytest.approx(0.25)
-
-
-class TestWedgeToCartesian:
-    def test_unit_along_right_wall(self):
-        q, _ = wedge_to_cartesian(WedgeCoords(1, 0, 0, 0), WedgeAngle(math.pi / 4))
-        np.testing.assert_allclose(q, [SQRT2_2, SQRT2_2])
-
-    def test_unit_along_left_wall(self):
-        q, _ = wedge_to_cartesian(WedgeCoords(0, 1, 0, 0), WedgeAngle(math.pi / 4))
-        np.testing.assert_allclose(q, [-SQRT2_2, SQRT2_2])
-
-    @given(angles, momenta, momenta, momenta, momenta)
-    def test_round_trip(self, theta, x, y, u, w):
         angle = WedgeAngle(theta)
-        wc = cartesian_to_wedge((x, y), (u, w), angle)
-        q, p = wedge_to_cartesian(wc, angle)
-        scale = max(1.0, abs(x), abs(y), abs(u), abs(w))
-        assert abs(q[0] - x) <= 1e-14 * scale
-        assert abs(q[1] - y) <= 1e-14 * scale
-        assert abs(p[0] - u) <= 1e-14 * scale
-        assert abs(p[1] - w) <= 1e-14 * scale
+        u_tilde, w_tilde = to_wedge(0.3, -0.4, angle.sin, angle.cos)
+        assert u_tilde**2 + w_tilde**2 == pytest.approx(0.25)
 
-
-class TestCartesianToRotating:
-    def test_vertical_momentum_vertical_frame(self):
-        rfm = cartesian_to_rotating((0.0, 1.0), math.pi / 2)
-        assert rfm.u_bar == pytest.approx(1.0)
-        assert rfm.w_bar == pytest.approx(0.0, abs=1e-16)
-
-    def test_diagonal(self):
-        rfm = cartesian_to_rotating((1.0, 1.0), math.pi / 4)
-        assert rfm.u_bar == pytest.approx(math.sqrt(2))
-        assert rfm.w_bar == pytest.approx(0.0, abs=1e-15)
-
-    @given(angles, momenta, momenta)
-    def test_agrees_with_wedge_momentum_on_wall_a(self, theta, u, w):
-        # on the right wall the rotating and wedge bases coincide
-        angle = WedgeAngle(theta)
-        rfm = cartesian_to_rotating((u, w), frame_angle(Wall.A, angle))
-        wc = cartesian_to_wedge((0, 0), (u, w), angle)
-        assert rfm.u_bar == pytest.approx(wc.u_tilde, abs=1e-14)
-        assert rfm.w_bar == pytest.approx(wc.w_tilde, abs=1e-14)
-
-    @given(angles, momenta, momenta)
-    def test_norm_preserved(self, theta, u, w):
-        rfm = cartesian_to_rotating((u, w), theta)
-        assert rfm.u_bar**2 + rfm.w_bar**2 == pytest.approx(
-            u * u + w * w, rel=1e-14, abs=1e-14
-        )
-
-
-class TestFrameAngle:
-    def test_wall_a_at_45(self):
-        assert frame_angle(Wall.A, WedgeAngle(math.pi / 4)) == pytest.approx(math.pi / 4)
-
-    def test_wall_b_at_45(self):
-        assert frame_angle(Wall.B, WedgeAngle(math.pi / 4)) == pytest.approx(3 * math.pi / 4)
-
-    def test_wall_a_at_60(self):
-        assert frame_angle(Wall.A, WedgeAngle(math.pi / 3)) == pytest.approx(math.pi / 6)
-
-
-class TestRotatingToWedge:
-    def test_wall_a_identity(self):
-        angle = WedgeAngle(0.9)
-        rfm = RotatingFrameMomentum(0.2, 0.9, frame_angle(Wall.A, angle))
-        assert rotating_to_wedge(rfm, Wall.A, angle) == (0.2, 0.9)
-
-    def test_wall_b_quarter_turn(self):
-        # oracle: invert the rotating transform, then resolve along the walls
-        angle = WedgeAngle(math.pi / 3)
-        phi = frame_angle(Wall.B, angle)
-        rfm = RotatingFrameMomentum(0.2, 0.9, phi)
-        p = rotation(phi) @ np.array([rfm.u_bar, rfm.w_bar])
-        wc = cartesian_to_wedge((0, 0), p, angle)
-        u_tilde, w_tilde = rotating_to_wedge(rfm, Wall.B, angle)
-        assert u_tilde == pytest.approx(wc.u_tilde, abs=1e-15)
-        assert w_tilde == pytest.approx(wc.w_tilde, abs=1e-15)
-        assert (u_tilde, w_tilde) == (-0.9, 0.2)
-
-    def test_wall_b_zero(self):
-        angle = WedgeAngle(0.5)
-        rfm = RotatingFrameMomentum(0.0, 0.0, frame_angle(Wall.B, angle))
-        assert rotating_to_wedge(rfm, Wall.B, angle) == (0.0, 0.0)
-
-    def test_mismatched_frame_angle_rejected(self):
-        angle = WedgeAngle(0.5)
-        rfm = RotatingFrameMomentum(1.0, 0.0, frame_angle(Wall.A, angle) + 1e-6)
-        with pytest.raises(ValueError):
-            rotating_to_wedge(rfm, Wall.A, angle)
+    def test_arrays_match_floats_bit_for_bit(self, rng):
+        angle = WedgeAngle(0.7)
+        a, b = rng.uniform(-2, 2, size=(2, 50))
+        a_tilde, b_tilde = to_wedge(a, b, angle.sin, angle.cos)
+        floats = [to_wedge(x, y, angle.sin, angle.cos) for x, y in zip(a.tolist(), b.tolist())]
+        assert list(zip(a_tilde.tolist(), b_tilde.tolist())) == floats
 
 
 class TestCompositionAndGravity:
-    @given(angles, st.floats(min_value=0.01, max_value=3.0), momenta, momenta)
-    def test_rotating_of_wedge_equals_composite_rotation(self, theta, phi, u, w):
-        angle = WedgeAngle(theta)
-        wc = WedgeCoords(0.0, 0.0, u, w)
-        _, p = wedge_to_cartesian(wc, angle)
-        via_chain = cartesian_to_rotating(p, phi)
-        composite = rotation(phi).T @ rotation(math.pi / 2 - theta)
-        direct = composite @ np.array([u, w])
-        assert via_chain.u_bar == pytest.approx(direct[0], abs=1e-13)
-        assert via_chain.w_bar == pytest.approx(direct[1], abs=1e-13)
-
     def test_gravity_components_along_walls(self, rng):
         for theta in rng.uniform(0.01, math.pi / 2 - 0.01, size=100):
             angle = WedgeAngle(float(theta))
-            wc = cartesian_to_wedge((0.0, 0.0), (0.0, -1.0), angle)
-            assert wc.u_tilde == pytest.approx(-angle.cos, abs=1e-15)
-            assert wc.w_tilde == pytest.approx(-angle.sin, abs=1e-15)
+            g_a, g_b = to_wedge(0.0, -1.0, angle.sin, angle.cos)
+            assert g_a == pytest.approx(-angle.cos, abs=1e-15)
+            assert g_b == pytest.approx(-angle.sin, abs=1e-15)
+
+
+class TestRotatingToWedge:
+    """An event's collision frame is its wedge frame on wall A and the wedge
+    frame with the two components swapped on wall B, to the last bit."""
+
+    @staticmethod
+    def events_on(wall: Wall):
+        angle = WedgeAngle.from_degrees(60)
+        traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 100)
+        events = [e for e in traj.events if e.wall is wall]
+        assert events
+        return angle, events
+
+    def test_wall_a_identity(self):
+        angle, events = self.events_on(Wall.A)
+        for event in events:
+            rotating = event.rotating_post
+            assert (rotating.u_bar, rotating.w_bar) == to_wedge(
+                event.post.u, event.post.w, angle.sin, angle.cos
+            )
+
+    def test_wall_b_quarter_turn(self):
+        angle, events = self.events_on(Wall.B)
+        for event in events:
+            rotating = event.rotating_post
+            u_tilde, w_tilde = to_wedge(event.post.u, event.post.w, angle.sin, angle.cos)
+            assert (rotating.u_bar, rotating.w_bar) == (w_tilde, u_tilde)
 
 
 class TestWallMomentum:
     @given(angles, momenta, momenta)
-    def test_matches_rotating_frame_on_wall_a(self, theta, u, w):
-        angle = WedgeAngle(theta)
-        direct = cartesian_to_rotating((u, w), frame_angle(Wall.A, angle))
-        resolved = wall_momentum((u, w), Wall.A, angle)
-        assert resolved == direct
-
-    @given(angles, momenta, momenta)
     def test_components_are_tangent_and_inward_normal(self, theta, u, w):
-        from wedge_billiard import wall_frame
-
         angle = WedgeAngle(theta)
         p = np.array([u, w])
         for wall in Wall:
             tangent, normal = wall_frame(wall, angle)
-            resolved = wall_momentum(p, wall, angle)
+            resolved = collision_frame(p, wall, angle)
             assert resolved.u_bar == pytest.approx(float(p @ tangent), abs=1e-13)
             assert resolved.w_bar == pytest.approx(float(p @ normal), abs=1e-13)
 
     def test_outgoing_state_has_nonnegative_normal_component(self):
-        from wedge_billiard import launch_from_wall
-
         angle = WedgeAngle(1.1)
         for wall in Wall:
             state = launch_from_wall(wall, 1.0, -0.4, 0.8, angle)
-            resolved = wall_momentum(state.momentum, wall, angle)
+            resolved = collision_frame(state.momentum, wall, angle)
             assert resolved.w_bar == pytest.approx(0.8)
             assert resolved.u_bar == pytest.approx(-0.4)

@@ -13,7 +13,7 @@ from wedge_billiard import (
     wall_frame,
     wall_point,
 )
-from wedge_billiard.geometry import wall_coordinates
+from wedge_billiard.geometry import to_wedge
 
 angles = st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01)
 
@@ -70,7 +70,7 @@ class TestWallPoint:
         angle = WedgeAngle(theta)
         point = wall_point(wall, s, angle)
         assert contains(point, angle)
-        x_tilde, y_tilde = wall_coordinates(point, angle)
+        x_tilde, y_tilde = to_wedge(point[0], point[1], angle.sin, angle.cos)
         residual = y_tilde if wall is Wall.A else x_tilde
         assert abs(residual) <= 1e-12 * max(s, 1.0)
 

@@ -51,6 +51,11 @@ class TestOrbitSpec:
         with pytest.raises(ValueError):
             OrbitSpec(1, 2, 0.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        with pytest.raises(ValueError):
+            OrbitSpec(1, 2, energy)
+
 
 class TestCriticalAngle:
     @pytest.mark.parametrize(
@@ -172,6 +177,12 @@ class TestClassifyOrbit:
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=10)
         with pytest.raises(ValueError):
             classify_orbit(traj, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=10)
+        with pytest.raises(ValueError):
+            classify_orbit(traj, tol)
 
     def test_too_short_without_termination_rejected(self):
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=1)
@@ -318,6 +329,11 @@ class TestBounceTimes:
 class TestSweep:
     def test_point_count_small(self):
         assert len(sweep_periodic_points(3, 3)) == 7
+
+    @pytest.mark.parametrize("energy", [0.0, math.nan, math.inf])
+    def test_energy_must_be_positive_and_finite(self, energy):
+        with pytest.raises(ValueError):
+            sweep_periodic_points(3, 3, energy)
 
     def test_point_count_matches_gcd_enumeration(self):
         assert len(sweep_periodic_points(25, 25)) == len(coprime_pairs(25))
