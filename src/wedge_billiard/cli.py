@@ -28,18 +28,18 @@ from .dynamics import (
     Termination,
     TerminationKind,
     Trajectory,
-    hamiltonian,
     launch_from_wall,
     simulate,
     wedge_energies,
     wedge_hamiltonians,
 )
-from .geometry import Wall, WedgeAngle, config_bounds, contains, to_wedge, wall_point
+from .geometry import Wall, WedgeAngle, config_bounds, to_wedge, wall_point
 from .orbits import (
     OrbitSpec,
     SweepPoint,
     build_periodic_orbit,
     classify_orbit,
+    critical_angle,
     sweep_periodic_points,
 )
 
@@ -312,17 +312,10 @@ def _resolve_angle(args: argparse.Namespace) -> WedgeAngle:
     if has_theta == has_pq:
         raise CliError("supply exactly one of --theta-deg or the pair --p/--q")
     if has_theta:
-        try:
-            return WedgeAngle.from_degrees(args.theta_deg)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return WedgeAngle.from_degrees(args.theta_deg)
     if args.p is None or args.q is None:
         raise CliError("--p and --q must be given together")
-    try:
-        spec = OrbitSpec(args.p, args.q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return WedgeAngle(math.atan2(spec.p, spec.q))
+    return critical_angle(OrbitSpec(args.p, args.q))
 
 
 def _resolve_launch(args: argparse.Namespace, angle: WedgeAngle) -> CartesianState:
@@ -341,8 +334,6 @@ def _resolve_launch(args: argparse.Namespace, angle: WedgeAngle) -> CartesianSta
         ]
         if missing:
             raise CliError(f"wall-relative launch needs {', '.join(missing)}")
-        if args.s < 0:
-            raise CliError("--s must be nonnegative")
         if args.w_bar < 0:
             raise CliError("--w-bar must be nonnegative (outgoing launch)")
         return launch_from_wall(Wall(args.wall), args.s, args.u_bar, args.w_bar, angle)
@@ -353,12 +344,7 @@ def _resolve_launch(args: argparse.Namespace, angle: WedgeAngle) -> CartesianSta
     ]
     if missing:
         raise CliError(f"cartesian launch needs {', '.join(missing)}")
-    state = CartesianState(args.x, args.y, args.u, args.w, 0.0)
-    if not contains(state.position, angle):
-        raise CliError(f"launch position {state.position} lies outside the wedge")
-    if hamiltonian(state) <= 0.0:
-        raise CliError("launch energy must be positive")
-    return state
+    return CartesianState(args.x, args.y, args.u, args.w, 0.0)
 
 
 def _resolve_format(args: argparse.Namespace) -> OutputFormat:
@@ -396,10 +382,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_periodic(args: argparse.Namespace) -> int:
-    try:
-        spec = OrbitSpec(args.p, args.q, args.energy)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = OrbitSpec(args.p, args.q, args.energy)
     if args.periods < 1:
         raise CliError("--periods must be at least 1")
     traj = build_periodic_orbit(spec, n_collisions=spec.period * args.periods)
@@ -408,10 +391,6 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.max < 1:
-        raise CliError("--max must be at least 1")
-    if not math.isfinite(args.energy) or args.energy <= 0:
-        raise CliError("--energy must be positive and finite")
     points = sweep_periodic_points(args.max, args.max, args.energy, half=args.half)
     if _resolve_format(args) is OutputFormat.SVG:
         render_plot(points, args.out)
@@ -423,8 +402,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     angle = _resolve_angle(args)
     initial = _resolve_launch(args, angle)
-    if not math.isfinite(args.tol) or args.tol <= 0:
-        raise CliError("--tol must be positive and finite")
     traj = simulate(initial, angle, args.n)
     result = classify_orbit(traj, args.tol)
     if result.period is not None:
@@ -442,12 +419,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_points(args: argparse.Namespace) -> int:
-    try:
-        angle = WedgeAngle.from_degrees(args.theta_deg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.energy <= 0:
-        raise CliError("--energy must be positive")
+    angle = WedgeAngle.from_degrees(args.theta_deg)
     for map_id in (MapId.FB, MapId.GB):
         state = fixed_point(map_id, args.energy, angle)
         print(f"{map_id.value}: u_bar={_fmt(state.u_bar)} w_bar={_fmt(state.w_bar)}")

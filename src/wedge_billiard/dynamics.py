@@ -43,41 +43,6 @@ TIE_EPS = 1e-12
 ON_WALL_TOL = 1e-10
 
 
-class SimulationError(Exception):
-    """Base class for event-loop failures."""
-
-
-class VertexHitError(SimulationError):
-    """The flight lands at (or indistinguishably close to) the wedge vertex."""
-
-    def __init__(self, dt: float):
-        super().__init__(f"trajectory reaches the vertex after dt={dt!r}")
-        self.dt = dt
-
-
-class DegenerateError(SimulationError):
-    """The flight lands with (near-)zero normal speed: a sliding state."""
-
-    def __init__(self, dt: float, normal_speed: float):
-        super().__init__(
-            f"grazing collision after dt={dt!r} (normal speed {normal_speed!r})"
-        )
-        self.dt = dt
-        self.normal_speed = normal_speed
-
-
-class NoCollisionError(SimulationError):
-    """No positive collision time exists; unreachable from a valid state."""
-
-
-class NotOnWallError(ValueError):
-    """Reflection requested for a state that does not sit on the named wall."""
-
-
-class OutgoingMomentumError(ValueError):
-    """Reflection requested for a state already moving into the region."""
-
-
 @dataclass(frozen=True, slots=True)
 class CartesianState:
     """Lab-frame snapshot: position (x, y), momentum (u, w) and clock t."""
@@ -355,19 +320,6 @@ def wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t: float, cos_t: floa
     )
 
 
-def free_flight(s: CartesianState, dt: float) -> CartesianState:
-    """Parabolic flight for a time dt >= 0."""
-    if dt < 0.0:
-        raise ValueError(f"flight time must be nonnegative, got {dt!r}")
-    return CartesianState(
-        x=s.x + s.u * dt,
-        y=s.y + s.w * dt - dt * dt / 2.0,
-        u=s.u,
-        w=s.w - dt,
-        t=s.t + dt,
-    )
-
-
 def launch_from_wall(
     wall: Wall, s: float, u_bar: float, w_bar: float, angle: WedgeAngle, t: float = 0.0
 ) -> CartesianState:
@@ -415,7 +367,9 @@ def _next_collision_scalar(
     (dt, wall, landing arclength, landing normal speed).
 
     A flight that ends at the vertex or in a grazing landing returns its
-    :class:`Termination` instead, stamped with the clock ``t + dt``.
+    :class:`Termination` instead, stamped with the clock ``t + dt``.  With
+    no root ahead on either wall the state sits at the vertex and is
+    leaving the wedge: a vertex hit at ``t``.
     """
     # to_wedge written out: two calls would cost 7-10% of simulate's loop
     x_tilde = x * sin_t + y * cos_t
@@ -430,7 +384,7 @@ def _next_collision_scalar(
     t_a = _smallest_root(y_tilde, w_tilde, sin_t)
     t_b = _smallest_root(x_tilde, u_tilde, cos_t)
     if t_a is None and t_b is None:
-        raise NoCollisionError("no positive collision time from this state")
+        return Termination(TerminationKind.VERTEX_HIT, t)
     if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
         return Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
     if t_b is None or (t_a is not None and t_a < t_b):
@@ -448,49 +402,17 @@ def _next_collision_scalar(
     return dt, wall, s_land, v_n
 
 
-def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall]:
+def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] | Termination:
     """Time of flight to the next wall and which wall it is.
 
-    Raises :class:`VertexHitError`, :class:`DegenerateError` or
-    :class:`NoCollisionError` when the flight does not end in a clean
-    reflection.
+    A flight that does not end in a clean reflection returns its
+    :class:`Termination`, whose clock is the time of flight from ``s``.
     """
     step = _next_collision_scalar(s.x, s.y, s.u, s.w, angle.sin, angle.cos, 0.0)
     if isinstance(step, Termination):
-        # from clock 0 the termination's clock is the time of flight
-        if step.kind is TerminationKind.VERTEX_HIT:
-            raise VertexHitError(step.t)
-        raise DegenerateError(step.t, step.normal_speed)
+        return step
     dt, wall, _, _ = step
     return dt, wall
-
-
-def reflect(s: CartesianState, wall: Wall, angle: WedgeAngle) -> CartesianState:
-    """Specular reflection at a wall: flip the normal momentum component.
-
-    The state must sit on the named wall and must not already be moving
-    into the region.  A state moving exactly parallel to the wall is left
-    unchanged.
-    """
-    sin_t, cos_t = angle.sin, angle.cos
-    x_tilde, y_tilde = to_wedge(s.x, s.y, sin_t, cos_t)
-    u_tilde, w_tilde = to_wedge(s.u, s.w, sin_t, cos_t)
-    # wall A's inward normal is wall B's direction, and the other way round
-    if wall is Wall.A:
-        dist, p_n, nx, ny = y_tilde, w_tilde, -cos_t, sin_t
-    else:
-        dist, p_n, nx, ny = x_tilde, u_tilde, sin_t, cos_t
-    if abs(dist) > ON_WALL_TOL:
-        raise NotOnWallError(
-            f"state sits {dist!r} off wall {wall.value}; cannot reflect"
-        )
-    if p_n > 0.0:
-        raise OutgoingMomentumError(
-            f"normal momentum {p_n!r} already points into the region"
-        )
-    return CartesianState(
-        x=s.x, y=s.y, u=s.u - 2.0 * p_n * nx, w=s.w - 2.0 * p_n * ny, t=s.t
-    )
 
 
 def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> float:
@@ -499,15 +421,28 @@ def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> float:
     energy = hamiltonian(initial)
     if not math.isfinite(energy) or energy <= 0.0:
         raise ValueError(f"launch energy must be positive and finite, got {energy!r}")
+    # outgoing normal momentum on the wall the launch sits on leaves the wedge
+    # at once; the grazing band is left to the step's degenerate termination
+    sin_t, cos_t = angle.sin, angle.cos
+    x_tilde, y_tilde = to_wedge(initial.x, initial.y, sin_t, cos_t)
+    u_tilde, w_tilde = to_wedge(initial.u, initial.w, sin_t, cos_t)
+    for wall, dist, p_n in ((Wall.A, y_tilde, w_tilde), (Wall.B, x_tilde, u_tilde)):
+        if dist <= ON_WALL_TOL and p_n < -GRAZING_EPS:
+            raise ValueError(
+                f"launch on wall {wall.value} moves out of the wedge "
+                f"(normal momentum {p_n!r})"
+            )
     return energy
 
 
 def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     """Run the event loop for n collisions.
 
-    Vertex hits and grazing landings are recorded as terminations rather
-    than raised, so a truncated trajectory is still returned with every
-    event produced up to that point.
+    Vertex hits and grazing landings end the loop with a
+    :class:`Termination`, and the trajectory keeps every event produced up
+    to that point.  Raises ValueError for a launch outside the wedge, with
+    energy that is not positive and finite, or moving out through the wall
+    it sits on.
     """
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
@@ -596,7 +531,8 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
         t_a = _smallest_root(yt, wt, sin_t)
         t_b = _smallest_root(xt, ut, cos_t)
         if t_a is None and t_b is None:
-            raise NoCollisionError("no positive bounce time from this state")
+            termination = Termination(TerminationKind.VERTEX_HIT, t)
+            break
         if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
             termination = Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
             break

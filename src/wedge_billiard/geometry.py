@@ -69,7 +69,7 @@ class ConfigBounds:
     y_tilde_max: float
 
     def __post_init__(self) -> None:
-        if self.x_tilde_max <= 0.0 or self.y_tilde_max <= 0.0:
+        if not self.x_tilde_max > 0.0 or not self.y_tilde_max > 0.0:
             raise ValueError("configuration bounds must be strictly positive")
 
 
@@ -119,6 +119,6 @@ def wall_frame(wall: Wall, angle: WedgeAngle) -> tuple[np.ndarray, np.ndarray]:
 
 def config_bounds(energy: float, angle: WedgeAngle) -> ConfigBounds:
     """Bounding box of all trajectories with the given total energy."""
-    if energy <= 0.0:
+    if not energy > 0.0:
         raise ValueError(f"energy must be positive, got {energy!r}")
     return ConfigBounds(energy / angle.cos, energy / angle.sin)

@@ -278,7 +278,7 @@ def sensitivity_probe(
 
 def bounce_periods(u_tilde0: float, w_tilde0: float, angle: WedgeAngle) -> BouncePeriods:
     """Half-periods of the two one-dimensional bouncers for given bounce speeds."""
-    if u_tilde0 <= 0.0 or w_tilde0 <= 0.0:
+    if not u_tilde0 > 0.0 or not w_tilde0 > 0.0:
         raise ValueError("bounce speeds must be positive")
     return BouncePeriods(u_tilde0 / angle.cos, w_tilde0 / angle.sin)
 

@@ -260,6 +260,20 @@ class TestErrorPaths:
             "--out", str(out),
         ) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_launch_leaving_through_the_vertex_rejected(self, command, tmp_path, capsys):
+        # sits at the vertex, inside the boundary tolerance, and moves out
+        # through wall B
+        code = run(
+            command, "--theta-deg", "40",
+            "--x=1.232568334324387e-13", "--y=-1.4088320528055173e-12",
+            "--u=-0.6427876104525837", "--w=-0.7660444424761904",
+            "--n", "5", *(("--out", str(tmp_path / "t.csv")) if command == "simulate" else ()),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_early_termination_exit_code(self, tmp_path):
         out = tmp_path / "x.csv"
         code = run(
@@ -313,15 +327,15 @@ def test_launch_state_energy_inferred():
     assert hamiltonian(state) == pytest.approx(1.0)
 
 
-def float_options():
-    """(subcommand, option) for every float-valued option of the parser."""
+def typed_options(kind: type):
+    """(subcommand, option) for every option of the parser of the given type."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [
         (command, action.option_strings[0])
         for command, subparser in commands.choices.items()
         for action in subparser._actions
-        if action.type is float
+        if action.type is kind
     ]
 
 
@@ -336,13 +350,16 @@ VALID_ARGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command, option", float_options())
-def test_non_finite_float_option_is_a_usage_error(command, option, value, tmp_path, capsys):
+def assert_usage_error(command, option, value, tmp_path, capsys):
+    """A valid invocation with ``option`` set to ``value`` exits 2 with an
+    ``error:`` line and no traceback."""
     args = dict(VALID_ARGS[command])
     if command in ("simulate", "classify"):
         launch = CARTESIAN_LAUNCH if option in CARTESIAN_LAUNCH else WALL_LAUNCH
         args = {**launch, **args}
+        if option in ("--p", "--q"):
+            del args["--theta-deg"]
+            args.update({"--p": "1", "--q": "2"})
     args[option] = value
     # "--s=-inf" keeps argparse from reading the value as an option
     argv = [command] + [f"{k}={v.format(out=tmp_path / 'out.csv')}" for k, v in args.items()]
@@ -350,3 +367,22 @@ def test_non_finite_float_option_is_a_usage_error(command, option, value, tmp_pa
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", typed_options(float))
+def test_non_finite_float_option_is_a_usage_error(command, option, value, tmp_path, capsys):
+    assert_usage_error(command, option, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (command, option, value)
+        for command, option in typed_options(int)
+        for value in ("-1", "0")
+        if value == "-1" or option in ("--p", "--q", "--periods", "--max")
+    ],
+)
+def test_out_of_range_int_option_is_a_usage_error(command, option, value, tmp_path, capsys):
+    assert_usage_error(command, option, value, tmp_path, capsys)

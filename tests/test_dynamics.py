@@ -17,24 +17,15 @@ from wedge_billiard import (
     classify_orbit,
     coverage_fraction,
     decoupled_simulate,
-    free_flight,
     hamiltonian,
     launch_from_wall,
     next_collision,
-    reflect,
     simulate,
     wall_frame,
     wedge_hamiltonians,
 )
 from wedge_billiard.cli import OutputFormat, export_trajectory, read_trajectory_json
-from wedge_billiard.dynamics import (
-    WALLS,
-    DegenerateError,
-    EventSequence,
-    NotOnWallError,
-    OutgoingMomentumError,
-    VertexHitError,
-)
+from wedge_billiard.dynamics import WALLS, EventSequence
 
 from conftest import random_angle, random_launch
 
@@ -73,27 +64,11 @@ class TestWedgeHamiltonians:
             assert hx + hy == pytest.approx(hamiltonian(s), abs=1e-12)
 
 
-class TestFreeFlight:
-    def test_free_fall(self):
-        s = free_flight(CartesianState(0, 1, 0, 0), 1.0)
-        assert (s.x, s.y, s.u, s.w, s.t) == (0.0, 0.5, 0.0, -1.0, 1.0)
-
-    def test_symmetric_parabola(self):
-        s = free_flight(CartesianState(0, 0, 1, 1), 2.0)
-        assert (s.x, s.y, s.u, s.w) == (2.0, 0.0, 1.0, -1.0)
-
-    def test_energy_invariant(self, rng):
-        for _ in range(200):
-            s = CartesianState(*rng.uniform(-2, 2, size=4))
-            dt = float(rng.uniform(0, 5))
-            e0 = hamiltonian(s)
-            assert hamiltonian(free_flight(s, dt)) == pytest.approx(
-                e0, rel=1e-13, abs=1e-13
-            )
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            free_flight(CartesianState(0, 1, 0, 0), -0.1)
+# At 40 degrees: at the vertex, inside the boundary tolerance, energy 1/2,
+# moving out through wall B.
+CRASH_STATE = CartesianState(
+    1.232568334324387e-13, -1.4088320528055173e-12, -0.6427876104525837, -0.7660444424761904
+)
 
 
 def brute_force_exit_time(state: CartesianState, angle: WedgeAngle, t_max: float, dt: float = 1e-6) -> float:
@@ -137,76 +112,17 @@ class TestNextCollision:
     def test_grazing_is_degenerate(self):
         angle = WedgeAngle(math.pi / 4)
         state = launch_from_wall(Wall.A, 1.0, 0.5, 1e-11, angle)
-        with pytest.raises(DegenerateError):
-            next_collision(state, angle)
+        assert next_collision(state, angle).kind is TerminationKind.DEGENERATE
 
     def test_drop_onto_vertex(self):
-        with pytest.raises(VertexHitError):
-            next_collision(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4))
+        step = next_collision(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4))
+        assert step.kind is TerminationKind.VERTEX_HIT
 
-
-class TestReflect:
-    def test_straight_down_onto_right_wall(self):
-        angle = WedgeAngle(math.pi / 4)
-        state = CartesianState(0.5, 0.5, 0, -1)
-        out = reflect(state, Wall.A, angle)
-        assert out.u == pytest.approx(-1.0)
-        assert out.w == pytest.approx(0.0, abs=1e-15)
-        assert math.hypot(out.u, out.w) == pytest.approx(1.0)
-
-    def test_normal_incidence_reverses_momentum(self):
-        angle = WedgeAngle(0.9)
-        state = launch_from_wall(Wall.B, 1.0, 0.0, -1.0, angle)
-        # force the precondition: momentum antiparallel to the inward normal
-        out = reflect(CartesianState(state.x, state.y, state.u, state.w), Wall.B, angle)
-        assert out.u == pytest.approx(-state.u)
-        assert out.w == pytest.approx(-state.w)
-
-    def test_tangential_momentum_unchanged(self):
-        angle = WedgeAngle(0.8)
-        state = launch_from_wall(Wall.A, 1.0, 0.7, 0.0, angle)
-        out = reflect(state, Wall.A, angle)
-        assert (out.u, out.w) == (state.u, state.w)
-
-    def test_preserves_norm_and_tangential_component(self, rng):
-        for _ in range(50):
-            angle = random_angle(rng)
-            wall = Wall.A if rng.random() < 0.5 else Wall.B
-            incoming = launch_from_wall(
-                wall, 1.0, float(rng.uniform(-1, 1)), -float(rng.uniform(0.1, 1)), angle
-            )
-            out = reflect(incoming, wall, angle)
-            assert math.hypot(out.u, out.w) == pytest.approx(
-                math.hypot(incoming.u, incoming.w)
-            )
-            tangent, normal = wall_frame(wall, angle)
-            p_in, p_out = np.array(incoming.momentum), np.array(out.momentum)
-            assert p_out @ tangent == pytest.approx(p_in @ tangent, abs=1e-14)
-            assert p_out @ normal == pytest.approx(-(p_in @ normal), abs=1e-14)
-
-    def test_involution(self, rng):
-        for _ in range(50):
-            angle = random_angle(rng)
-            wall = Wall.A if rng.random() < 0.5 else Wall.B
-            incoming = launch_from_wall(
-                wall, 1.0, float(rng.uniform(-1, 1)), -float(rng.uniform(0.1, 1)), angle
-            )
-            out = reflect(incoming, wall, angle)
-            back = reflect(
-                CartesianState(out.x, out.y, -out.u, -out.w, out.t), wall, angle
-            )
-            assert back.u == pytest.approx(-incoming.u, abs=1e-14)
-            assert back.w == pytest.approx(-incoming.w, abs=1e-14)
-
-    def test_off_wall_state_rejected(self):
-        with pytest.raises(NotOnWallError):
-            reflect(CartesianState(0, 1, 0, -1), Wall.A, WedgeAngle(math.pi / 4))
-
-    def test_outgoing_state_rejected(self):
-        angle = WedgeAngle(math.pi / 4)
-        state = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
-        with pytest.raises(OutgoingMomentumError):
-            reflect(state, Wall.A, angle)
+    def test_leaving_through_the_vertex_is_a_vertex_hit(self):
+        # sits at the vertex and moves out through wall B: no root ahead
+        step = next_collision(CRASH_STATE, WedgeAngle.from_degrees(40))
+        assert step.kind is TerminationKind.VERTEX_HIT
+        assert step.t == 0.0
 
 
 class TestSimulate:
@@ -244,6 +160,17 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(CartesianState(0, 0, 0, 0), WedgeAngle(math.pi / 4), 1)
 
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+    def test_launch_moving_out_through_its_wall_rejected(self, engine):
+        angle = WedgeAngle.from_degrees(40)
+        with pytest.raises(ValueError, match="moves out of the wedge"):
+            engine(launch_from_wall(Wall.A, 1.0, 0.3, -1.0, angle), angle, 5)
+        with pytest.raises(ValueError, match="moves out of the wedge"):
+            engine(CRASH_STATE, angle, 5)
+        # inside the grazing band the launch is a sliding state, not an error
+        traj = engine(launch_from_wall(Wall.A, 1.0, 0.3, -1e-11, angle), angle, 5)
+        assert traj.termination.kind is TerminationKind.DEGENERATE
+
     def test_vertex_drop_terminates(self):
         traj = simulate(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4), 10)
         assert traj.termination is not None
@@ -257,9 +184,10 @@ class TestSimulate:
         assert traj.termination.kind is TerminationKind.DEGENERATE
         assert traj.termination.normal_speed == pytest.approx(1e-12, abs=1e-12)
 
-    def test_event_invariants(self, rng):
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+    def test_event_invariants(self, engine, rng):
         angle = random_angle(rng)
-        traj = simulate(random_launch(rng, angle), angle, 200)
+        traj = engine(random_launch(rng, angle), angle, 200)
         last_t = traj.initial.t
         for event in traj.events:
             assert event.t > last_t
@@ -270,7 +198,11 @@ class TestSimulate:
             )
             assert event.rotating_post.w_bar >= 0.0
             tangent, normal = wall_frame(event.wall, angle)
-            p = np.array(event.post.momentum)
+            p_pre, p = np.array(event.pre.momentum), np.array(event.post.momentum)
+            # a specular reflection keeps the tangential component and
+            # reverses the normal one
+            assert p @ tangent == pytest.approx(p_pre @ tangent, abs=1e-14)
+            assert p @ normal == pytest.approx(-(p_pre @ normal), abs=1e-14)
             assert event.rotating_post.u_bar == pytest.approx(p @ tangent, abs=1e-14)
             assert event.rotating_post.w_bar == pytest.approx(p @ normal, abs=1e-14)
 
@@ -303,9 +235,12 @@ class TestSimulate:
         traj = simulate(random_launch(rng, angle), angle, 12)
         assert traj.termination is None
         k = 8
-        pivot = traj.events[k - 1].post
+        # the landing momentum reversed points back into the wedge
+        pivot = traj.events[k - 1].pre
         reversed_launch = CartesianState(pivot.x, pivot.y, -pivot.u, -pivot.w, 0.0)
         back = simulate(reversed_launch, angle, k - 1)
+        assert len(back.events) == k - 1
+        assert back.termination is None
         for i, event in enumerate(back.events):
             mirror = traj.events[k - 2 - i]
             assert event.wall is mirror.wall

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wedge_billiard import (
+    ConfigBounds,
     Wall,
     WedgeAngle,
     config_bounds,
@@ -127,7 +128,11 @@ class TestConfigBounds:
         assert bounds.x_tilde_max == pytest.approx(2.0 / math.sqrt(3))
         assert bounds.y_tilde_max == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("energy", [0.0, -1.0])
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
     def test_nonpositive_energy_rejected(self, energy):
         with pytest.raises(ValueError):
             config_bounds(energy, WedgeAngle(0.7))
+        with pytest.raises(ValueError):
+            ConfigBounds(energy, 1.0)
+        with pytest.raises(ValueError):
+            ConfigBounds(1.0, energy)

@@ -298,6 +298,9 @@ class TestBounceTimes:
     def test_nonpositive_speed_rejected(self):
         with pytest.raises(ValueError):
             bounce_times(0.0, 1.0, WedgeAngle(0.7), 1)
+        for speeds in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                bounce_periods(*speeds, WedgeAngle(0.7))
 
     def test_ratio_is_period_ratio(self):
         angle = WedgeAngle(0.9)
