@@ -38,6 +38,7 @@ from .orbits import (
     OrbitSpec,
     SweepPoint,
     build_periodic_orbit,
+    check_periodicity_tol,
     classify_orbit,
     critical_angle,
     sweep_periodic_points,
@@ -400,6 +401,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    # before the whole horizon is simulated
+    check_periodicity_tol(args.tol)
     angle = _resolve_angle(args)
     initial = _resolve_launch(args, angle)
     traj = simulate(initial, angle, args.n)

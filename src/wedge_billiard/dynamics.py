@@ -5,12 +5,15 @@ units: unit mass, unit gravity).  Collisions are elastic specular
 reflections.  Collision times are roots of per-wall quadratics, so the whole
 simulation is closed form; no time stepping is involved.
 
-Two independent integrators are provided.  :func:`simulate` works in lab
-coordinates: it root-solves the signed distance to each wall and reflects
-momenta with the wall normal.  :func:`decoupled_simulate` evolves the two
-wall-aligned coordinates as independent one-dimensional bouncers (gravity
-components ``cos(theta)`` and ``sin(theta)``) and must reproduce
-:func:`simulate` event for event; each serves as an oracle for the other.
+Two independent engines are provided.  :func:`simulate` works in lab
+coordinates: it root-solves the signed distance to each wall, one event at
+a time, and reflects momenta with the wall normal.
+:func:`decoupled_simulate` uses the integrability of the wedge: the two
+wall-aligned coordinates are independent one-dimensional bouncers (gravity
+components ``cos(theta)`` and ``sin(theta)``) whose hit times are two
+arithmetic progressions, merged in numpy with no loop per event.  It must
+reproduce :func:`simulate` event for event; each serves as an oracle for
+the other.
 
 Both write each event's floats to :class:`EventColumns`;
 :attr:`Trajectory.events` is a read-only view that builds a
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -106,6 +109,22 @@ class Termination:
 WALLS = (Wall.A, Wall.B)
 
 
+def _field_setters(cls) -> tuple:
+    """The slot descriptors' setters of a frozen dataclass, in field order.
+
+    Its ``__init__`` sets each field through ``object.__setattr__``;
+    building an instance with ``object.__new__`` and these setters gives an
+    equal instance at about half the cost.
+    """
+    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
+
+
+_STATE_SETTERS = _field_setters(CartesianState)
+_FRAME_SETTERS = _field_setters(RotatingFrameMomentum)
+_EVENT_SETTERS = _field_setters(CollisionEvent)
+_new = object.__new__
+
+
 class EventColumns:
     """Per-event columns written by the event loops, one entry per collision.
 
@@ -132,9 +151,11 @@ class EventColumns:
     def collision_frame(self, code: int, u: float, w: float) -> RotatingFrameMomentum:
         """Outgoing momentum ``(u, w)`` in the frame of wall ``WALLS[code]``."""
         u_tilde, w_tilde = to_wedge(u, w, self.sin_t, self.cos_t)
-        if code == 0:
-            return RotatingFrameMomentum(u_tilde, w_tilde)
-        return RotatingFrameMomentum(w_tilde, u_tilde)
+        set_u_bar, set_w_bar = _FRAME_SETTERS
+        frame = _new(RotatingFrameMomentum)
+        set_u_bar(frame, u_tilde if code == 0 else w_tilde)
+        set_w_bar(frame, w_tilde if code == 0 else u_tilde)
+        return frame
 
     @classmethod
     def from_events(cls, events, angle: WedgeAngle) -> "EventColumns":
@@ -173,13 +194,27 @@ class EventColumns:
             return memo_event
         code, t, x, y = self.wall[i], self.t[i], self.x[i], self.y[i]
         u, w = self.u[i], self.w[i]
-        event = CollisionEvent(
-            WALLS[code],
-            t,
-            CartesianState(x, y, self.u_pre[i], self.w_pre[i], t),
-            CartesianState(x, y, u, w, t),
-            self.collision_frame(code, u, w),
-        )
+        # the public constructors' values, set slot by slot
+        set_x, set_y, set_u, set_w, set_t = _STATE_SETTERS
+        pre = _new(CartesianState)
+        set_x(pre, x)
+        set_y(pre, y)
+        set_u(pre, self.u_pre[i])
+        set_w(pre, self.w_pre[i])
+        set_t(pre, t)
+        post = _new(CartesianState)
+        set_x(post, x)
+        set_y(post, y)
+        set_u(post, u)
+        set_w(post, w)
+        set_t(post, t)
+        set_wall, set_event_t, set_pre, set_post, set_frame = _EVENT_SETTERS
+        event = _new(CollisionEvent)
+        set_wall(event, WALLS[code])
+        set_event_t(event, t)
+        set_pre(event, pre)
+        set_post(event, post)
+        set_frame(event, self.collision_frame(code, u, w))
         self._memo = (i, event)
         return event
 
@@ -500,14 +535,60 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     )
 
 
-def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
-    """Event loop in wall-aligned coordinates: two independent 1-D bouncers.
+def _first_hit(d0: float, v0: float, g: float) -> tuple[float, float] | None:
+    """First wall hit of a one-dimensional bouncer at height ``d0`` above
+    its wall with velocity ``v0`` and gravity ``g``: ``(time, floor speed)``.
 
-    The coordinate along wall A falls with gravity ``cos(theta)`` and
-    bounces at zero (a wall-B collision); the coordinate along wall B falls
-    with gravity ``sin(theta)`` and bounces at zero (a wall-A collision).
-    Bounce times are closed form per axis.  Output matches
-    :func:`simulate` event for event.
+    The floor speed ``V = sqrt(v0**2 + 2*g*d0)`` is the speed of every
+    landing and takeoff, and the first landing is the larger root
+    ``(v0 + V)/g`` of the flight.  None when that root is not above T_EPS
+    (the bouncer sits on its wall, leaving) or there is no root at all (the
+    bouncer is beyond its wall for good).
+    """
+    disc = v0 * v0 + 2.0 * g * d0
+    if disc < 0.0:
+        return None
+    speed = math.sqrt(disc)
+    first = (v0 + speed) / g
+    return (first, speed) if first > T_EPS else None
+
+
+def _progression_lengths(n: int, first: tuple[float, float], period: tuple[float, float]) -> list[int]:
+    """How many hits of each bouncer cover the first ``n + 1`` merged ones.
+
+    Fewer than ``n + 1`` hits come before hit ``n``, so it comes no later
+    than the ``horizon`` where the unrounded hit counts ``(T - first) /
+    period`` add up to ``n + 1``.  Each bouncer needs its hits up to the
+    horizon, the next one, which a tie check looks at, and one for rounding.
+    """
+    rate = sum(1.0 / p for p in period)
+    horizon = (n + 1 + sum(f / p for f, p in zip(first, period))) / rate
+    lengths = []
+    for f, p in zip(first, period):
+        count = (horizon - f) / p + 3.0
+        lengths.append(n + 2 if not count < n + 2 else max(1, int(count)))
+    return lengths
+
+
+def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
+    """Closed-form engine from the two-bouncer solution of the wedge.
+
+    In wedge coordinates the motion is two independent one-dimensional
+    bouncers: ``y_tilde``, the distance from wall A, falls with gravity
+    ``sin(theta)``, and ``x_tilde``, the distance from wall B, with gravity
+    ``cos(theta)``.  A bouncer of floor speed ``V`` first hits its wall at
+    the larger root of its flight from the launch and then every ``2V/g``.
+    The two arithmetic progressions of hit times are merged in numpy, and
+    at each hit the other bouncer's phase is evaluated in closed form from
+    its own last hit, or before its first from the launch.  No collision is
+    root-solved one after another, so the output is an independent check
+    of :func:`simulate`, which it matches event for event.
+
+    The run ends where :func:`simulate` ends it: a sliding launch or a hit
+    with floor speed below GRAZING_EPS is degenerate; no root ahead on
+    either wall, hits on both walls within TIE_EPS or a landing closer than
+    VERTEX_EPS to the vertex is a vertex hit.  Raises ValueError as
+    :func:`simulate` does.
     """
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
@@ -515,68 +596,99 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     integrals = wedge_hamiltonians(initial, angle)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
-
-    t = initial.t
+    t0 = initial.t
     xt, yt = to_wedge(initial.x, initial.y, sin_t, cos_t)
     ut, wt = to_wedge(initial.u, initial.w, sin_t, cos_t)
-    termination: Termination | None = None
 
-    for _ in range(n):
-        if yt <= ON_WALL_TOL and abs(wt) < GRAZING_EPS:
-            termination = Termination(TerminationKind.DEGENERATE, t, abs(wt))
-            break
-        if xt <= ON_WALL_TOL and abs(ut) < GRAZING_EPS:
-            termination = Termination(TerminationKind.DEGENERATE, t, abs(ut))
-            break
-        t_a = _smallest_root(yt, wt, sin_t)
-        t_b = _smallest_root(xt, ut, cos_t)
-        if t_a is None and t_b is None:
-            termination = Termination(TerminationKind.VERTEX_HIT, t)
-            break
-        if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
-            termination = Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
-            break
-        if t_b is None or (t_a is not None and t_a < t_b):
-            dt, wall = t_a, Wall.A
-        else:
-            dt, wall = t_b, Wall.B
-        xt_land = xt + ut * dt - cos_t * dt * dt / 2.0
-        yt_land = yt + wt * dt - sin_t * dt * dt / 2.0
-        ut_land = ut - cos_t * dt
-        wt_land = wt - sin_t * dt
-        if wall is Wall.A:
-            s_land, v_n = xt_land, abs(wt_land)
-            yt_land = 0.0
-        else:
-            s_land, v_n = yt_land, abs(ut_land)
-            xt_land = 0.0
-        if s_land < VERTEX_EPS:
-            termination = Termination(TerminationKind.VERTEX_HIT, t + dt)
-            break
-        if v_n < GRAZING_EPS:
-            termination = Termination(TerminationKind.DEGENERATE, t + dt, v_n)
-            break
-        t += dt
-        columns.t.append(t)
-        columns.x.append(xt_land * sin_t - yt_land * cos_t)
-        columns.y.append(xt_land * cos_t + yt_land * sin_t)
-        columns.u_pre.append(ut_land * sin_t - wt_land * cos_t)
-        columns.w_pre.append(ut_land * cos_t + wt_land * sin_t)
-        if wall is Wall.A:
-            wt_land = -wt_land
-            columns.wall.append(0)
-        else:
-            ut_land = -ut_land
-            columns.wall.append(1)
-        columns.u.append(ut_land * sin_t - wt_land * cos_t)
-        columns.w.append(ut_land * cos_t + wt_land * sin_t)
-        xt, yt, ut, wt = xt_land, yt_land, ut_land, wt_land
+    def finish(termination: Termination | None = None) -> Trajectory:
+        return Trajectory(
+            initial=initial,
+            theta=angle,
+            events=EventSequence(columns),
+            energy=energy,
+            wedge_integrals=integrals,
+            termination=termination,
+        )
 
-    return Trajectory(
-        initial=initial,
-        theta=angle,
-        events=EventSequence(columns),
-        energy=energy,
-        wedge_integrals=integrals,
-        termination=termination,
+    if n == 0:
+        return finish()
+    # a launch resting on a wall with no normal momentum is already sliding
+    if yt <= ON_WALL_TOL and abs(wt) < GRAZING_EPS:
+        return finish(Termination(TerminationKind.DEGENERATE, t0, abs(wt)))
+    if xt <= ON_WALL_TOL and abs(ut) < GRAZING_EPS:
+        return finish(Termination(TerminationKind.DEGENERATE, t0, abs(ut)))
+    # x_tilde bounces on wall B and y_tilde on wall A
+    hit_x, hit_y = _first_hit(xt, ut, cos_t), _first_hit(yt, wt, sin_t)
+    if hit_x is None or hit_y is None:
+        # a bouncer with no root ahead stays beyond its wall, so the other
+        # one's first hit lands past the vertex
+        ahead = [hit[0] for hit in (hit_x, hit_y) if hit is not None]
+        return finish(Termination(TerminationKind.VERTEX_HIT, t0 + min(ahead, default=0.0)))
+    (first_x, speed_x), (first_y, speed_y) = hit_x, hit_y
+    grazing_x, grazing_y = speed_x < GRAZING_EPS, speed_y < GRAZING_EPS
+    # a grazing bouncer ends the run at its first hit, so its later hits
+    # need only come later, even at zero speed
+    period_x = 2.0 * max(speed_x, GRAZING_EPS) / cos_t
+    period_y = 2.0 * max(speed_y, GRAZING_EPS) / sin_t
+    m_x, m_y = _progression_lengths(n, (first_x, first_y), (period_x, period_y))
+
+    # hit times after the launch, merged; wall A's come first in ``hits``
+    hits = np.concatenate(
+        (first_y + period_y * np.arange(m_y), first_x + period_x * np.arange(m_x))
     )
+    order = np.argsort(hits, kind="stable")[: n + 1]
+    r = hits[order]
+    on_b = order >= m_y
+    # how many hits the other bouncer made before each one: the hits before
+    # it less its own index in its progression
+    before = np.arange(len(r)) - (order - m_y * on_b)
+    # the other bouncer flies from its last hit; before its first it flies
+    # the same parabola, from a takeoff one period before that hit
+    first = np.where(on_b, first_y, first_x)
+    period = np.where(on_b, period_y, period_x)
+    speed = np.where(on_b, speed_y, speed_x)
+    gravity = np.where(on_b, sin_t, cos_t)
+    since = r - (first + period * (before - 1))
+    height = speed * since - gravity * since * since / 2.0
+    velocity = speed - gravity * since
+
+    # the first of the n events that cannot be reflected ends the run: hits
+    # on both walls within TIE_EPS or a landing too near the vertex (the
+    # other bouncer's height), or a grazing bouncer's hit
+    vertex = height < VERTEX_EPS
+    vertex[:-1] |= (on_b[1:] != on_b[:-1]) & (r[1:] - r[:-1] <= TIE_EPS)
+    grazing = np.where(on_b, grazing_x, grazing_y)
+    stops = np.flatnonzero((vertex | grazing)[:n])
+    k = int(stops[0]) if stops.size else n
+    termination = None
+    if stops.size:
+        t_stop = t0 + float(r[k])
+        if vertex[k]:
+            termination = Termination(TerminationKind.VERTEX_HIT, t_stop)
+        else:
+            v_n = speed_x if on_b[k] else speed_y
+            termination = Termination(TerminationKind.DEGENERATE, t_stop, v_n)
+
+    # rows: height, landing velocity, outgoing velocity.  The other bouncer
+    # is in flight; at its own hit a bouncer sits on its wall and its
+    # velocity turns from -V to V
+    on_b, height, velocity = on_b[:k], height[:k], velocity[:k]
+    other = np.array([height, velocity, velocity])
+    own = np.array([[0.0], [-1.0], [1.0]]) * np.where(on_b, speed_x, speed_y)
+    tilde_x = np.where(on_b, own, other)
+    tilde_y = np.where(on_b, other, own)
+    # wedge -> lab: rows (x, u_pre, u) and (y, w_pre, w)
+    lab_x = tilde_x * sin_t - tilde_y * cos_t
+    lab_y = tilde_x * cos_t + tilde_y * sin_t
+    for column, values in (
+        (columns.wall, on_b.astype(np.uint8)),
+        (columns.t, t0 + r[:k]),
+        (columns.x, lab_x[0]),
+        (columns.y, lab_y[0]),
+        (columns.u_pre, lab_x[1]),
+        (columns.w_pre, lab_y[1]),
+        (columns.u, lab_x[2]),
+        (columns.w, lab_y[2]),
+    ):
+        column.frombytes(values.tobytes())
+    return finish(termination)

@@ -177,6 +177,13 @@ def build_periodic_orbit(spec: OrbitSpec, n_collisions: int | None = None) -> Tr
     return simulate(initial, angle, spec.period if n_collisions is None else n_collisions)
 
 
+def check_periodicity_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a usable recurrence tolerance for
+    :func:`classify_orbit`: positive and finite."""
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> OrbitClass:
     """Classify a trajectory as periodic, dense, sliding or degenerate.
 
@@ -187,8 +194,7 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     vertex hits are degenerate.  Everything else is reported dense, meaning
     only that no recurrence was found within the horizon.
     """
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    check_periodicity_tol(tol)
     term = traj.termination
     if term is not None:
         if term.kind is TerminationKind.VERTEX_HIT:

@@ -350,9 +350,8 @@ VALID_ARGS = {
 }
 
 
-def assert_usage_error(command, option, value, tmp_path, capsys):
-    """A valid invocation with ``option`` set to ``value`` exits 2 with an
-    ``error:`` line and no traceback."""
+def invocation(command, option, value, tmp_path):
+    """argv of a valid invocation of ``command`` with ``option`` set to ``value``."""
     args = dict(VALID_ARGS[command])
     if command in ("simulate", "classify"):
         launch = CARTESIAN_LAUNCH if option in CARTESIAN_LAUNCH else WALL_LAUNCH
@@ -362,8 +361,13 @@ def assert_usage_error(command, option, value, tmp_path, capsys):
             args.update({"--p": "1", "--q": "2"})
     args[option] = value
     # "--s=-inf" keeps argparse from reading the value as an option
-    argv = [command] + [f"{k}={v.format(out=tmp_path / 'out.csv')}" for k, v in args.items()]
-    assert main(argv) == 2
+    return [command] + [f"{k}={v.format(out=tmp_path / 'out.csv')}" for k, v in args.items()]
+
+
+def assert_usage_error(command, option, value, tmp_path, capsys):
+    """A valid invocation with ``option`` set to ``value`` exits 2 with an
+    ``error:`` line and no traceback."""
+    assert main(invocation(command, option, value, tmp_path)) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
@@ -386,3 +390,29 @@ def test_non_finite_float_option_is_a_usage_error(command, option, value, tmp_pa
 )
 def test_out_of_range_int_option_is_a_usage_error(command, option, value, tmp_path, capsys):
     assert_usage_error(command, option, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "5e-324"])
+@pytest.mark.parametrize("command, option", typed_options(float))
+def test_huge_or_tiny_float_option_exits_cleanly(command, option, value, tmp_path, capsys):
+    # finite extremes: the run may go through, be refused or end early, but
+    # never with a traceback
+    code = main(invocation(command, option, value, tmp_path))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def test_classify_checks_tol_before_simulating(monkeypatch, capsys):
+    from wedge_billiard import cli
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --tol")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    code = run(*("classify",) + SIMULATE_ARGS[1:], "--n", "1000000", "--tol=-1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tolerance" in err

@@ -15,17 +15,27 @@ from wedge_billiard import (
     WedgeAngle,
     build_periodic_orbit,
     classify_orbit,
+    contains,
     coverage_fraction,
+    critical_angle,
     decoupled_simulate,
     hamiltonian,
     launch_from_wall,
     next_collision,
+    periodic_initial_condition,
     simulate,
     wall_frame,
     wedge_hamiltonians,
 )
 from wedge_billiard.cli import OutputFormat, export_trajectory, read_trajectory_json
-from wedge_billiard.dynamics import WALLS, EventSequence
+from wedge_billiard.dynamics import (
+    WALLS,
+    CollisionEvent,
+    EventSequence,
+    RotatingFrameMomentum,
+)
+from wedge_billiard.geometry import to_wedge
+from wedge_billiard.orbits import launch_arclength
 
 from conftest import random_angle, random_launch
 
@@ -301,6 +311,93 @@ class TestDecoupledSimulate:
         assert traj.events == ()
 
 
+def outside_wall(wall: Wall, angle: WedgeAngle, by: float, w_bar: float = 0.8) -> CartesianState:
+    """A launch off ``wall`` (s = 1, u_bar = 0.2) moved ``by`` against the
+    wall's inward normal."""
+    on = launch_from_wall(wall, 1.0, 0.2, w_bar, angle)
+    _, normal = wall_frame(wall, angle)
+    state = CartesianState(on.x - by * normal[0], on.y - by * normal[1], on.u, on.w)
+    x_tilde, y_tilde = to_wedge(state.x, state.y, angle.sin, angle.cos)
+    assert (y_tilde if wall is Wall.A else x_tilde) < 0.0
+    return state
+
+
+def periodic_12(energy: float) -> tuple[CartesianState, WedgeAngle]:
+    """The launch of the (1, 2) orbit at the given energy."""
+    spec = OrbitSpec(1, 2, energy)
+    angle, seed = critical_angle(spec), periodic_initial_condition(spec)
+    return launch_from_wall(Wall.A, launch_arclength(spec), seed.u_bar, seed.w_bar, angle), angle
+
+
+def from_wedge(x_tilde, y_tilde, u_tilde, w_tilde, angle: WedgeAngle) -> CartesianState:
+    sin_t, cos_t = angle.sin, angle.cos
+    return CartesianState(
+        x_tilde * sin_t - y_tilde * cos_t,
+        x_tilde * cos_t + y_tilde * sin_t,
+        u_tilde * sin_t - w_tilde * cos_t,
+        u_tilde * cos_t + w_tilde * sin_t,
+    )
+
+
+def vertex_launch(angle: WedgeAngle, speed: float) -> CartesianState:
+    """From the vertex with equal bounce speeds: at a critical angle both
+    bouncers come back to the vertex together."""
+    return CartesianState(0.0, 0.0, speed * (angle.sin - angle.cos), speed * (angle.cos + angle.sin))
+
+
+def edge_launches():
+    at_40, at_45, at_09 = WedgeAngle.from_degrees(40), WedgeAngle(math.pi / 4), WedgeAngle(0.9)
+    at_11, at_23 = critical_angle(OrbitSpec(1, 1)), critical_angle(OrbitSpec(2, 3))
+    return {
+        "vertex_drop": (CartesianState(0, 1, 0, 0), at_45),
+        "grazing": (launch_from_wall(Wall.A, 1.0, 0.3, 1e-12, at_09), at_09),
+        "grazing_band": (launch_from_wall(Wall.A, 1.0, 0.3, -1e-11, at_40), at_40),
+        "vertex_coincidence_2_3": (vertex_launch(at_23, 1.0), at_23),
+        # at this speed the two walls' hits, 1e-12 apart, land ~2e-9 from
+        # the vertex, past VERTEX_EPS: only the tie check ends the run
+        "vertex_coincidence_1_1_fast": (vertex_launch(at_11, 1510.0), at_11),
+        "on_wall_a": (launch_from_wall(Wall.A, 1.0, 0.2, 0.8, at_40), at_40),
+        "on_wall_b": (launch_from_wall(Wall.B, 1.0, 0.2, 0.8, at_40), at_40),
+        "just_outside_wall_a": (outside_wall(Wall.A, at_40, 5e-13), at_40),
+        "just_outside_wall_b": (outside_wall(Wall.B, at_40, 5e-13), at_40),
+        # too slow to reach wall A from outside it: no root on wall A
+        "creeping_in_from_outside_wall_a": (outside_wall(Wall.A, at_40, 5e-13, 1e-7), at_40),
+        # near the vertex, just outside wall A, moving in: the wall-A
+        # bouncer's floor speed is below GRAZING_EPS, so its first hit grazes
+        "grazing_hit": (from_wedge(1e-5, -8e-21, 0.3, 1.2e-10, at_40), at_40),
+        # 2e-10 off wall A, leaving it fast: its root is below T_EPS
+        "leaving_past_wall_a": (from_wedge(1.0, 2e-10, 0.3, -5.0, at_40), at_40),
+        # Hy = 0: resting on wall A; Hx = 0: resting on wall B
+        "sliding_hy_0": (launch_from_wall(Wall.A, 1.0, 0.5, 0.0, at_40), at_40),
+        "sliding_hx_0": (launch_from_wall(Wall.B, 1.0, 0.5, 0.0, at_40), at_40),
+        **{f"orbit_1_2_at_E_{energy:g}": periodic_12(energy) for energy in (3e-9, 2e-9, 1e-9)},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(edge_launches()))
+def test_engines_end_edge_launches_alike(name):
+    initial, angle = edge_launches()[name]
+    assert contains(initial.position, angle)
+    a, b = simulate(initial, angle, 30), decoupled_simulate(initial, angle, 30)
+    assert len(a.events) == len(b.events)
+    assert a.events.column("wall").tolist() == b.events.column("wall").tolist()
+    assert (a.termination is None) == (b.termination is None)
+    if a.termination is not None:
+        assert a.termination.kind is b.termination.kind
+        assert a.termination.t == pytest.approx(b.termination.t, abs=1e-9)
+
+
+def test_decoupled_slow_entry_from_just_outside_a_wall_bounces_on():
+    # the wall-A bouncer crosses its wall ~5e-10 after the launch, moving
+    # in; its first hit is the landing that ends that flight
+    angle = WedgeAngle.from_degrees(40)
+    traj = decoupled_simulate(outside_wall(Wall.A, angle, 5e-13, 1e-3), angle, 30)
+    assert len(traj.events) == 30
+    assert traj.termination is None
+    assert traj.events[0].wall is Wall.A
+    assert traj.events[0].t == pytest.approx(2e-3 / angle.sin, rel=1e-6)
+
+
 def dense_60(n: int, engine=simulate):
     """The paper's 60-degree launch (wall A, s = 1, u_bar = 0, w_bar = 1)."""
     angle = WedgeAngle.from_degrees(60)
@@ -365,6 +462,23 @@ class TestEventSequence:
         assert list(traj.events) == list(loaded.events)
         assert traj.events == loaded.events
         assert traj == loaded
+
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
+    def test_built_event_equals_the_public_constructors(self, engine):
+        events = dense_60(5, engine).events
+        wall, t, x, y, u_pre, w_pre, u, w, u_bar, w_bar = (
+            events.column(name).tolist() for name in EVENT_FIELDS
+        )
+        for i, event in enumerate(events):
+            assert event == CollisionEvent(
+                WALLS[wall[i]],
+                t[i],
+                CartesianState(x[i], y[i], u_pre[i], w_pre[i], t[i]),
+                CartesianState(x[i], y[i], u[i], w[i], t[i]),
+                RotatingFrameMomentum(u_bar[i], w_bar[i]),
+            )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.pre.x = 0.0
 
     def test_launch_with_no_events_compares_equal_to_empty_tuple(self):
         traj = simulate(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4), 10)
