@@ -2,18 +2,23 @@
 
 Between collisions the particle follows an exact parabola (dimensionless
 units: unit mass, unit gravity).  Collisions are elastic specular
-reflections.  Collision times are roots of per-wall quadratics, so the whole
-simulation is closed form; no time stepping is involved.
+reflections.  The wedge is integrable: in wedge coordinates the motion is
+two independent one-dimensional bouncers.  ``x_tilde``, the distance from
+wall B, falls with gravity ``cos(theta)``, and ``y_tilde``, the distance
+from wall A, with gravity ``sin(theta)``.  A bouncer of energy ``H`` lands
+and takes off at its floor speed ``sqrt(2H)``, so wall B is hit every
+``2*sqrt(2*Hx)/cos(theta)`` and wall A every ``2*sqrt(2*Hy)/sin(theta)``.
+A bouncer's first landing from any state is the larger root of its flight
+(:func:`_first_hit`), so the whole simulation is closed form; no time
+stepping is involved.
 
-Two independent engines are provided.  :func:`simulate` works in lab
-coordinates: it root-solves the signed distance to each wall, one event at
-a time, and reflects momenta with the wall normal.
-:func:`decoupled_simulate` uses the integrability of the wedge: the two
-wall-aligned coordinates are independent one-dimensional bouncers (gravity
-components ``cos(theta)`` and ``sin(theta)``) whose hit times are two
-arithmetic progressions, merged in numpy with no loop per event.  It must
-reproduce :func:`simulate` event for event; each serves as an oracle for
-the other.
+Two engines are provided.  :func:`simulate` works in lab coordinates: from
+each state it takes the earlier of the two bouncers' first landings and
+reflects the momentum with the wall normal, one event at a time.
+:func:`decoupled_simulate` finds the first landings once, from the launch,
+and merges the two arithmetic progressions of hit times in numpy with no
+loop per event.  The two share only the first-hit rule and must agree event
+for event; each serves as an oracle for the other.
 
 Both write each event's floats to :class:`EventColumns`;
 :attr:`Trajectory.events` is a read-only view that builds a
@@ -374,25 +379,23 @@ def launch_from_wall(
     )
 
 
-def _smallest_root(d0: float, v0: float, g: float) -> float | None:
-    """Smallest root above T_EPS of d0 + v0*t - g*t^2/2 = 0, or None.
+def _first_hit(d0: float, v0: float, g: float) -> float | None:
+    """First landing of a one-dimensional bouncer at height ``d0`` above its
+    wall with velocity ``v0`` and gravity ``g``, or None.
 
-    The parabola opens downward (g > 0), so from inside the region
-    (d0 >= 0) the smaller root is nonpositive and the larger one is the
-    physical exit time.  The T_EPS cutoff discards the residual root left
-    over when the state sits on the wall it just bounced off.
+    The flight ``d0 + v0*t - g*t**2/2`` lands at its larger root ``(v0 +
+    V)/g``, where ``V = sqrt(v0**2 + 2*g*d0)`` is the floor speed.  On or
+    inside the wall (d0 >= 0) the smaller root is never positive; just
+    outside it, moving in, the smaller root is the wall crossing, not a
+    landing.  None when the landing is not above T_EPS (the bouncer sits on
+    the wall it just left, leaving) or there is no root at all (the bouncer
+    stays beyond its wall).
     """
     disc = v0 * v0 + 2.0 * g * d0
     if disc < 0.0:
         return None
-    root = math.sqrt(disc)
-    t_small = (v0 - root) / g
-    if t_small > T_EPS:
-        return t_small
-    t_large = (v0 + root) / g
-    if t_large > T_EPS:
-        return t_large
-    return None
+    first = (v0 + math.sqrt(disc)) / g
+    return first if first > T_EPS else None
 
 
 def _next_collision_scalar(
@@ -416,8 +419,8 @@ def _next_collision_scalar(
         return Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
     if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
         return Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
-    t_a = _smallest_root(y_tilde, w_tilde, sin_t)
-    t_b = _smallest_root(x_tilde, u_tilde, cos_t)
+    t_a = _first_hit(y_tilde, w_tilde, sin_t)
+    t_b = _first_hit(x_tilde, u_tilde, cos_t)
     if t_a is None and t_b is None:
         return Termination(TerminationKind.VERTEX_HIT, t)
     if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
@@ -535,24 +538,6 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     )
 
 
-def _first_hit(d0: float, v0: float, g: float) -> tuple[float, float] | None:
-    """First wall hit of a one-dimensional bouncer at height ``d0`` above
-    its wall with velocity ``v0`` and gravity ``g``: ``(time, floor speed)``.
-
-    The floor speed ``V = sqrt(v0**2 + 2*g*d0)`` is the speed of every
-    landing and takeoff, and the first landing is the larger root
-    ``(v0 + V)/g`` of the flight.  None when that root is not above T_EPS
-    (the bouncer sits on its wall, leaving) or there is no root at all (the
-    bouncer is beyond its wall for good).
-    """
-    disc = v0 * v0 + 2.0 * g * d0
-    if disc < 0.0:
-        return None
-    speed = math.sqrt(disc)
-    first = (v0 + speed) / g
-    return (first, speed) if first > T_EPS else None
-
-
 def _progression_lengths(n: int, first: tuple[float, float], period: tuple[float, float]) -> list[int]:
     """How many hits of each bouncer cover the first ``n + 1`` merged ones.
 
@@ -577,12 +562,12 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     bouncers: ``y_tilde``, the distance from wall A, falls with gravity
     ``sin(theta)``, and ``x_tilde``, the distance from wall B, with gravity
     ``cos(theta)``.  A bouncer of floor speed ``V`` first hits its wall at
-    the larger root of its flight from the launch and then every ``2V/g``.
-    The two arithmetic progressions of hit times are merged in numpy, and
-    at each hit the other bouncer's phase is evaluated in closed form from
-    its own last hit, or before its first from the launch.  No collision is
-    root-solved one after another, so the output is an independent check
-    of :func:`simulate`, which it matches event for event.
+    :func:`_first_hit` from the launch and then every ``2V/g``.  The two
+    arithmetic progressions of hit times are merged in numpy, and at each
+    hit the other bouncer's phase is evaluated in closed form from its own
+    last hit, or before its first from the launch.  No collision is
+    root-solved from the one before, so the output is a check of
+    :func:`simulate`, which it matches event for event.
 
     The run ends where :func:`simulate` ends it: a sliding launch or a hit
     with floor speed below GRAZING_EPS is degenerate; no root ahead on
@@ -618,13 +603,14 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     if xt <= ON_WALL_TOL and abs(ut) < GRAZING_EPS:
         return finish(Termination(TerminationKind.DEGENERATE, t0, abs(ut)))
     # x_tilde bounces on wall B and y_tilde on wall A
-    hit_x, hit_y = _first_hit(xt, ut, cos_t), _first_hit(yt, wt, sin_t)
-    if hit_x is None or hit_y is None:
+    first_x, first_y = _first_hit(xt, ut, cos_t), _first_hit(yt, wt, sin_t)
+    if first_x is None or first_y is None:
         # a bouncer with no root ahead stays beyond its wall, so the other
         # one's first hit lands past the vertex
-        ahead = [hit[0] for hit in (hit_x, hit_y) if hit is not None]
+        ahead = [first for first in (first_x, first_y) if first is not None]
         return finish(Termination(TerminationKind.VERTEX_HIT, t0 + min(ahead, default=0.0)))
-    (first_x, speed_x), (first_y, speed_y) = hit_x, hit_y
+    # every landing and takeoff of a bouncer of energy H is at speed sqrt(2H)
+    speed_x, speed_y = (math.sqrt(2.0 * h) for h in integrals)
     grazing_x, grazing_y = speed_x < GRAZING_EPS, speed_y < GRAZING_EPS
     # a grazing bouncer ends the run at its first hit, so its later hits
     # need only come later, even at zero speed

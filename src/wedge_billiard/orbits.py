@@ -1,13 +1,15 @@
 """Periodic-orbit construction, orbit classification and phase-point sweeps.
 
-The two wall-aligned coordinates bounce with half-periods
-``T_A = u_tilde0/cos(theta)`` and ``T_B = w_tilde0/sin(theta)``.  Their
-ratio reduces to ``tan(theta)`` when both one-dimensional bounce speeds are
-equal, which happens exactly when the launch carries normal momentum
-``sqrt(E)``.  The ratio is rational precisely at the critical angles
-``theta* = arctan(p/q)`` with p, q coprime, where the motion closes after
-p + q collisions (p on wall A, q on wall B); at every other angle the
-trajectory fills the reachable configuration box densely.
+In wedge coordinates the motion is two independent one-dimensional
+bouncers with energies ``Hx`` and ``Hy`` (``dynamics.wedge_hamiltonians``).
+Wall B is hit every ``2*sqrt(2*Hx)/cos(theta)`` and wall A every
+``2*sqrt(2*Hy)/sin(theta)``, so the motion makes
+``tan(theta)*sqrt(Hx/Hy)`` wall-A hits per wall-B hit.  That hit ratio is
+``tan(theta)`` only when ``Hx = Hy``, as for the periodic launch, which
+carries normal momentum ``sqrt(E)``.  At the critical angles
+``theta* = arctan(p/q)`` with p, q coprime that launch closes after p + q
+collisions (p on wall A, q on wall B); a launch whose hit ratio is
+irrational fills the reachable configuration box densely.
 """
 
 from __future__ import annotations
@@ -59,18 +61,6 @@ class OrbitSpec:
     @property
     def period(self) -> int:
         return self.p + self.q
-
-
-@dataclass(frozen=True, slots=True)
-class BouncePeriods:
-    """Half-periods of the two independent one-dimensional bouncers."""
-
-    t_a: float
-    t_b: float
-
-    @property
-    def ratio(self) -> float:
-        return self.t_a / self.t_b
 
 
 class OrbitKind(Enum):
@@ -135,22 +125,13 @@ def critical_angle(spec: OrbitSpec) -> WedgeAngle:
     return WedgeAngle(math.atan2(spec.p, spec.q))
 
 
-def period_ratio(angle: WedgeAngle) -> float:
-    """Ratio of the two one-dimensional bounce half-periods, tan(theta).
-
-    Rational values admit periodic orbits; irrational values force dense
-    trajectories.
-    """
-    return angle.sin / angle.cos
-
-
 def periodic_initial_condition(spec: OrbitSpec) -> MapState:
     """Launch momentum that closes the (p, q) orbit at its critical angle.
 
     ``u_bar = sqrt(E)*(q - p)/(q + p)`` along the wall, ``w_bar = sqrt(E)``
     into the region.  The normal component splits the energy evenly between
-    the two one-dimensional bouncers, which is what locks their bounce-speed
-    ratio to tan(theta*) = p/q.
+    the two one-dimensional bouncers, which is what makes their hit ratio
+    tan(theta*) = p/q.
     """
     root_e = math.sqrt(spec.energy)
     u_bar = root_e * (spec.q - spec.p) / (spec.q + spec.p)
@@ -280,29 +261,6 @@ def sensitivity_probe(
         Wall.A, launch_arclength(spec), seed.u_bar + eps, seed.w_bar, angle
     )
     return classify_orbit(simulate(initial, angle, n_collisions))
-
-
-def bounce_periods(u_tilde0: float, w_tilde0: float, angle: WedgeAngle) -> BouncePeriods:
-    """Half-periods of the two one-dimensional bouncers for given bounce speeds."""
-    if not u_tilde0 > 0.0 or not w_tilde0 > 0.0:
-        raise ValueError("bounce speeds must be positive")
-    return BouncePeriods(u_tilde0 / angle.cos, w_tilde0 / angle.sin)
-
-
-def bounce_times(
-    u_tilde0: float, w_tilde0: float, angle: WedgeAngle, n: int
-) -> tuple[list[float], list[float]]:
-    """First n bounce times of each one-dimensional bouncer.
-
-    The bouncer along wall A (bounce speed ``u_tilde0``, floor at wall B)
-    bounces at ``2*j*T_A``; the one along wall B (bounce speed ``w_tilde0``,
-    floor at wall A) at ``2*k*T_B``, j, k = 1..n.
-    """
-    periods = bounce_periods(u_tilde0, w_tilde0, angle)
-    return (
-        [2.0 * j * periods.t_a for j in range(1, n + 1)],
-        [2.0 * k * periods.t_b for k in range(1, n + 1)],
-    )
 
 
 def sweep_periodic_points(

@@ -37,7 +37,7 @@ from wedge_billiard.dynamics import (
 from wedge_billiard.geometry import to_wedge
 from wedge_billiard.orbits import launch_arclength
 
-from conftest import random_angle, random_launch
+from conftest import outside_wall, random_angle, random_launch
 
 
 class TestHamiltonian:
@@ -311,17 +311,6 @@ class TestDecoupledSimulate:
         assert traj.events == ()
 
 
-def outside_wall(wall: Wall, angle: WedgeAngle, by: float, w_bar: float = 0.8) -> CartesianState:
-    """A launch off ``wall`` (s = 1, u_bar = 0.2) moved ``by`` against the
-    wall's inward normal."""
-    on = launch_from_wall(wall, 1.0, 0.2, w_bar, angle)
-    _, normal = wall_frame(wall, angle)
-    state = CartesianState(on.x - by * normal[0], on.y - by * normal[1], on.u, on.w)
-    x_tilde, y_tilde = to_wedge(state.x, state.y, angle.sin, angle.cos)
-    assert (y_tilde if wall is Wall.A else x_tilde) < 0.0
-    return state
-
-
 def periodic_12(energy: float) -> tuple[CartesianState, WedgeAngle]:
     """The launch of the (1, 2) orbit at the given energy."""
     spec = OrbitSpec(1, 2, energy)
@@ -362,11 +351,17 @@ def edge_launches():
         "just_outside_wall_b": (outside_wall(Wall.B, at_40, 5e-13), at_40),
         # too slow to reach wall A from outside it: no root on wall A
         "creeping_in_from_outside_wall_a": (outside_wall(Wall.A, at_40, 5e-13, 1e-7), at_40),
+        # just outside wall A, moving in slowly: the wall crossing ~5e-10
+        # after the launch is not a landing
+        "slow_entry_wall_a": (outside_wall(Wall.A, at_40, 5e-13, 1e-3), at_40),
         # near the vertex, just outside wall A, moving in: the wall-A
         # bouncer's floor speed is below GRAZING_EPS, so its first hit grazes
         "grazing_hit": (from_wedge(1e-5, -8e-21, 0.3, 1.2e-10, at_40), at_40),
         # 2e-10 off wall A, leaving it fast: its root is below T_EPS
         "leaving_past_wall_a": (from_wedge(1.0, 2e-10, 0.3, -5.0, at_40), at_40),
+        # the wall-A bouncer's height after a bounce (~1e-20) is far below
+        # the rounding of the on-wall lab point (~5e-17)
+        "near_grazing_bouncer": (from_wedge(1.0, 0.0, 0.3, 1e-10, at_40), at_40),
         # Hy = 0: resting on wall A; Hx = 0: resting on wall B
         "sliding_hy_0": (launch_from_wall(Wall.A, 1.0, 0.5, 0.0, at_40), at_40),
         "sliding_hx_0": (launch_from_wall(Wall.B, 1.0, 0.5, 0.0, at_40), at_40),
@@ -387,15 +382,18 @@ def test_engines_end_edge_launches_alike(name):
         assert a.termination.t == pytest.approx(b.termination.t, abs=1e-9)
 
 
-def test_decoupled_slow_entry_from_just_outside_a_wall_bounces_on():
-    # the wall-A bouncer crosses its wall ~5e-10 after the launch, moving
+@pytest.mark.parametrize("w_bar", [1e-3, 1e-4])
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+def test_slow_entry_from_just_outside_a_wall_bounces_on(engine, w_bar):
+    # the wall-A bouncer starts 5e-13 beyond its wall and crosses it moving
     # in; its first hit is the landing that ends that flight
     angle = WedgeAngle.from_degrees(40)
-    traj = decoupled_simulate(outside_wall(Wall.A, angle, 5e-13, 1e-3), angle, 30)
+    traj = engine(outside_wall(Wall.A, angle, 5e-13, w_bar), angle, 30)
     assert len(traj.events) == 30
     assert traj.termination is None
     assert traj.events[0].wall is Wall.A
-    assert traj.events[0].t == pytest.approx(2e-3 / angle.sin, rel=1e-6)
+    landing = (w_bar + math.sqrt(w_bar * w_bar - 2 * angle.sin * 5e-13)) / angle.sin
+    assert traj.events[0].t == pytest.approx(landing, rel=1e-6)
 
 
 def dense_60(n: int, engine=simulate):

@@ -7,15 +7,12 @@ from wedge_billiard import (
     OrbitSpec,
     Wall,
     WedgeAngle,
-    bounce_periods,
-    bounce_times,
     build_periodic_orbit,
     classify_orbit,
     coverage_fraction,
     critical_angle,
     decoupled_simulate,
     launch_from_wall,
-    period_ratio,
     periodic_initial_condition,
     sensitivity_probe,
     simulate,
@@ -70,23 +67,12 @@ class TestCriticalAngle:
             theta = critical_angle(OrbitSpec(p, q)).theta
             assert 0 < theta < math.pi / 2
 
-
-class TestPeriodRatio:
-    def test_symmetric(self):
-        assert period_ratio(WedgeAngle(math.pi / 4)) == pytest.approx(1.0)
-
-    def test_tan_arctan_identity(self):
-        assert period_ratio(WedgeAngle(math.atan(2 / 5))) == pytest.approx(0.4)
-
-    def test_irrational_at_60_degrees(self):
-        assert period_ratio(WedgeAngle(math.pi / 3)) == pytest.approx(math.sqrt(3))
-
     def test_ratio_law_exact(self):
         # tan amplifies angle rounding by 1 + tan^2, so the identity is
         # checked where it is well conditioned: in angle units
         for p, q in coprime_pairs(25):
-            ratio = period_ratio(critical_angle(OrbitSpec(p, q)))
-            assert abs(ratio - p / q) / (1.0 + (p / q) ** 2) <= 1e-15
+            angle = critical_angle(OrbitSpec(p, q))
+            assert abs(angle.sin / angle.cos - p / q) / (1.0 + (p / q) ** 2) <= 1e-15
 
 
 class TestPeriodicInitialCondition:
@@ -287,46 +273,29 @@ class TestSensitivityProbe:
 
 
 class TestBounceTimes:
-    def test_left_wall_times(self):
-        times_a, _ = bounce_times(1.0, 1.0, WedgeAngle(math.pi / 4), 2)
-        assert times_a == pytest.approx([2 * math.sqrt(2), 4 * math.sqrt(2)])
-
-    def test_right_wall_times(self):
-        _, times_b = bounce_times(1.0, 1.0, WedgeAngle(math.pi / 6), 1)
-        assert times_b == pytest.approx([4.0])
-
-    def test_nonpositive_speed_rejected(self):
-        with pytest.raises(ValueError):
-            bounce_times(0.0, 1.0, WedgeAngle(0.7), 1)
-        for speeds in ((math.nan, 1.0), (1.0, math.nan)):
-            with pytest.raises(ValueError):
-                bounce_periods(*speeds, WedgeAngle(0.7))
-
-    def test_ratio_is_period_ratio(self):
-        angle = WedgeAngle(0.9)
-        periods = bounce_periods(1.0, 1.0, angle)
-        assert periods.ratio == pytest.approx(period_ratio(angle))
-
     def test_coincidence_against_decoupled_vertex_launch(self):
         # equal bounce speeds at tan(theta) = 2/3: the bouncers meet the
         # vertex together at the least common multiple of their periods
         p, q = 2, 3
         angle = critical_angle(OrbitSpec(p, q))
-        times_a, times_b = bounce_times(1.0, 1.0, angle, 5)
+        # unit bounce speeds: wall B is hit every 2/cos(theta), wall A every
+        # 2/sin(theta)
+        hits_b = [2.0 * j / angle.cos for j in range(1, q + 1)]
+        hits_a = [2.0 * k / angle.sin for k in range(1, p + 1)]
         initial = CartesianState(0.0, 0.0, angle.sin - angle.cos, angle.cos + angle.sin)
         traj = decoupled_simulate(initial, angle, 10)
         assert traj.termination is not None
         assert traj.termination.kind is TerminationKind.VERTEX_HIT
         # q - 1 left-wall and p - 1 right-wall bounces happen first
         expected = sorted(
-            [(t, Wall.B) for t in times_a[: q - 1]] + [(t, Wall.A) for t in times_b[: p - 1]]
+            [(t, Wall.B) for t in hits_b[: q - 1]] + [(t, Wall.A) for t in hits_a[: p - 1]]
         )
         assert len(traj.events) == p + q - 2
         for event, (t_expected, wall_expected) in zip(traj.events, expected):
             assert event.wall is wall_expected
             assert event.t == pytest.approx(t_expected, abs=1e-12)
-        assert traj.termination.t == pytest.approx(times_a[q - 1], abs=1e-12)
-        assert traj.termination.t == pytest.approx(times_b[p - 1], abs=1e-12)
+        assert traj.termination.t == pytest.approx(hits_b[q - 1], abs=1e-12)
+        assert traj.termination.t == pytest.approx(hits_a[p - 1], abs=1e-12)
 
 
 class TestSweep:

@@ -8,9 +8,9 @@ exact trajectory instead of assuming either one is.
 import numpy as np
 import pytest
 
-from wedge_billiard import decoupled_simulate, simulate
+from wedge_billiard import Wall, WedgeAngle, decoupled_simulate, simulate
 
-from conftest import random_angle, random_launch
+from conftest import outside_wall, random_angle, random_launch
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -77,20 +77,35 @@ def reference_events(initial, angle, n: int):
     return walls, np.array(ts), np.array(xs), np.array(ys)
 
 
-@pytest.mark.parametrize("index", range(3))
-def test_engines_stay_near_the_50_digit_reference(index):
-    initial, angle = acceptance_launches(3)[index]
-    walls, t, x, y = reference_events(initial, angle, EVENTS)
+def check_engines_against_reference(initial, angle, n: int, label: str) -> None:
+    """Both engines make the reference's n events on its walls, with every
+    ``t, x, y`` within REFERENCE_TOL of it."""
+    walls, t, x, y = reference_events(initial, angle, n)
     distances = {}
     for engine in (simulate, decoupled_simulate):
-        events = engine(initial, angle, EVENTS).events
-        assert len(events) == EVENTS
+        events = engine(initial, angle, n).events
+        assert len(events) == n
         assert events.column("wall").tolist() == walls
         distances[engine.__name__] = max(
             float(np.max(np.abs(events.column(name) - reference)))
             for name, reference in (("t", t), ("x", x), ("y", y))
         )
     closer = min(distances, key=distances.get)
-    print(f"launch {index}: {closer} is closer to the reference; distances {distances}")
+    print(f"{label}: {closer} is closer to the reference; distances {distances}")
     for name, distance in distances.items():
         assert distance <= REFERENCE_TOL, (name, distance)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_engines_stay_near_the_50_digit_reference(index):
+    initial, angle = acceptance_launches(3)[index]
+    check_engines_against_reference(initial, angle, EVENTS, f"launch {index}")
+
+
+@pytest.mark.parametrize("w_bar", [1e-3, 1e-4])
+def test_slow_entry_from_just_outside_a_wall_matches_the_reference(w_bar):
+    # 5e-13 beyond wall A, moving in: the reference's first wall-A hit is
+    # the larger root of that flight, the landing after the wall crossing
+    angle = WedgeAngle.from_degrees(40)
+    initial = outside_wall(Wall.A, angle, 5e-13, w_bar)
+    check_engines_against_reference(initial, angle, 30, f"slow entry at w_bar {w_bar:g}")
