@@ -68,6 +68,8 @@ CSV_COLUMNS = (
 
 SVG_WIDTH = 640.0
 SVG_MARGIN_FRACTION = 0.05
+# Each flight arc is drawn as a polyline through this many equal time steps.
+_SVG_ARC_STEPS = 64
 
 
 class OutputFormat(Enum):
@@ -116,9 +118,26 @@ def _state_dict(s: CartesianState) -> dict:
     return {"x": s.x, "y": s.y, "u": s.u, "w": s.w, "t": s.t}
 
 
-def trajectory_json(traj: Trajectory) -> str:
+def _json_row_template() -> str:
+    """One event of the JSON export as ``json.dumps(indent=2)`` lays it out,
+    with ``%`` fields: ``%r`` writes a finite float as json does."""
     keys = (*CSV_COLUMNS, "u_pre", "w_pre")
-    events = [dict(zip(keys, values)) for values in _event_values(traj)]
+    fields = ("%d", "%r", '"%s"', *["%r"] * (len(keys) - 3))
+    lines = (f'      "{key}": {field}' for key, field in zip(keys, fields))
+    return "    {\n" + ",\n".join(lines) + "\n    }"
+
+
+_JSON_ROW = _json_row_template()
+# how %r and json write a non-finite float
+_JSON_NON_FINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+
+
+def trajectory_json(traj: Trajectory) -> str:
+    """The trajectory as ``json.dumps(doc, indent=2)`` writes it.
+
+    The event rows are formatted from a template; with ``indent`` set,
+    json's encoder would format each value in Python.
+    """
     term = traj.termination
     doc = {
         "theta": traj.theta.theta,
@@ -127,9 +146,18 @@ def trajectory_json(traj: Trajectory) -> str:
         if term is None
         else {"kind": term.kind.value, "t": term.t, "normal_speed": term.normal_speed},
         "initial": _state_dict(traj.initial),
-        "events": events,
+        "events": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
+    if not traj.events:
+        return text
+    # one format call over the row template repeated: no string per row
+    template = ",\n".join([_JSON_ROW] * len(traj.events))
+    rows = template % tuple([value for row in _event_values(traj) for value in row])
+    for python, json_text in _JSON_NON_FINITE:
+        rows = rows.replace(python, json_text)
+    # in place of the empty events list that ends the document
+    return text.removesuffix("[]\n}\n") + f"[\n{rows}\n  ]\n}}\n"
 
 
 def read_trajectory_json(path: str) -> Trajectory:
@@ -194,7 +222,7 @@ def _svg_document(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def trajectory_svg(traj: Trajectory, samples_per_arc: int = 64) -> str:
+def trajectory_svg(traj: Trajectory) -> str:
     """Configuration-space picture: wedge walls plus one polyline per flight arc.
 
     The viewport frames the reachable box for the trajectory's energy with a
@@ -238,8 +266,8 @@ def trajectory_svg(traj: Trajectory, samples_per_arc: int = 64) -> str:
         )
     for duration, x0, y0, u0, w0 in traj.flights():
         points = []
-        for i in range(samples_per_arc + 1):
-            tau = duration * i / samples_per_arc
+        for i in range(_SVG_ARC_STEPS + 1):
+            tau = duration * i / _SVG_ARC_STEPS
             x = x0 + u0 * tau
             y = y0 + w0 * tau - 0.5 * tau * tau
             sx, sy = to_svg(x, y)

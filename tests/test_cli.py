@@ -1,12 +1,35 @@
 import argparse
+import dataclasses
 import hashlib
+import json
 import math
 import xml.etree.ElementTree as ET
+from array import array
 
 import pytest
 
-from wedge_billiard import WedgeAngle, hamiltonian
-from wedge_billiard.cli import build_parser, main, read_trajectory_json
+from wedge_billiard import (
+    CartesianState,
+    OrbitSpec,
+    Trajectory,
+    Wall,
+    WedgeAngle,
+    critical_angle,
+    hamiltonian,
+    launch_from_wall,
+    simulate,
+)
+from wedge_billiard.cli import (
+    CSV_COLUMNS,
+    _event_values,
+    build_parser,
+    main,
+    read_trajectory_json,
+    trajectory_json,
+)
+from wedge_billiard.dynamics import EventColumns, EventSequence
+
+from conftest import random_angle, random_launch
 
 
 def run(*args: str) -> int:
@@ -40,8 +63,6 @@ class TestSimulateCommand:
     def test_json_round_trip_bit_equal(self, tmp_path):
         out = tmp_path / "traj.json"
         assert run(*SIMULATE_ARGS, "--n", "40", "--out", str(out)) == 0
-        from wedge_billiard import Wall, launch_from_wall, simulate
-
         angle = WedgeAngle.from_degrees(60)
         expected = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 40)
         loaded = read_trajectory_json(str(out))
@@ -119,6 +140,60 @@ def test_exports_match_recorded_bytes(launch, fmt, tmp_path):
     assert run(*GOLDEN_LAUNCHES[launch], "--format", fmt, "--out", str(out)) == 0
     data = out.read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_EXPORTS[launch, fmt]
+
+
+def json_by_dumps(traj) -> str:
+    """The JSON export as ``json.dumps(doc, indent=2)`` writes it: the
+    reference for the per-row template ``trajectory_json`` formats."""
+    keys = (*CSV_COLUMNS, "u_pre", "w_pre")
+    term = traj.termination
+    doc = {
+        "theta": traj.theta.theta,
+        "energy": traj.energy,
+        "termination": None
+        if term is None
+        else {"kind": term.kind.value, "t": term.t, "normal_speed": term.normal_speed},
+        "initial": {name: getattr(traj.initial, name) for name in ("x", "y", "u", "w", "t")},
+        "events": [dict(zip(keys, values)) for values in _event_values(traj)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def with_values(traj, name: str, values) -> Trajectory:
+    """``traj`` with column ``name`` of its first events set to ``values``."""
+    columns = EventColumns(traj.theta)
+    for field in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
+        getattr(columns, field).extend(traj.events.column(field).tolist())
+    getattr(columns, name)[: len(values)] = array("d", values)
+    return dataclasses.replace(traj, events=EventSequence(columns))
+
+
+class TestJsonTemplate:
+    @pytest.fixture
+    def dense(self):
+        angle = WedgeAngle.from_degrees(60)
+        return simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 40)
+
+    def test_random_launches(self, rng):
+        for _ in range(5):
+            angle = random_angle(rng)
+            traj = simulate(random_launch(rng, angle), angle, 60)
+            assert trajectory_json(traj) == json_by_dumps(traj)
+
+    def test_empty_and_terminated(self):
+        angle = critical_angle(OrbitSpec(2, 3))
+        vertex = CartesianState(0.0, 0.0, angle.sin - angle.cos, angle.cos + angle.sin)
+        empty, terminated = simulate(vertex, angle, 0), simulate(vertex, angle, 10)
+        assert terminated.termination is not None
+        for traj in (empty, terminated):
+            assert trajectory_json(traj) == json_by_dumps(traj)
+
+    @pytest.mark.parametrize("name", ["t", "x", "u", "w_pre"])
+    def test_non_finite_values(self, dense, name):
+        traj = with_values(dense, name, [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+        text = trajectory_json(traj)
+        assert text == json_by_dumps(traj)
+        assert "NaN" in text and "-Infinity" in text
 
 
 class TestPeriodicCommand:

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from wedge_billiard import (
@@ -18,9 +21,10 @@ from wedge_billiard import (
     simulate,
     sweep_periodic_points,
 )
-from wedge_billiard.dynamics import Trajectory
+from wedge_billiard.dynamics import EventColumns, EventSequence, Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
-from wedge_billiard.orbits import OrbitClass, launch_arclength
+from wedge_billiard.geometry import to_wedge
+from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, launch_arclength
 
 from conftest import random_angle, random_launch
 
@@ -257,6 +261,112 @@ class TestCoverageFraction:
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0))
         with pytest.raises(ValueError):
             coverage_fraction(traj, (0, 8))
+
+
+def coverage_by_sampling(traj, grid: tuple[int, int]) -> float:
+    """Per-arc loop that evaluates every sample: the reference for the
+    samples ``coverage_fraction`` finds from grid-line crossings."""
+    nx, ny = grid
+    angle = traj.theta
+    sin_t, cos_t = angle.sin, angle.cos
+    width = traj.energy / cos_t
+    height = traj.energy / sin_t
+    cell_diag = math.hypot(width / nx, height / ny)
+    step = COVERAGE_STEP_FRACTION * cell_diag
+    speed_cap = math.sqrt(2.0 * traj.energy)
+
+    visited = np.zeros((ny, nx), dtype=bool)
+    for duration, x0, y0, u0, w0 in traj.flights():
+        n_samples = max(2, int(math.ceil(duration * speed_cap / step)) + 1)
+        ts = np.linspace(0.0, duration, n_samples)
+        xs = x0 + u0 * ts
+        ys = y0 + w0 * ts - 0.5 * ts * ts
+        x_tilde, y_tilde = to_wedge(xs, ys, sin_t, cos_t)
+        ix = np.clip((x_tilde / width * nx).astype(int), 0, nx - 1)
+        iy = np.clip((y_tilde / height * ny).astype(int), 0, ny - 1)
+        visited[iy, ix] = True
+    return float(visited.sum()) / float(nx * ny)
+
+
+def scaled_run(traj: Trajectory, factor: float) -> Trajectory:
+    """``traj`` at ``factor`` times its energy: positions scale by the
+    factor, momenta and times by its square root.
+
+    The run is scaled after simulating because the engines' tolerances are
+    absolute: a launch scaled to E = 1e-9 ends in a vertex hit at once.
+    """
+    root = math.sqrt(factor)
+    columns = EventColumns(traj.theta)
+    columns.wall.extend(traj.events.column("wall").tolist())
+    for name, scale in (("t", root), ("x", factor), ("y", factor), ("u_pre", root),
+                        ("w_pre", root), ("u", root), ("w", root)):
+        getattr(columns, name).extend((traj.events.column(name) * scale).tolist())
+    s = traj.initial
+    initial = CartesianState(factor * s.x, factor * s.y, root * s.u, root * s.w, root * s.t)
+    hx, hy = traj.wedge_integrals
+    return Trajectory(
+        initial, traj.theta, EventSequence(columns), factor * traj.energy, (factor * hx, factor * hy)
+    )
+
+
+COVERAGE_GRIDS = [(1, 1), (2, 3), (7, 7), (31, 17), (64, 64), (97, 3)]
+
+
+class TestCoverageAgainstSampling:
+    @pytest.mark.parametrize("seed", [977, 5])
+    def test_random_launches(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            angle = random_angle(rng)
+            traj = simulate(random_launch(rng, angle), angle, 120)
+            for grid in COVERAGE_GRIDS:
+                assert coverage_fraction(traj, grid) == coverage_by_sampling(traj, grid)
+
+    def test_apex_tangent_launch(self):
+        # an even energy split at 60 degrees puts every apex on a grid line
+        angle = WedgeAngle.from_degrees(60)
+        traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 500)
+        assert coverage_fraction(traj, (64, 64)) == coverage_by_sampling(traj, (64, 64))
+
+    @pytest.mark.parametrize("p, q", coprime_pairs(5))
+    def test_periodic_orbits(self, p, q):
+        traj = build_periodic_orbit(OrbitSpec(p, q, 1.0), n_collisions=4 * (p + q))
+        for grid in ((64, 64), (13, 7)):
+            assert coverage_fraction(traj, grid) == coverage_by_sampling(traj, grid)
+
+    @pytest.mark.parametrize("energy", [1e-9, 1e300])
+    def test_energy_scales(self, energy):
+        angle = WedgeAngle.from_degrees(50)
+        traj = scaled_run(simulate(launch_from_wall(Wall.A, 1.0, 0.2, 1.0, angle), angle, 80), energy)
+        for grid in COVERAGE_GRIDS:
+            assert coverage_fraction(traj, grid) == coverage_by_sampling(traj, grid)
+
+    def test_event_views_and_repeated_events(self):
+        angle = WedgeAngle.from_degrees(40)
+        traj = simulate(launch_from_wall(Wall.B, 0.9, -0.3, 1.1, angle), angle, 60)
+        events = tuple(traj.events)
+        # a reversed view flies its arcs backwards; a repeated event makes an
+        # arc of zero duration
+        for view in (traj.events[::-1], traj.events[::3], events[:2] + events[1:4]):
+            sub = dataclasses.replace(traj, events=view)
+            for grid in COVERAGE_GRIDS:
+                assert coverage_fraction(sub, grid) == coverage_by_sampling(sub, grid)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        angle = WedgeAngle.from_degrees(60)
+        traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 5000)
+
+        def peak(n_events: int) -> int:
+            prefix = dataclasses.replace(traj, events=traj.events[:n_events])
+            tracemalloc.start()
+            try:
+                coverage_fraction(prefix, (64, 64))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # leaves out what only a first call allocates
+        assert peak(5000) <= peak(500) + 64 * 1024
 
 
 class TestSensitivityProbe:
