@@ -8,7 +8,6 @@ from .collision_maps import (
     apply_map,
     fixed_point,
     map_id_for,
-    reflection_period1_possible,
 )
 from .dynamics import (
     CartesianState,
@@ -25,13 +24,10 @@ from .dynamics import (
     wedge_hamiltonians,
 )
 from .geometry import (
-    ConfigBounds,
     Wall,
     WedgeAngle,
     config_bounds,
     contains,
-    wall_frame,
-    wall_point,
 )
 from .orbits import (
     OrbitClass,
@@ -52,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CartesianState",
     "CollisionEvent",
-    "ConfigBounds",
     "EnergyViolationError",
     "MapId",
     "MapState",
@@ -80,11 +75,8 @@ __all__ = [
     "map_id_for",
     "next_collision",
     "periodic_initial_condition",
-    "reflection_period1_possible",
     "sensitivity_probe",
     "simulate",
     "sweep_periodic_points",
-    "wall_frame",
-    "wall_point",
     "wedge_hamiltonians",
 ]

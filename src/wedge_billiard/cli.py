@@ -33,7 +33,7 @@ from .dynamics import (
     wedge_energies,
     wedge_hamiltonians,
 )
-from .geometry import Wall, WedgeAngle, config_bounds, to_wedge, wall_point
+from .geometry import Wall, WedgeAngle, config_bounds, from_wedge, to_wedge
 from .orbits import (
     OrbitSpec,
     SweepPoint,
@@ -230,16 +230,14 @@ def trajectory_svg(traj: Trajectory) -> str:
     """
     if not traj.events:
         raise CliError("cannot render an empty trajectory")
-    angle = traj.theta
-    bounds = config_bounds(traj.energy, angle)
+    sin_t, cos_t = traj.theta.sin, traj.theta.cos
+    x_tilde_max, y_tilde_max = config_bounds(traj.energy, traj.theta)
+    # the vertex, the far ends of walls A and B, and the box's far corner
     corners = [
-        (0.0, 0.0),
-        tuple(wall_point(Wall.A, bounds.x_tilde_max, angle)),
-        tuple(wall_point(Wall.B, bounds.y_tilde_max, angle)),
-        (
-            bounds.x_tilde_max * angle.sin - bounds.y_tilde_max * angle.cos,
-            bounds.x_tilde_max * angle.cos + bounds.y_tilde_max * angle.sin,
-        ),
+        from_wedge(x_tilde, y_tilde, sin_t, cos_t)
+        for x_tilde, y_tilde in (
+            (0.0, 0.0), (x_tilde_max, 0.0), (0.0, y_tilde_max), (x_tilde_max, y_tilde_max)
+        )
     ]
     xs = [c[0] for c in corners]
     ys = [c[1] for c in corners]
@@ -257,9 +255,8 @@ def trajectory_svg(traj: Trajectory) -> str:
         return (x - x_min) * scale, (y_max - y) * scale
 
     body = []
-    for wall, length in ((Wall.A, bounds.x_tilde_max), (Wall.B, bounds.y_tilde_max)):
-        end = wall_point(wall, length, angle)
-        (x1, y1), (x2, y2) = to_svg(0.0, 0.0), to_svg(float(end[0]), float(end[1]))
+    for end in corners[1:3]:
+        (x1, y1), (x2, y2) = to_svg(*corners[0]), to_svg(*end)
         body.append(
             f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
             f'stroke="black" stroke-width="2"/>'

@@ -132,8 +132,3 @@ def fixed_point(map_id: MapId, energy: float, angle: WedgeAngle) -> MapState:
         return MapState(root_e * (cot_t - 1.0) / (cot_t + 1.0), root_e, energy)
     raise ValueError(f"{map_id} has no isolated fixed point, only the sliding family")
 
-
-def reflection_period1_possible(angle: WedgeAngle) -> bool:
-    """Whether a single-bounce closed orbit built from full momentum
-    reversal exists; true only in the symmetric wedge."""
-    return abs(angle.theta - math.pi / 4) <= 1e-12

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Wall, WedgeAngle, contains, to_wedge, wall_frame, wall_point
+from .geometry import Wall, WedgeAngle, contains, from_wedge, to_wedge
 
 # Roots below this are treated as re-detections of the wall just left.
 T_EPS = 1e-10
@@ -49,6 +49,9 @@ GRAZING_EPS = 1e-10
 TIE_EPS = 1e-12
 # How far off a wall a state may sit and still be reflected.
 ON_WALL_TOL = 1e-10
+# Largest launch energy.  The flight formulas square speeds and times of order
+# sqrt(E): from ~1e307 they overflow float64 into false vertex hits and NaN.
+MAX_ENERGY = 1e300
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,15 +371,16 @@ def launch_from_wall(
     ``u_bar`` is the momentum along the wall away from the vertex and
     ``w_bar`` the momentum along the inward normal.
     """
-    tangent, normal = wall_frame(wall, angle)
-    q = wall_point(wall, s, angle)
-    return CartesianState(
-        x=float(q[0]),
-        y=float(q[1]),
-        u=float(u_bar * tangent[0] + w_bar * normal[0]),
-        w=float(u_bar * tangent[1] + w_bar * normal[1]),
-        t=t,
-    )
+    if s < 0.0:
+        raise ValueError(f"arclength must be nonnegative, got {s!r}")
+    # wall A's tangent and inward normal are the wedge axes, wall B's swapped
+    if wall is Wall.A:
+        position, momentum = (s, 0.0), (u_bar, w_bar)
+    else:
+        position, momentum = (0.0, s), (w_bar, u_bar)
+    x, y = from_wedge(*position, angle.sin, angle.cos)
+    u, w = from_wedge(*momentum, angle.sin, angle.cos)
+    return CartesianState(x, y, u, w, t)
 
 
 def _first_hit(d0: float, v0: float, g: float) -> float | None:
@@ -457,8 +461,8 @@ def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> float:
     if not contains(initial.position, angle):
         raise ValueError(f"launch position {initial.position} lies outside the wedge")
     energy = hamiltonian(initial)
-    if not math.isfinite(energy) or energy <= 0.0:
-        raise ValueError(f"launch energy must be positive and finite, got {energy!r}")
+    if not 0.0 < energy <= MAX_ENERGY:
+        raise ValueError(f"launch energy must lie in (0, {MAX_ENERGY:g}], got {energy!r}")
     # outgoing normal momentum on the wall the launch sits on leaves the wedge
     # at once; the grazing band is left to the step's degenerate termination
     sin_t, cos_t = angle.sin, angle.cos
@@ -479,8 +483,8 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     Vertex hits and grazing landings end the loop with a
     :class:`Termination`, and the trajectory keeps every event produced up
     to that point.  Raises ValueError for a launch outside the wedge, with
-    energy that is not positive and finite, or moving out through the wall
-    it sits on.
+    energy outside (0, MAX_ENERGY], or moving out through the wall it sits
+    on.
     """
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
@@ -509,6 +513,7 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
         w_land = w - dt
         # The root has rounding-level residual; place the collision exactly
         # on the wall so on-wall invariants survive arbitrarily long runs.
+        # (from_wedge of (s_land, 0) or (0, s_land), written out as to_wedge is)
         if wall is Wall.A:
             x, y = s_land * sin_t, s_land * cos_t
             nx, ny = -cos_t, sin_t
@@ -664,8 +669,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     tilde_x = np.where(on_b, own, other)
     tilde_y = np.where(on_b, other, own)
     # wedge -> lab: rows (x, u_pre, u) and (y, w_pre, w)
-    lab_x = tilde_x * sin_t - tilde_y * cos_t
-    lab_y = tilde_x * cos_t + tilde_y * sin_t
+    lab_x, lab_y = from_wedge(tilde_x, tilde_y, sin_t, cos_t)
     for column, values in (
         (columns.wall, on_b.astype(np.uint8)),
         (columns.t, t0 + r[:k]),

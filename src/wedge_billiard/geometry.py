@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-# Absolute tolerance on the signed wall distance: states that land exactly on
-# a wall (up to rounding) still count as inside the region.
+# Tolerance on the signed wall distance per unit of the point's size: states
+# that land exactly on a wall (up to rounding) still count as inside the region.
 BOUNDARY_TOL = 1e-12
 
 
@@ -57,22 +57,6 @@ class WedgeAngle:
         return cls(math.radians(degrees))
 
 
-@dataclass(frozen=True, slots=True)
-class ConfigBounds:
-    """Extent of the reachable configuration box along the two walls.
-
-    A trajectory of energy E never travels farther than ``E/cos(theta)``
-    along wall A nor farther than ``E/sin(theta)`` along wall B.
-    """
-
-    x_tilde_max: float
-    y_tilde_max: float
-
-    def __post_init__(self) -> None:
-        if not self.x_tilde_max > 0.0 or not self.y_tilde_max > 0.0:
-            raise ValueError("configuration bounds must be strictly positive")
-
-
 def to_wedge(a, b, sin_t: float, cos_t: float):
     """Resolve the lab vector ``(a, b)`` along the two walls.
 
@@ -86,39 +70,26 @@ def to_wedge(a, b, sin_t: float, cos_t: float):
     return a * sin_t + b * cos_t, -a * cos_t + b * sin_t
 
 
+def from_wedge(a_tilde, b_tilde, sin_t: float, cos_t: float):
+    """The lab vector whose :func:`to_wedge` components are ``(a_tilde,
+    b_tilde)``: the one wedge-to-lab rotation, elementwise as that is."""
+    return a_tilde * sin_t - b_tilde * cos_t, a_tilde * cos_t + b_tilde * sin_t
+
+
 def contains(point: np.ndarray | tuple[float, float], angle: WedgeAngle) -> bool:
-    """True if the point lies on or above both walls."""
-    x_tilde, y_tilde = to_wedge(float(point[0]), float(point[1]), angle.sin, angle.cos)
-    return x_tilde >= -BOUNDARY_TOL and y_tilde >= -BOUNDARY_TOL
+    """True if the point is finite and lies on or above both walls, within
+    ``BOUNDARY_TOL * max(1, |x| + |y|)``: rounding grows with the point."""
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return False
+    x_tilde, y_tilde = to_wedge(x, y, angle.sin, angle.cos)
+    tol = BOUNDARY_TOL * max(1.0, abs(x) + abs(y))
+    return x_tilde >= -tol and y_tilde >= -tol
 
 
-def wall_point(wall: Wall, s: float, angle: WedgeAngle) -> np.ndarray:
-    """Point at arclength ``s`` from the vertex along a wall.
-
-    ``s = 0`` is the wedge vertex; negative arclengths are rejected.
-    """
-    if s < 0.0:
-        raise ValueError(f"arclength must be nonnegative, got {s!r}")
-    if wall is Wall.A:
-        return np.array([s * angle.sin, s * angle.cos])
-    return np.array([-s * angle.cos, s * angle.sin])
-
-
-def wall_frame(wall: Wall, angle: WedgeAngle) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (tangent, normal) pair for a wall.
-
-    The tangent points away from the vertex along the wall; the normal is
-    perpendicular to it and points into the allowed region, so that outgoing
-    (post-collision) momenta have a nonnegative normal component on either
-    wall.
-    """
-    if wall is Wall.A:
-        return np.array([angle.sin, angle.cos]), np.array([-angle.cos, angle.sin])
-    return np.array([-angle.cos, angle.sin]), np.array([angle.sin, angle.cos])
-
-
-def config_bounds(energy: float, angle: WedgeAngle) -> ConfigBounds:
-    """Bounding box of all trajectories with the given total energy."""
+def config_bounds(energy: float, angle: WedgeAngle) -> tuple[float, float]:
+    """How far along walls A and B a trajectory of total energy E can travel:
+    ``(x_tilde_max, y_tilde_max) = (E/cos(theta), E/sin(theta))``."""
     if not energy > 0.0:
         raise ValueError(f"energy must be positive, got {energy!r}")
-    return ConfigBounds(energy / angle.cos, energy / angle.sin)
+    return energy / angle.cos, energy / angle.sin

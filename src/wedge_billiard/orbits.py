@@ -28,7 +28,7 @@ from .dynamics import (
     launch_from_wall,
     simulate,
 )
-from .geometry import Wall, WedgeAngle, to_wedge
+from .geometry import Wall, WedgeAngle, config_bounds, to_wedge
 
 # Joint recurrence tolerance on (position, collision-frame momentum), scaled
 # by sqrt(E): an order above the simulator's worst drift, far below any
@@ -238,8 +238,7 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         raise ValueError("cannot rasterize an empty trajectory")
     angle = traj.theta
     sin_t, cos_t = angle.sin, angle.cos
-    width = traj.energy / cos_t
-    height = traj.energy / sin_t
+    width, height = config_bounds(traj.energy, angle)
     cell_diag = math.hypot(width / nx, height / ny)
     step = COVERAGE_STEP_FRACTION * cell_diag
     speed_cap = math.sqrt(2.0 * traj.energy)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from wedge_billiard import CartesianState, Wall, WedgeAngle, launch_from_wall, wall_frame
-from wedge_billiard.geometry import to_wedge
+from wedge_billiard import CartesianState, Wall, WedgeAngle, launch_from_wall
+from wedge_billiard.geometry import from_wedge, to_wedge
 
 settings.register_profile(
     "ci", derandomize=True, suppress_health_check=[HealthCheck.too_slow]
@@ -17,24 +17,36 @@ def random_angle(rng: np.random.Generator) -> WedgeAngle:
     return WedgeAngle(float(rng.uniform(0.15, math.pi / 2 - 0.15)))
 
 
+def random_wall_launch(rng: np.random.Generator) -> tuple[Wall, float, float, float]:
+    """``(wall, s, u_bar, w_bar)`` of a valid post-collision style launch."""
+    wall = Wall.A if rng.random() < 0.5 else Wall.B
+    s = float(rng.uniform(0.3, 1.5))
+    u_bar = float(rng.uniform(-1.2, 1.2))
+    w_bar = float(rng.uniform(0.1, 1.5))
+    return wall, s, u_bar, w_bar
+
+
 def random_launch(rng: np.random.Generator, angle: WedgeAngle) -> CartesianState:
     """A valid post-collision style launch on a random wall."""
-    wall = Wall.A if rng.random() < 0.5 else Wall.B
-    return launch_from_wall(
-        wall,
-        s=float(rng.uniform(0.3, 1.5)),
-        u_bar=float(rng.uniform(-1.2, 1.2)),
-        w_bar=float(rng.uniform(0.1, 1.5)),
-        angle=angle,
-    )
+    return launch_from_wall(*random_wall_launch(rng), angle)
+
+
+def wall_axes(wall: Wall, angle: WedgeAngle) -> tuple[np.ndarray, np.ndarray]:
+    """A wall's unit tangent, pointing away from the vertex, and its unit
+    normal, pointing into the wedge, written out."""
+    sin_t, cos_t = angle.sin, angle.cos
+    if wall is Wall.A:
+        return np.array([sin_t, cos_t]), np.array([-cos_t, sin_t])
+    return np.array([-cos_t, sin_t]), np.array([sin_t, cos_t])
 
 
 def outside_wall(wall: Wall, angle: WedgeAngle, by: float, w_bar: float = 0.8) -> CartesianState:
-    """A launch off ``wall`` (s = 1, u_bar = 0.2) moved ``by`` against the
-    wall's inward normal."""
+    """A launch off ``wall`` (s = 1, u_bar = 0.2) moved ``by`` out through
+    the wall."""
     on = launch_from_wall(wall, 1.0, 0.2, w_bar, angle)
-    _, normal = wall_frame(wall, angle)
-    state = CartesianState(on.x - by * normal[0], on.y - by * normal[1], on.u, on.w)
+    # the wedge position (s, -by) on wall A and (-by, s) on wall B
+    off = (1.0, -by) if wall is Wall.A else (-by, 1.0)
+    state = CartesianState(*from_wedge(*off, angle.sin, angle.cos), on.u, on.w)
     x_tilde, y_tilde = to_wedge(state.x, state.y, angle.sin, angle.cos)
     assert (y_tilde if wall is Wall.A else x_tilde) < 0.0
     return state

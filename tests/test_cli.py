@@ -224,6 +224,14 @@ class TestPeriodicCommand:
         out = tmp_path / "orbit.svg"
         assert run("periodic", "--p", "2", "--q", "4", "--out", str(out)) == 2
 
+    def test_large_energy(self, tmp_path):
+        out = tmp_path / "orbit.csv"
+        assert run("periodic", "--p", "3", "--q", "5", "--energy", "1e6", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 9
+
+    def test_energy_above_the_limit_is_a_usage_error(self, tmp_path, capsys):
+        assert_usage_error("periodic", "--energy", "1e308", tmp_path, capsys)
+
 
 class TestSweepCommand:
     def test_csv_rows_and_determinism(self, tmp_path):

@@ -16,7 +16,6 @@ from wedge_billiard import (
     launch_from_wall,
     map_id_for,
     periodic_initial_condition,
-    reflection_period1_possible,
     simulate,
 )
 from wedge_billiard.orbits import OrbitSpec
@@ -212,13 +211,3 @@ class TestPeriodicCompatibility:
         assert state.u_bar == pytest.approx(seed.u_bar, abs=1e-12)
         assert state.w_bar == pytest.approx(seed.w_bar, abs=1e-12)
 
-
-class TestReflectionPeriod1:
-    def test_symmetric_wedge(self):
-        assert reflection_period1_possible(WedgeAngle(math.pi / 4))
-
-    def test_rotated_wedge(self):
-        assert not reflection_period1_possible(WedgeAngle(math.pi / 3))
-
-    def test_just_off_symmetric(self):
-        assert not reflection_period1_possible(WedgeAngle(math.pi / 4 + 1e-6))

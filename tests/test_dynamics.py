@@ -24,20 +24,20 @@ from wedge_billiard import (
     next_collision,
     periodic_initial_condition,
     simulate,
-    wall_frame,
     wedge_hamiltonians,
 )
 from wedge_billiard.cli import OutputFormat, export_trajectory, read_trajectory_json
 from wedge_billiard.dynamics import (
+    MAX_ENERGY,
     WALLS,
     CollisionEvent,
     EventSequence,
     RotatingFrameMomentum,
 )
-from wedge_billiard.geometry import to_wedge
+from wedge_billiard.geometry import from_wedge, to_wedge
 from wedge_billiard.orbits import launch_arclength
 
-from conftest import outside_wall, random_angle, random_launch
+from conftest import outside_wall, random_angle, random_launch, random_wall_launch, wall_axes
 
 
 class TestHamiltonian:
@@ -207,7 +207,7 @@ class TestSimulate:
                 math.hypot(event.post.u, event.post.w)
             )
             assert event.rotating_post.w_bar >= 0.0
-            tangent, normal = wall_frame(event.wall, angle)
+            tangent, normal = wall_axes(event.wall, angle)
             p_pre, p = np.array(event.pre.momentum), np.array(event.post.momentum)
             # a specular reflection keeps the tangential component and
             # reverses the normal one
@@ -318,13 +318,38 @@ def periodic_12(energy: float) -> tuple[CartesianState, WedgeAngle]:
     return launch_from_wall(Wall.A, launch_arclength(spec), seed.u_bar, seed.w_bar, angle), angle
 
 
-def from_wedge(x_tilde, y_tilde, u_tilde, w_tilde, angle: WedgeAngle) -> CartesianState:
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+def test_launch_above_max_energy_rejected(engine):
+    # at 1e307 and above the flight formulas overflow into false vertex hits
+    # and NaN columns
+    initial, angle = periodic_12(1e308)
+    with pytest.raises(ValueError, match="energy"):
+        engine(initial, angle, 30)
+
+
+@pytest.mark.parametrize("degrees", [0.5, 2.0, 30.0, 45.0, 60.0, 88.0, 89.5])
+def test_launches_at_max_energy_stay_finite_in_both_engines(degrees):
+    rng = np.random.default_rng(300)
+    angle = WedgeAngle.from_degrees(degrees)
+    for _ in range(5):
+        unit = launch_from_wall(*random_wall_launch(rng), angle)
+        scale = (1.0 - 1e-9) * MAX_ENERGY / hamiltonian(unit)
+        root = math.sqrt(scale)
+        initial = CartesianState(scale * unit.x, scale * unit.y, root * unit.u, root * unit.w)
+        assert 0.99 * MAX_ENERGY < hamiltonian(initial) <= MAX_ENERGY
+        a, b = simulate(initial, angle, 500), decoupled_simulate(initial, angle, 500)
+        for traj in (a, b):
+            for name in ("t", "x", "y", "u_pre", "w_pre", "u", "w"):
+                assert np.isfinite(traj.events.column(name)).all()
+        assert a.events.column("wall").tolist() == b.events.column("wall").tolist()
+        assert (a.termination and a.termination.kind) == (b.termination and b.termination.kind)
+        np.testing.assert_allclose(a.events.column("t"), b.events.column("t"), rtol=1e-9)
+
+
+def wedge_state(x_tilde, y_tilde, u_tilde, w_tilde, angle: WedgeAngle) -> CartesianState:
     sin_t, cos_t = angle.sin, angle.cos
     return CartesianState(
-        x_tilde * sin_t - y_tilde * cos_t,
-        x_tilde * cos_t + y_tilde * sin_t,
-        u_tilde * sin_t - w_tilde * cos_t,
-        u_tilde * cos_t + w_tilde * sin_t,
+        *from_wedge(x_tilde, y_tilde, sin_t, cos_t), *from_wedge(u_tilde, w_tilde, sin_t, cos_t)
     )
 
 
@@ -356,12 +381,12 @@ def edge_launches():
         "slow_entry_wall_a": (outside_wall(Wall.A, at_40, 5e-13, 1e-3), at_40),
         # near the vertex, just outside wall A, moving in: the wall-A
         # bouncer's floor speed is below GRAZING_EPS, so its first hit grazes
-        "grazing_hit": (from_wedge(1e-5, -8e-21, 0.3, 1.2e-10, at_40), at_40),
+        "grazing_hit": (wedge_state(1e-5, -8e-21, 0.3, 1.2e-10, at_40), at_40),
         # 2e-10 off wall A, leaving it fast: its root is below T_EPS
-        "leaving_past_wall_a": (from_wedge(1.0, 2e-10, 0.3, -5.0, at_40), at_40),
+        "leaving_past_wall_a": (wedge_state(1.0, 2e-10, 0.3, -5.0, at_40), at_40),
         # the wall-A bouncer's height after a bounce (~1e-20) is far below
         # the rounding of the on-wall lab point (~5e-17)
-        "near_grazing_bouncer": (from_wedge(1.0, 0.0, 0.3, 1e-10, at_40), at_40),
+        "near_grazing_bouncer": (wedge_state(1.0, 0.0, 0.3, 1e-10, at_40), at_40),
         # Hy = 0: resting on wall A; Hx = 0: resting on wall B
         "sliding_hy_0": (launch_from_wall(Wall.A, 1.0, 0.5, 0.0, at_40), at_40),
         "sliding_hx_0": (launch_from_wall(Wall.B, 1.0, 0.5, 0.0, at_40), at_40),

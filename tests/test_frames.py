@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wedge_billiard import Wall, WedgeAngle, launch_from_wall, simulate, wall_frame
+from wedge_billiard import Wall, WedgeAngle, launch_from_wall, simulate
 from wedge_billiard.dynamics import WALLS, EventColumns
 from wedge_billiard.geometry import to_wedge
+
+from conftest import wall_axes
 
 angles = st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01)
 momenta = st.floats(min_value=-10, max_value=10)
@@ -122,7 +124,7 @@ class TestWallMomentum:
         angle = WedgeAngle(theta)
         p = np.array([u, w])
         for wall in Wall:
-            tangent, normal = wall_frame(wall, angle)
+            tangent, normal = wall_axes(wall, angle)
             resolved = collision_frame(p, wall, angle)
             assert resolved.u_bar == pytest.approx(float(p @ tangent), abs=1e-13)
             assert resolved.w_bar == pytest.approx(float(p @ normal), abs=1e-13)

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wedge_billiard import (
-    ConfigBounds,
-    Wall,
-    WedgeAngle,
-    config_bounds,
-    contains,
-    wall_frame,
-    wall_point,
-)
-from wedge_billiard.geometry import to_wedge
+from wedge_billiard import Wall, WedgeAngle, config_bounds, contains, launch_from_wall
+from wedge_billiard.geometry import from_wedge, to_wedge
+
+from conftest import random_angle, random_wall_launch, wall_axes
 
 angles = st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01)
 
@@ -47,6 +41,103 @@ class TestContains:
         assert contains((x, y), angle) == contains((-x, y), angle)
 
 
+def wall_point(wall: Wall, s: float, angle: WedgeAngle) -> np.ndarray:
+    """The point at arclength ``s`` from the vertex along a wall."""
+    return np.array(launch_from_wall(wall, s, 0.0, 1.0, angle).position)
+
+
+def wall_frame(wall: Wall, angle: WedgeAngle) -> tuple[np.ndarray, np.ndarray]:
+    """A wall's (tangent, inward normal): the momenta of unit launches along
+    each."""
+    return (
+        np.array(launch_from_wall(wall, 1.0, 1.0, 0.0, angle).momentum),
+        np.array(launch_from_wall(wall, 1.0, 0.0, 1.0, angle).momentum),
+    )
+
+
+class TestContainsScale:
+    """The wall tolerance grows with the point, so a wall point stays inside
+    at any size; a point that is not finite is never inside."""
+
+    @pytest.mark.parametrize("scale", [1e5, 1e10, 1e100, 1e300])
+    @pytest.mark.parametrize("wall", [Wall.A, Wall.B])
+    def test_wall_points_inside_at_every_scale(self, wall, scale, rng):
+        for _ in range(200):
+            angle = random_angle(rng)
+            assert contains(wall_point(wall, scale * float(rng.uniform(0.3, 1.5)), angle), angle)
+
+    def test_point_outside_by_a_relative_margin_rejected(self):
+        angle = WedgeAngle(0.7)
+        for s in (0.5, 1e6, 1e300):
+            assert not contains(from_wedge(s, -3e-12 * s, angle.sin, angle.cos), angle)
+            assert not contains(from_wedge(-3e-12 * s, s, angle.sin, angle.cos), angle)
+
+    def test_tolerance_is_absolute_up_to_unit_size(self):
+        angle = WedgeAngle(0.7)
+        assert contains(from_wedge(0.5, -0.9e-12, angle.sin, angle.cos), angle)
+        assert not contains(from_wedge(0.5, -1.1e-12, angle.sin, angle.cos), angle)
+
+    @pytest.mark.parametrize(
+        "point", [(math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0)]
+    )
+    def test_non_finite_point_rejected(self, point):
+        assert not contains(point, WedgeAngle(0.7))
+
+
+class TestFromWedge:
+    @given(angles, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    def test_inverts_to_wedge(self, theta, a, b):
+        angle = WedgeAngle(theta)
+        back = to_wedge(*from_wedge(a, b, angle.sin, angle.cos), angle.sin, angle.cos)
+        tol = 4e-16 * max(abs(a), abs(b))
+        assert abs(back[0] - a) <= tol and abs(back[1] - b) <= tol
+
+    def test_arrays_match_floats_bit_for_bit(self, rng):
+        angle = WedgeAngle(0.7)
+        a, b = rng.uniform(-2, 2, size=(2, 50))
+        x, y = from_wedge(a, b, angle.sin, angle.cos)
+        floats = [from_wedge(p, q, angle.sin, angle.cos) for p, q in zip(a.tolist(), b.tolist())]
+        assert list(zip(x.tolist(), y.tolist())) == floats
+
+
+def launch_by_wall_frame(wall: Wall, s: float, u_bar: float, w_bar: float, angle: WedgeAngle):
+    """The launch state as it was built from a wall point and a wall frame
+    in numpy, kept as the reference for :func:`launch_from_wall`."""
+    sin_t, cos_t = angle.sin, angle.cos
+    if wall is Wall.A:
+        point = np.array([s * sin_t, s * cos_t])
+        tangent, normal = np.array([sin_t, cos_t]), np.array([-cos_t, sin_t])
+    else:
+        point = np.array([-s * cos_t, s * sin_t])
+        tangent, normal = np.array([-cos_t, sin_t]), np.array([sin_t, cos_t])
+    return (
+        float(point[0]),
+        float(point[1]),
+        float(u_bar * tangent[0] + w_bar * normal[0]),
+        float(u_bar * tangent[1] + w_bar * normal[1]),
+    )
+
+
+class TestLaunchFromWall:
+    def test_equals_the_wall_frame_construction_bit_for_bit(self):
+        rng = np.random.default_rng(977)
+        for _ in range(150):
+            angle = random_angle(rng)
+            wall_launch = random_wall_launch(rng)
+            state = launch_from_wall(*wall_launch, angle)
+            expected = launch_by_wall_frame(*wall_launch, angle)
+            assert [v.hex() for v in (state.x, state.y, state.u, state.w)] == [
+                v.hex() for v in expected
+            ]
+
+    def test_vertex_launch_from_wall_b_has_positive_zero_x(self):
+        # the one difference from the wall-frame construction, which gave -0.0
+        angle = WedgeAngle(0.7)
+        state = launch_from_wall(Wall.B, 0.0, 0.3, 0.8, angle)
+        assert math.copysign(1.0, state.x) == 1.0
+        assert launch_by_wall_frame(Wall.B, 0.0, 0.3, 0.8, angle)[0] == state.x
+
+
 class TestWallPoint:
     @pytest.mark.parametrize("wall", [Wall.A, Wall.B])
     def test_zero_arclength_is_vertex(self, wall):
@@ -64,7 +155,7 @@ class TestWallPoint:
 
     def test_negative_arclength_rejected(self):
         with pytest.raises(ValueError):
-            wall_point(Wall.A, -0.1, WedgeAngle(0.7))
+            launch_from_wall(Wall.A, -0.1, 0.0, 1.0, WedgeAngle(0.7))
 
     @given(angles, st.sampled_from([Wall.A, Wall.B]), st.floats(min_value=0, max_value=100))
     def test_wall_points_are_members_with_tiny_residual(self, theta, wall, s):
@@ -85,8 +176,8 @@ class TestWallFrame:
     def test_left_wall_at_45_degrees(self):
         tangent, normal = wall_frame(Wall.B, WedgeAngle(math.pi / 4))
         np.testing.assert_allclose(tangent, [-SQRT2_2, SQRT2_2])
-        # normal chosen to point into the region, so reflections and launch
-        # construction can use it directly
+        # the normal points into the region, so an outgoing momentum has a
+        # nonnegative w_bar
         np.testing.assert_allclose(normal, [SQRT2_2, SQRT2_2])
         assert tangent @ normal == pytest.approx(0.0, abs=1e-15)
 
@@ -102,6 +193,12 @@ class TestWallFrame:
         assert abs(ta @ tb) <= 1e-15
         assert abs(ta @ na) <= 1e-15
         assert abs(tb @ nb) <= 1e-15
+        for vector in (ta, na, tb, nb):
+            assert vector @ vector == pytest.approx(1.0, abs=1e-15)
+        # the launch frames are the written-out wall axes
+        for wall, frame in ((Wall.A, (ta, na)), (Wall.B, (tb, nb))):
+            for got, expected in zip(frame, wall_axes(wall, angle)):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-16)
 
     @given(angles, st.sampled_from([Wall.A, Wall.B]))
     def test_normal_points_into_region(self, theta, wall):
@@ -114,25 +211,21 @@ class TestWallFrame:
 
 class TestConfigBounds:
     def test_unit_energy_symmetric(self):
-        bounds = config_bounds(1.0, WedgeAngle(math.pi / 4))
-        assert bounds.x_tilde_max == pytest.approx(math.sqrt(2))
-        assert bounds.y_tilde_max == pytest.approx(math.sqrt(2))
+        x_tilde_max, y_tilde_max = config_bounds(1.0, WedgeAngle(math.pi / 4))
+        assert x_tilde_max == pytest.approx(math.sqrt(2))
+        assert y_tilde_max == pytest.approx(math.sqrt(2))
 
     def test_steep_wedge(self):
-        bounds = config_bounds(2.0, WedgeAngle(math.pi / 3))
-        assert bounds.x_tilde_max == pytest.approx(4.0)
-        assert bounds.y_tilde_max == pytest.approx(4.0 / math.sqrt(3))
+        x_tilde_max, y_tilde_max = config_bounds(2.0, WedgeAngle(math.pi / 3))
+        assert x_tilde_max == pytest.approx(4.0)
+        assert y_tilde_max == pytest.approx(4.0 / math.sqrt(3))
 
     def test_shallow_wedge(self):
-        bounds = config_bounds(1.0, WedgeAngle(math.pi / 6))
-        assert bounds.x_tilde_max == pytest.approx(2.0 / math.sqrt(3))
-        assert bounds.y_tilde_max == pytest.approx(2.0)
+        x_tilde_max, y_tilde_max = config_bounds(1.0, WedgeAngle(math.pi / 6))
+        assert x_tilde_max == pytest.approx(2.0 / math.sqrt(3))
+        assert y_tilde_max == pytest.approx(2.0)
 
     @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
     def test_nonpositive_energy_rejected(self, energy):
         with pytest.raises(ValueError):
             config_bounds(energy, WedgeAngle(0.7))
-        with pytest.raises(ValueError):
-            ConfigBounds(energy, 1.0)
-        with pytest.raises(ValueError):
-            ConfigBounds(1.0, energy)

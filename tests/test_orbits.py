@@ -138,6 +138,15 @@ class TestBuildPeriodicOrbit:
             traj = build_periodic_orbit(OrbitSpec(2, 3, energy))
             assert traj.energy == pytest.approx(energy, rel=1e-14)
 
+    @pytest.mark.parametrize("exponent", range(-7, 11))
+    def test_every_orbit_closes_across_energy_scales(self, exponent):
+        # a wall point's rounding grows with E; the launch must still count
+        # as inside the wedge
+        energy = 10.0**exponent
+        for p, q in coprime_pairs(8):
+            traj = build_periodic_orbit(OrbitSpec(p, q, energy), n_collisions=2 * (p + q))
+            assert classify_orbit(traj) == OrbitClass.periodic(p + q, p, q), (p, q)
+
 
 class TestClassifyOrbit:
     def test_periodic_over_many_periods(self):
