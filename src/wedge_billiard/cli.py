@@ -17,7 +17,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable, Iterator
 from enum import Enum
+
+import numpy as np
 
 from .collision_maps import MapId, fixed_point
 from .dynamics import (
@@ -88,9 +91,35 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _event_values(traj: Trajectory):
-    """Each event's values in ``CSV_COLUMNS`` order, then ``u_pre, w_pre``."""
-    events = traj.events
+# Rows formatted per ``%`` call: enough to cost little per row, few enough
+# that no value list or string grows with the export.
+_CHUNK_ROWS = 128
+# Arcs per call in the trajectory SVG; each arc is one row of 130 values.
+_CHUNK_ARCS = 64
+
+
+def _format_rows(
+    template: str, count: int, values: Callable[[int, int], list], chunk: int
+) -> Iterator[str]:
+    """``count`` rows of ``template``, formatted ``chunk`` rows per ``%`` call.
+
+    ``values(lo, hi)`` gives the fields of rows ``lo`` to ``hi - 1``, row
+    after row.  Each chunk is yielded as its rows joined by newlines: no
+    string is made per row or per value.
+    """
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        yield "\n".join([template] * (hi - lo)) % tuple(values(lo, hi))
+
+
+_WALL_NAMES = np.array([wall.value for wall in WALLS])
+
+
+def _event_rows(traj: Trajectory, lo: int, hi: int, width: int) -> list:
+    """Events ``lo`` to ``hi - 1`` as one flat list of Python values, row
+    after row: the event index, then the first ``width - 1`` of the values
+    in ``CSV_COLUMNS`` order and ``u_pre, w_pre``."""
+    events = traj.events[lo:hi]
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
     t, x, y, u, w, u_bar, w_bar, u_pre, w_pre = (
         events.column(name)
@@ -99,19 +128,27 @@ def _event_values(traj: Trajectory):
     x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
     hx, hy = wedge_energies(x_tilde, y_tilde, *to_wedge(u, w, sin_t, cos_t), sin_t, cos_t)
     energy = (u * u + w * w) / 2.0 + y
-    walls = [WALLS[code].value for code in events.column("wall").tolist()]
-    floats = (x, y, u, w, u_bar, w_bar, x_tilde, y_tilde, energy, hx, hy, u_pre, w_pre)
-    rows = zip(t.tolist(), walls, *(column.tolist() for column in floats))
-    for index, row in enumerate(rows):
-        yield (index, *row)
+    walls = _WALL_NAMES[events.column("wall")]
+    columns = (t, walls, x, y, u, w, u_bar, w_bar, x_tilde, y_tilde, energy, hx, hy, u_pre, w_pre)
+    flat = [None] * ((hi - lo) * width)
+    flat[::width] = range(lo, hi)
+    for offset, column in enumerate(columns[:width - 1], 1):
+        flat[offset::width] = column.tolist()
+    return flat
+
+
+_CSV_ROW = ",".join(["%d", "%.17g", "%s", *["%.17g"] * (len(CSV_COLUMNS) - 3)])
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for index, t, wall, *floats in _event_values(traj):
-        del floats[-2:]  # u_pre and w_pre are exported to JSON only
-        lines.append(",".join([str(index), _fmt(t), wall, *map(_fmt, floats)]))
-    return "\n".join(lines) + "\n"
+    # u_pre and w_pre are exported to JSON only
+    rows = _format_rows(
+        _CSV_ROW,
+        len(traj.events),
+        lambda lo, hi: _event_rows(traj, lo, hi, len(CSV_COLUMNS)),
+        _CHUNK_ROWS,
+    )
+    return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
 
 
 def _state_dict(s: CartesianState) -> dict:
@@ -135,8 +172,9 @@ _JSON_NON_FINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -
 def trajectory_json(traj: Trajectory) -> str:
     """The trajectory as ``json.dumps(doc, indent=2)`` writes it.
 
-    The event rows are formatted from a template; with ``indent`` set,
-    json's encoder would format each value in Python.
+    The event rows are formatted from a template, a chunk of rows at a
+    time; with ``indent`` set, json's encoder would format each value in
+    Python.
     """
     term = traj.termination
     doc = {
@@ -151,13 +189,20 @@ def trajectory_json(traj: Trajectory) -> str:
     text = json.dumps(doc, indent=2) + "\n"
     if not traj.events:
         return text
-    # one format call over the row template repeated: no string per row
-    template = ",\n".join([_JSON_ROW] * len(traj.events))
-    rows = template % tuple([value for row in _event_values(traj) for value in row])
-    for python, json_text in _JSON_NON_FINITE:
-        rows = rows.replace(python, json_text)
+    # every row ends in the comma that separates it from the next one
+    rows = []
+    for chunk in _format_rows(
+        _JSON_ROW + ",",
+        len(traj.events),
+        lambda lo, hi: _event_rows(traj, lo, hi, len(CSV_COLUMNS) + 2),
+        _CHUNK_ROWS,
+    ):
+        for python, json_text in _JSON_NON_FINITE:
+            chunk = chunk.replace(python, json_text)
+        rows.append(chunk)
+    rows[-1] = rows[-1].removesuffix(",")
     # in place of the empty events list that ends the document
-    return text.removesuffix("[]\n}\n") + f"[\n{rows}\n  ]\n}}\n"
+    return "\n".join([text.removesuffix("[]\n}\n") + "[", *rows, "  ]\n}\n"])
 
 
 def read_trajectory_json(path: str) -> Trajectory:
@@ -219,7 +264,14 @@ def _svg_document(width: float, height: float, body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.6g} {height:.6g}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>", ""])
+
+
+_SVG_ARC = (
+    '<polyline fill="none" stroke="#1f77b4" stroke-width="1" points="'
+    + " ".join(["%.3f,%.3f"] * (_SVG_ARC_STEPS + 1))
+    + '"/>'
+)
 
 
 def trajectory_svg(traj: Trajectory) -> str:
@@ -254,6 +306,27 @@ def trajectory_svg(traj: Trajectory) -> str:
     def to_svg(x: float, y: float) -> tuple[float, float]:
         return (x - x_min) * scale, (y_max - y) * scale
 
+    start = traj.initial
+    columns = [traj.events.column(name) for name in ("t", "x", "y", "u", "w")]
+    firsts = (start.t, start.x, start.y, start.u, start.w)
+    steps = np.arange(_SVG_ARC_STEPS + 1.0)
+
+    def arc_points(lo: int, hi: int) -> list[float]:
+        # each arc starts from the launch or from the previous event's
+        # outgoing state
+        t0, x0, y0, u0, w0 = (
+            (column[lo - 1:hi - 1] if lo else np.concatenate(([first], column[:hi - 1])))[:, None]
+            for column, first in zip(columns, firsts)
+        )
+        # to_svg's arithmetic on the arc's equal time steps, in its order;
+        # a non-finite value gives nan or inf silently, as in Python floats
+        with np.errstate(invalid="ignore", over="ignore"):
+            tau = (columns[0][lo:hi, None] - t0) * steps / _SVG_ARC_STEPS
+            x = x0 + u0 * tau
+            y = y0 + w0 * tau - 0.5 * tau * tau
+            points = np.stack(((x - x_min) * scale, (y_max - y) * scale), axis=-1)
+        return points.ravel().tolist()
+
     body = []
     for end in corners[1:3]:
         (x1, y1), (x2, y2) = to_svg(*corners[0]), to_svg(*end)
@@ -261,18 +334,7 @@ def trajectory_svg(traj: Trajectory) -> str:
             f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
             f'stroke="black" stroke-width="2"/>'
         )
-    for duration, x0, y0, u0, w0 in traj.flights():
-        points = []
-        for i in range(_SVG_ARC_STEPS + 1):
-            tau = duration * i / _SVG_ARC_STEPS
-            x = x0 + u0 * tau
-            y = y0 + w0 * tau - 0.5 * tau * tau
-            sx, sy = to_svg(x, y)
-            points.append(f"{sx:.3f},{sy:.3f}")
-        body.append(
-            f'<polyline fill="none" stroke="#1f77b4" stroke-width="1" '
-            f'points="{" ".join(points)}"/>'
-        )
+    body.extend(_format_rows(_SVG_ARC, len(traj.events), arc_points, _CHUNK_ARCS))
     label_x, label_y = to_svg(x_max - margin, y_min + margin)
     body.append(f'<text x="{label_x - 20:.1f}" y="{label_y:.1f}" font-size="14">x</text>')
     label_x, label_y = to_svg(x_min + margin, y_max - margin)
@@ -293,21 +355,20 @@ def sweep_svg(points: list[SweepPoint]) -> str:
         sy = pad + (1.0 - (u_bar + u_range) / (2.0 * u_range)) * (height - 2 * pad)
         return sx, sy
 
+    def centres(lo: int, hi: int) -> list[float]:
+        return [v for pt in points[lo:hi] for v in to_svg(math.degrees(pt.theta), pt.u_bar)]
+
     body = [
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
-        f'height="{height - 2 * pad}" fill="none" stroke="black"/>'
-    ]
-    for pt in points:
-        sx, sy = to_svg(math.degrees(pt.theta), pt.u_bar)
-        body.append(f'<circle cx="{sx:.3f}" cy="{sy:.3f}" r="2" fill="#1f77b4"/>')
-    body.append(
+        f'height="{height - 2 * pad}" fill="none" stroke="black"/>',
+        *_format_rows(
+            '<circle cx="%.3f" cy="%.3f" r="2" fill="#1f77b4"/>', len(points), centres, _CHUNK_ROWS
+        ),
         f'<text x="{width / 2:.1f}" y="{height - 8:.1f}" font-size="14" '
-        f'text-anchor="middle">theta (degrees)</text>'
-    )
-    body.append(
+        f'text-anchor="middle">theta (degrees)</text>',
         f'<text x="12" y="{height / 2:.1f}" font-size="14" '
-        f'transform="rotate(-90 12 {height / 2:.1f})" text-anchor="middle">u_bar</text>'
-    )
+        f'transform="rotate(-90 12 {height / 2:.1f})" text-anchor="middle">u_bar</text>',
+    ]
     return _svg_document(width, height, body)
 
 
@@ -320,12 +381,15 @@ def render_plot(data: Trajectory | list[SweepPoint], path: str) -> None:
 
 
 def sweep_csv(points: list[SweepPoint]) -> str:
-    lines = ["p,q,theta_rad,theta_deg,u_bar"]
-    for pt in points:
-        lines.append(
-            f"{pt.p},{pt.q},{_fmt(pt.theta)},{_fmt(math.degrees(pt.theta))},{_fmt(pt.u_bar)}"
-        )
-    return "\n".join(lines) + "\n"
+    def fields(lo: int, hi: int) -> list:
+        return [
+            v
+            for pt in points[lo:hi]
+            for v in (pt.p, pt.q, pt.theta, math.degrees(pt.theta), pt.u_bar)
+        ]
+
+    rows = _format_rows("%d,%d,%.17g,%.17g,%.17g", len(points), fields, _CHUNK_ROWS)
+    return "\n".join(["p,q,theta_rad,theta_deg,u_bar", *rows, ""])
 
 
 # ---------------------------------------------------------------------------

@@ -323,18 +323,6 @@ class Trajectory:
             columns = EventColumns.from_events(self.events, self.theta)
             object.__setattr__(self, "events", EventSequence(columns))
 
-    def flights(self) -> Iterator[tuple[float, float, float, float, float]]:
-        """``(duration, x, y, u, w)`` of each flight arc: the state it starts
-        from (the launch, then each event's outgoing state) and its time to
-        the next event."""
-        events = self.events
-        start = self.initial
-        t0, x0, y0, u0, w0 = start.t, start.x, start.y, start.u, start.w
-        columns = (events.column(name).tolist() for name in ("t", "x", "y", "u", "w"))
-        for t, x, y, u, w in zip(*columns):
-            yield t - t0, x0, y0, u0, w0
-            t0, x0, y0, u0, w0 = t, x, y, u, w
-
 
 def hamiltonian(s: CartesianState) -> float:
     """Total energy: kinetic part plus height."""

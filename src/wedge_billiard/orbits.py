@@ -30,9 +30,10 @@ from .dynamics import (
 )
 from .geometry import Wall, WedgeAngle, config_bounds, to_wedge
 
-# Joint recurrence tolerance on (position, collision-frame momentum), scaled
-# by sqrt(E): an order above the simulator's worst drift, far below any
-# orbit separation seen at desk scale.
+# Relative recurrence tolerance: positions are compared within tol*E and
+# collision-frame momenta within tol*sqrt(E), as each scales with the
+# energy.  An order above the simulator's worst drift, far below any orbit
+# separation seen at desk scale.
 DEFAULT_PERIODICITY_TOL = 1e-8
 
 # Flight arcs are rasterized with a sample spacing of at most this fraction
@@ -175,11 +176,11 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     """Classify a trajectory as periodic, dense, sliding or degenerate.
 
     A trajectory is periodic with period k when some event k in the first
-    half of the run reproduces event 0 (same wall, position and
-    collision-frame momentum within ``tol*sqrt(E)``) and the match repeats
-    for every available event.  Grazing terminations are the sliding family;
-    vertex hits are degenerate.  Everything else is reported dense, meaning
-    only that no recurrence was found within the horizon.
+    half of the run reproduces event 0 (same wall, position within
+    ``tol*E`` and collision-frame momentum within ``tol*sqrt(E)``) and the
+    match repeats for every available event.  Grazing terminations are the
+    sliding family; vertex hits are degenerate.  Everything else is reported
+    dense, meaning only that no recurrence was found within the horizon.
     """
     check_periodicity_tol(tol)
     term = traj.termination
@@ -194,23 +195,31 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     if n < 2:
         raise ValueError("need at least two events or a termination to classify")
 
-    threshold = tol * math.sqrt(traj.energy)
+    # positions scale as E, momenta as sqrt(E)
+    position_threshold = tol * traj.energy
+    momentum_threshold = tol * math.sqrt(traj.energy)
     walls = events.column("wall")
     # events 1 .. n//2 that reproduce event 0, narrowed by one value at a
     # time: post-collision position, then collision-frame momentum
     head = slice(1, n // 2 + 1)
     returns = walls[head] == walls[0]
     states = []
-    for name in ("x", "y", "u_bar", "w_bar"):
+    for name, threshold in (
+        ("x", position_threshold),
+        ("y", position_threshold),
+        ("u_bar", momentum_threshold),
+        ("w_bar", momentum_threshold),
+    ):
         if not returns.any():
             return OrbitClass.dense()
         values = events.column(name)
         returns &= np.abs(values[head] - values[0]) <= threshold
-        states.append(values)
+        states.append((values, threshold))
     for k in np.flatnonzero(returns) + 1:
         k = int(k)
         if (walls[k:] == walls[:n - k]).all() and all(
-            (np.abs(values[k:] - values[:n - k]) <= threshold).all() for values in states
+            (np.abs(values[k:] - values[:n - k]) <= threshold).all()
+            for values, threshold in states
         ):
             hits_a = int(np.count_nonzero(walls[:k] == WALLS.index(Wall.A)))
             return OrbitClass.periodic(k, hits_a, k - hits_a)
@@ -250,8 +259,17 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     inner = np.array([[nx - 1.0], [ny - 1.0]])
 
     start = traj.initial
-    columns = [traj.events.column(name) for name in ("t", "x", "y", "u", "w")]
+    names = ("t", "x", "y", "u", "w")
+    columns = [traj.events.column(name) for name in names]
     firsts = (start.t, start.x, start.y, start.u, start.w)
+    for name, column, first in zip(names, columns, firsts):
+        if not math.isfinite(first):
+            raise ValueError(f"launch {name} is not finite: {first!r}")
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ValueError(
+                f"column {name} is not finite at event {bad[0]}: {float(column[bad[0]])!r}"
+            )
     n_arcs = len(columns[0])
     visited = np.zeros((ny, nx), dtype=bool)
     for lo in range(0, n_arcs, _COVERAGE_CHUNK_ARCS):

@@ -1,16 +1,49 @@
+import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from wedge_billiard import CartesianState, Wall, WedgeAngle, launch_from_wall
+from wedge_billiard import CartesianState, Trajectory, Wall, WedgeAngle, launch_from_wall
+from wedge_billiard.dynamics import EventColumns, EventSequence
 from wedge_billiard.geometry import from_wedge, to_wedge
 
 settings.register_profile(
     "ci", derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
+
+
+def coprime_pairs(limit: int):
+    return [
+        (p, q)
+        for p in range(1, limit + 1)
+        for q in range(1, limit + 1)
+        if math.gcd(p, q) == 1
+    ]
+
+
+def with_values(traj: Trajectory, name: str, values) -> Trajectory:
+    """``traj`` with column ``name`` of its first events set to ``values``."""
+    columns = EventColumns(traj.theta)
+    for field in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
+        getattr(columns, field).extend(traj.events.column(field).tolist())
+    getattr(columns, name)[: len(values)] = array("d", values)
+    return dataclasses.replace(traj, events=EventSequence(columns))
+
+
+def flights(traj: Trajectory):
+    """``(duration, x, y, u, w)`` of each flight arc, in Python floats: the
+    state it starts from (the launch, then each event's outgoing state) and
+    its time to the next event."""
+    start = traj.initial
+    t0, x0, y0, u0, w0 = start.t, start.x, start.y, start.u, start.w
+    columns = (traj.events.column(name).tolist() for name in ("t", "x", "y", "u", "w"))
+    for t, x, y, u, w in zip(*columns):
+        yield t - t0, x0, y0, u0, w0
+        t0, x0, y0, u0, w0 = t, x, y, u, w
 
 
 def random_angle(rng: np.random.Generator) -> WedgeAngle:

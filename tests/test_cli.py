@@ -3,9 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
-from array import array
 
+import numpy as np
 import pytest
 
 from wedge_billiard import (
@@ -14,22 +15,34 @@ from wedge_billiard import (
     Trajectory,
     Wall,
     WedgeAngle,
+    build_periodic_orbit,
     critical_angle,
     hamiltonian,
     launch_from_wall,
     simulate,
+    sweep_periodic_points,
 )
 from wedge_billiard.cli import (
+    _CHUNK_ARCS,
+    _CHUNK_ROWS,
+    _SVG_ARC_STEPS,
     CSV_COLUMNS,
-    _event_values,
+    SVG_MARGIN_FRACTION,
+    SVG_WIDTH,
+    _event_rows,
+    _svg_document,
     build_parser,
     main,
     read_trajectory_json,
+    sweep_csv,
+    sweep_svg,
+    trajectory_csv,
     trajectory_json,
+    trajectory_svg,
 )
-from wedge_billiard.dynamics import EventColumns, EventSequence
+from wedge_billiard.geometry import config_bounds, from_wedge
 
-from conftest import random_angle, random_launch
+from conftest import coprime_pairs, flights, random_angle, random_launch, with_values
 
 
 def run(*args: str) -> int:
@@ -110,7 +123,8 @@ class TestSimulateCommand:
 
 
 # The paper's 60-degree launch and the first launch the acceptance suite
-# draws from seed 977, each 200 collisions.
+# draws from seed 977, each 200 collisions; the sweep table and scatter up
+# to p, q = 25; and three periods of the (2, 5) orbit.
 GOLDEN_LAUNCHES = {
     "dense60": SIMULATE_ARGS + ("--n", "200"),
     "seed977": (
@@ -118,6 +132,8 @@ GOLDEN_LAUNCHES = {
         "--s", "0.7889605216983491", "--u-bar", "0.7499209292109801",
         "--w-bar", "1.4013097017164222", "--n", "200",
     ),
+    "sweep25": ("sweep", "--max", "25"),
+    "orbit25": ("periodic", "--p", "2", "--q", "5", "--periods", "3"),
 }
 
 # (SHA-256, size in bytes) of the files the object-per-event engine wrote
@@ -129,6 +145,10 @@ GOLDEN_EXPORTS = {
     ("seed977", "csv"): ("c913f5def2455b8174fa0108120c3c512398db967487452caa1732ec17e0ff77", 46163),
     ("seed977", "json"): ("46465bf1390f34cf11d0405d6904bb3783810c6b1d6963a3f414c5b2bb716e84", 109406),
     ("seed977", "svg"): ("c77c23b0d3d011a1e06d3d7b63dd8a2934c9ef97f0f166289ab5f179556f4e01", 221780),
+    # written by the per-value formatting loops at commit 9225358
+    ("sweep25", "csv"): ("8c314117e1f4353c43b6df0d3f3e2e61d7f03f0c2b9b7531e106de1b6108db9d", 25273),
+    ("sweep25", "svg"): ("ec8355b6c7547698a3336339be13ff0097d1bfe4729c968a64f416b82b0a5d32", 23039),
+    ("orbit25", "svg"): ("a8d54e7e5708ee1838a333c5a214aa695c5020ea22d20a0dcb18d0988b773971", 23627),
 }
 
 
@@ -140,6 +160,13 @@ def test_exports_match_recorded_bytes(launch, fmt, tmp_path):
     assert run(*GOLDEN_LAUNCHES[launch], "--format", fmt, "--out", str(out)) == 0
     data = out.read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN_EXPORTS[launch, fmt]
+
+
+def event_rows(traj):
+    """Each event's export values, led by its index, one list per event."""
+    width = len(CSV_COLUMNS) + 2
+    values = _event_rows(traj, 0, len(traj.events), width)
+    return [values[i:i + width] for i in range(0, len(values), width)]
 
 
 def json_by_dumps(traj) -> str:
@@ -154,18 +181,9 @@ def json_by_dumps(traj) -> str:
         if term is None
         else {"kind": term.kind.value, "t": term.t, "normal_speed": term.normal_speed},
         "initial": {name: getattr(traj.initial, name) for name in ("x", "y", "u", "w", "t")},
-        "events": [dict(zip(keys, values)) for values in _event_values(traj)],
+        "events": [dict(zip(keys, values)) for values in event_rows(traj)],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def with_values(traj, name: str, values) -> Trajectory:
-    """``traj`` with column ``name`` of its first events set to ``values``."""
-    columns = EventColumns(traj.theta)
-    for field in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
-        getattr(columns, field).extend(traj.events.column(field).tolist())
-    getattr(columns, name)[: len(values)] = array("d", values)
-    return dataclasses.replace(traj, events=EventSequence(columns))
 
 
 class TestJsonTemplate:
@@ -194,6 +212,219 @@ class TestJsonTemplate:
         text = trajectory_json(traj)
         assert text == json_by_dumps(traj)
         assert "NaN" in text and "-Infinity" in text
+
+
+def fmt(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def csv_by_rows(traj) -> str:
+    """The CSV export one row and one value at a time: the reference for
+    the chunked row template ``trajectory_csv`` formats."""
+    lines = [",".join(CSV_COLUMNS)]
+    for index, t, wall, *floats in event_rows(traj):
+        del floats[-2:]  # u_pre and w_pre are exported to JSON only
+        lines.append(",".join([str(index), fmt(t), wall, *map(fmt, floats)]))
+    return "\n".join(lines) + "\n"
+
+
+def svg_by_points(traj) -> str:
+    """The trajectory SVG one arc point at a time, in Python floats: the
+    reference for the numpy arcs ``trajectory_svg`` formats in chunks."""
+    sin_t, cos_t = traj.theta.sin, traj.theta.cos
+    x_tilde_max, y_tilde_max = config_bounds(traj.energy, traj.theta)
+    corners = [
+        from_wedge(x_tilde, y_tilde, sin_t, cos_t)
+        for x_tilde, y_tilde in (
+            (0.0, 0.0), (x_tilde_max, 0.0), (0.0, y_tilde_max), (x_tilde_max, y_tilde_max)
+        )
+    ]
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    x_min, x_max = min(xs), max(xs)
+    y_min, y_max = min(ys), max(ys)
+    margin = SVG_MARGIN_FRACTION * max(x_max - x_min, y_max - y_min)
+    x_min -= margin
+    x_max += margin
+    y_min -= margin
+    y_max += margin
+    scale = SVG_WIDTH / (x_max - x_min)
+    height = (y_max - y_min) * scale
+
+    def to_svg(x: float, y: float) -> tuple[float, float]:
+        return (x - x_min) * scale, (y_max - y) * scale
+
+    body = []
+    for end in corners[1:3]:
+        (x1, y1), (x2, y2) = to_svg(*corners[0]), to_svg(*end)
+        body.append(
+            f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+            f'stroke="black" stroke-width="2"/>'
+        )
+    for duration, x0, y0, u0, w0 in flights(traj):
+        points = []
+        for i in range(_SVG_ARC_STEPS + 1):
+            tau = duration * i / _SVG_ARC_STEPS
+            x = x0 + u0 * tau
+            y = y0 + w0 * tau - 0.5 * tau * tau
+            sx, sy = to_svg(x, y)
+            points.append(f"{sx:.3f},{sy:.3f}")
+        body.append(
+            f'<polyline fill="none" stroke="#1f77b4" stroke-width="1" '
+            f'points="{" ".join(points)}"/>'
+        )
+    label_x, label_y = to_svg(x_max - margin, y_min + margin)
+    body.append(f'<text x="{label_x - 20:.1f}" y="{label_y:.1f}" font-size="14">x</text>')
+    label_x, label_y = to_svg(x_min + margin, y_max - margin)
+    body.append(f'<text x="{label_x:.1f}" y="{label_y + 20:.1f}" font-size="14">y</text>')
+    return _svg_document(SVG_WIDTH, height, body)
+
+
+def sweep_svg_by_points(points) -> str:
+    """The sweep scatter one circle at a time: the reference for the
+    chunked row template ``sweep_svg`` formats."""
+    width, height = SVG_WIDTH, 480.0
+    pad = 40.0
+    u_range = max(max(abs(pt.u_bar) for pt in points), 1e-9) * 1.05
+
+    def to_svg(theta_deg: float, u_bar: float) -> tuple[float, float]:
+        sx = pad + (theta_deg / 90.0) * (width - 2 * pad)
+        sy = pad + (1.0 - (u_bar + u_range) / (2.0 * u_range)) * (height - 2 * pad)
+        return sx, sy
+
+    body = [
+        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
+        f'height="{height - 2 * pad}" fill="none" stroke="black"/>'
+    ]
+    for pt in points:
+        sx, sy = to_svg(math.degrees(pt.theta), pt.u_bar)
+        body.append(f'<circle cx="{sx:.3f}" cy="{sy:.3f}" r="2" fill="#1f77b4"/>')
+    body.append(
+        f'<text x="{width / 2:.1f}" y="{height - 8:.1f}" font-size="14" '
+        f'text-anchor="middle">theta (degrees)</text>'
+    )
+    body.append(
+        f'<text x="12" y="{height / 2:.1f}" font-size="14" '
+        f'transform="rotate(-90 12 {height / 2:.1f})" text-anchor="middle">u_bar</text>'
+    )
+    return _svg_document(width, height, body)
+
+
+def sweep_csv_by_rows(points) -> str:
+    """The sweep table one row and one value at a time: the reference for
+    the chunked row template ``sweep_csv`` formats."""
+    lines = ["p,q,theta_rad,theta_deg,u_bar"]
+    for pt in points:
+        lines.append(
+            f"{pt.p},{pt.q},{fmt(pt.theta)},{fmt(math.degrees(pt.theta))},{fmt(pt.u_bar)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def assert_trajectory_exports_match(traj) -> None:
+    assert trajectory_csv(traj) == csv_by_rows(traj)
+    assert trajectory_json(traj) == json_by_dumps(traj)
+    if traj.events:
+        assert trajectory_svg(traj) == svg_by_points(traj)
+
+
+def assert_sweep_exports_match(points) -> None:
+    assert sweep_csv(points) == sweep_csv_by_rows(points)
+    if points:
+        assert sweep_svg(points) == sweep_svg_by_points(points)
+
+
+def dense60(n_events: int) -> Trajectory:
+    angle = WedgeAngle.from_degrees(60)
+    return simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, n_events)
+
+
+class TestChunkedExports:
+    def test_seed977_random_launches(self):
+        rng = np.random.default_rng(977)
+        for _ in range(20):
+            angle = random_angle(rng)
+            assert_trajectory_exports_match(simulate(random_launch(rng, angle), angle, 200))
+
+    @pytest.mark.parametrize("energy", [1e-6, 1.0, 1e6, 1e290])
+    def test_periodic_orbits(self, energy):
+        for p, q in coprime_pairs(8):
+            traj = build_periodic_orbit(OrbitSpec(p, q, energy), n_collisions=2 * (p + q))
+            assert_trajectory_exports_match(traj)
+
+    def test_one_event_and_empty_runs(self):
+        for traj in (dense60(1), dense60(0), build_periodic_orbit(OrbitSpec(2, 3), 1)):
+            assert_trajectory_exports_match(traj)
+
+    def test_event_views(self):
+        traj = dense60(3 * _CHUNK_ARCS)
+        for view in (traj.events[::-1], traj.events[::3], traj.events[_CHUNK_ARCS - 1:]):
+            assert_trajectory_exports_match(dataclasses.replace(traj, events=view))
+
+    @pytest.mark.parametrize("chunk", [_CHUNK_ARCS, _CHUNK_ROWS])
+    def test_chunk_boundaries(self, chunk):
+        traj = dense60(2 * chunk + 1)
+        for n_events in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+            assert_trajectory_exports_match(dataclasses.replace(traj, events=traj.events[:n_events]))
+        points = sweep_periodic_points(45, 45)
+        assert len(points) > 2 * chunk + 1
+        for count in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+            assert_sweep_exports_match(points[:count])
+
+    @pytest.mark.parametrize("name", ["t", "x", "y", "u", "w", "u_pre", "w_pre"])
+    def test_non_finite_and_extreme_values(self, name):
+        extremes = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
+        dense = dense60(_CHUNK_ARCS + 8)
+        # in the first chunk of arcs, and again at the start of the second
+        head = dense.events.column(name)[:_CHUNK_ARCS].tolist()
+        for values in (extremes, head + extremes):
+            assert_trajectory_exports_match(with_values(dense, name, values))
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("energy", [1e-9, 1.0, 1e200])
+    def test_sweeps(self, half, energy):
+        for limit in (1, 2, 8, 25):
+            assert_sweep_exports_match(sweep_periodic_points(limit, limit, energy, half=half))
+
+
+def traced_peak(render, data) -> int:
+    render(data)  # leaves out what only a first call allocates
+    tracemalloc.start()
+    try:
+        render(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def renderers(size: int):
+    """(chunked renderer, its reference, input of ``size`` rows) per export."""
+    traj = dense60(size)
+    points = sweep_periodic_points(100, 100)[:size]
+    assert len(points) == size
+    return [
+        (trajectory_svg, svg_by_points, traj),
+        (trajectory_csv, csv_by_rows, traj),
+        (trajectory_json, json_by_dumps, traj),
+        (sweep_svg, sweep_svg_by_points, points),
+        (sweep_csv, sweep_csv_by_rows, points),
+    ]
+
+
+@pytest.mark.parametrize("size", [500, 5000])
+def test_chunked_exports_peak_no_higher_than_references(size):
+    for render, reference, data in renderers(size):
+        assert traced_peak(render, data) <= traced_peak(reference, data), render.__name__
+
+
+def test_chunked_exports_working_set_does_not_grow():
+    # beyond the text itself, held twice (as chunks, then joined), a chunked
+    # export needs a working set of one chunk, whatever the row count
+    def working_set(render, data) -> int:
+        return traced_peak(render, data) - 2 * len(render(data))
+
+    for (render, _, small), (_, _, large) in zip(renderers(500), renderers(5000)):
+        assert working_set(render, large) <= working_set(render, small) + 32 * 1024, render.__name__
 
 
 class TestPeriodicCommand:

@@ -26,16 +26,7 @@ from wedge_billiard.dynamics import CartesianState, TerminationKind
 from wedge_billiard.geometry import to_wedge
 from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, launch_arclength
 
-from conftest import random_angle, random_launch
-
-
-def coprime_pairs(limit: int):
-    return [
-        (p, q)
-        for p in range(1, limit + 1)
-        for q in range(1, limit + 1)
-        if math.gcd(p, q) == 1
-    ]
+from conftest import coprime_pairs, flights, random_angle, random_launch, with_values
 
 
 class TestOrbitSpec:
@@ -138,10 +129,11 @@ class TestBuildPeriodicOrbit:
             traj = build_periodic_orbit(OrbitSpec(2, 3, energy))
             assert traj.energy == pytest.approx(energy, rel=1e-14)
 
-    @pytest.mark.parametrize("exponent", range(-7, 11))
+    @pytest.mark.parametrize("exponent", [*range(-7, 11), 11, 12, 50, 299])
     def test_every_orbit_closes_across_energy_scales(self, exponent):
         # a wall point's rounding grows with E; the launch must still count
-        # as inside the wedge
+        # as inside the wedge, and the recurrence must still be found with
+        # positions compared at tol*E
         energy = 10.0**exponent
         for p, q in coprime_pairs(8):
             traj = build_periodic_orbit(OrbitSpec(p, q, energy), n_collisions=2 * (p + q))
@@ -193,17 +185,23 @@ def classify_by_event_loop(traj, tol: float = 1e-8) -> OrbitClass:
     """Per-event loop over built events: the reference for the recurrence
     search that ``classify_orbit`` runs on the columns."""
 
-    def same(a, b, threshold):
-        sa = (a.post.x, a.post.y, a.rotating_post.u_bar, a.rotating_post.w_bar)
-        sb = (b.post.x, b.post.y, b.rotating_post.u_bar, b.rotating_post.w_bar)
-        return a.wall is b.wall and all(abs(x - y) <= threshold for x, y in zip(sa, sb))
+    position_threshold = tol * traj.energy
+    momentum_threshold = tol * math.sqrt(traj.energy)
+
+    def same(a, b):
+        return (
+            a.wall is b.wall
+            and abs(a.post.x - b.post.x) <= position_threshold
+            and abs(a.post.y - b.post.y) <= position_threshold
+            and abs(a.rotating_post.u_bar - b.rotating_post.u_bar) <= momentum_threshold
+            and abs(a.rotating_post.w_bar - b.rotating_post.w_bar) <= momentum_threshold
+        )
 
     events = tuple(traj.events)
-    threshold = tol * math.sqrt(traj.energy)
     n = len(events)
     for k in range(1, n // 2 + 1):
-        if same(events[k], events[0], threshold) and all(
-            same(events[i + k], events[i], threshold) for i in range(n - k)
+        if same(events[k], events[0]) and all(
+            same(events[i + k], events[i]) for i in range(n - k)
         ):
             hits_a = sum(1 for e in events[:k] if e.wall is Wall.A)
             return OrbitClass.periodic(k, hits_a, k - hits_a)
@@ -271,6 +269,22 @@ class TestCoverageFraction:
         with pytest.raises(ValueError):
             coverage_fraction(traj, (0, 8))
 
+    @pytest.mark.parametrize("name", ["t", "x", "y", "u", "w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_rejected(self, name, value):
+        angle = WedgeAngle.from_degrees(60)
+        traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 20)
+        head = traj.events.column(name)[:7].tolist()
+        with pytest.raises(ValueError, match=f"column {name} is not finite at event 7"):
+            coverage_fraction(with_values(traj, name, [*head, value]), (64, 64))
+
+    @pytest.mark.parametrize("name", ["t", "x", "y", "u", "w"])
+    def test_non_finite_launch_rejected(self, name):
+        traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0))
+        initial = dataclasses.replace(traj.initial, **{name: math.nan})
+        with pytest.raises(ValueError, match=f"launch {name} is not finite"):
+            coverage_fraction(dataclasses.replace(traj, initial=initial), (8, 8))
+
 
 def coverage_by_sampling(traj, grid: tuple[int, int]) -> float:
     """Per-arc loop that evaluates every sample: the reference for the
@@ -285,7 +299,7 @@ def coverage_by_sampling(traj, grid: tuple[int, int]) -> float:
     speed_cap = math.sqrt(2.0 * traj.energy)
 
     visited = np.zeros((ny, nx), dtype=bool)
-    for duration, x0, y0, u0, w0 in traj.flights():
+    for duration, x0, y0, u0, w0 in flights(traj):
         n_samples = max(2, int(math.ceil(duration * speed_cap / step)) + 1)
         ts = np.linspace(0.0, duration, n_samples)
         xs = x0 + u0 * ts
