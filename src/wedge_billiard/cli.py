@@ -26,18 +26,20 @@ from .collision_maps import MapId, fixed_point
 from .dynamics import (
     WALLS,
     CartesianState,
-    CollisionEvent,
-    RotatingFrameMomentum,
+    EventColumns,
+    EventSequence,
     Termination,
     TerminationKind,
     Trajectory,
+    flight_starts,
     launch_from_wall,
     simulate,
     wedge_energies,
-    wedge_hamiltonians,
 )
 from .geometry import Wall, WedgeAngle, config_bounds, from_wedge, to_wedge
 from .orbits import (
+    DEFAULT_PERIODICITY_TOL,
+    OrbitKind,
     OrbitSpec,
     SweepPoint,
     build_periodic_orbit,
@@ -206,45 +208,56 @@ def trajectory_json(traj: Trajectory) -> str:
 
 
 def read_trajectory_json(path: str) -> Trajectory:
-    """Rebuild a trajectory from its JSON export, floats bit-equal."""
+    """Rebuild a trajectory from its JSON export, floats bit-equal.
+
+    Raises ValueError when the file's collision-frame momenta or energy are
+    not, to the last bit, the values the columns and the launch give.
+    """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
     angle = WedgeAngle(doc["theta"])
-    initial = CartesianState(**doc["initial"])
-    events = []
-    for row in doc["events"]:
-        wall = Wall(row["wall"])
-        pre = CartesianState(row["x"], row["y"], row["u_pre"], row["w_pre"], row["t"])
-        post = CartesianState(row["x"], row["y"], row["u_post"], row["w_post"], row["t"])
-        rotating = RotatingFrameMomentum(row["u_bar_post"], row["w_bar_post"])
-        events.append(CollisionEvent(wall, row["t"], pre, post, rotating))
+    rows = doc["events"]
+    columns = EventColumns(angle)
+    columns.wall.extend(WALLS.index(Wall(row["wall"])) for row in rows)
+    for name, key in (
+        ("t", "t"), ("x", "x"), ("y", "y"), ("u_pre", "u_pre"), ("w_pre", "w_pre"),
+        ("u", "u_post"), ("w", "w_post"),
+    ):
+        getattr(columns, name).extend(row[key] for row in rows)
     term = doc["termination"]
     termination = (
         None
         if term is None
         else Termination(TerminationKind(term["kind"]), term["t"], term["normal_speed"])
     )
-    return Trajectory(
-        initial=initial,
-        theta=angle,
-        events=tuple(events),
-        energy=doc["energy"],
-        wedge_integrals=wedge_hamiltonians(initial, angle),
-        termination=termination,
-    )
+    traj = Trajectory(CartesianState(**doc["initial"]), angle, EventSequence(columns), termination)
+    for key, name in (("u_bar_post", "u_bar"), ("w_bar_post", "w_bar")):
+        stored = [row[key] for row in rows]
+        bad = np.flatnonzero(_bits(stored) != _bits(traj.events.column(name)))
+        if bad.size:
+            raise ValueError(
+                f"event {bad[0]}: {key} {stored[bad[0]]!r} is not the collision frame "
+                "of its u_post, w_post"
+            )
+    if _bits(doc["energy"]) != _bits(traj.energy):
+        raise ValueError(f"energy {doc['energy']!r} is not the launch's {traj.energy!r}")
+    return traj
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of ``values``: equal exactly when the floats
+    are the same to the last bit, signed zero and all."""
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 def export_trajectory(traj: Trajectory, fmt: OutputFormat, path: str) -> None:
     """Write a trajectory to disk in the requested format."""
-    if fmt is OutputFormat.CSV:
-        text = trajectory_csv(traj)
-    elif fmt is OutputFormat.JSON:
-        text = trajectory_json(traj)
-    elif fmt is OutputFormat.SVG:
-        text = trajectory_svg(traj)
-    else:
-        raise CliError(f"unknown output format {fmt!r}")
-    _write_text(path, text)
+    render = {
+        OutputFormat.CSV: trajectory_csv,
+        OutputFormat.JSON: trajectory_json,
+        OutputFormat.SVG: trajectory_svg,
+    }[fmt]
+    _write_text(path, render(traj))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -306,17 +319,12 @@ def trajectory_svg(traj: Trajectory) -> str:
     def to_svg(x: float, y: float) -> tuple[float, float]:
         return (x - x_min) * scale, (y_max - y) * scale
 
-    start = traj.initial
     columns = [traj.events.column(name) for name in ("t", "x", "y", "u", "w")]
-    firsts = (start.t, start.x, start.y, start.u, start.w)
     steps = np.arange(_SVG_ARC_STEPS + 1.0)
 
     def arc_points(lo: int, hi: int) -> list[float]:
-        # each arc starts from the launch or from the previous event's
-        # outgoing state
         t0, x0, y0, u0, w0 = (
-            (column[lo - 1:hi - 1] if lo else np.concatenate(([first], column[:hi - 1])))[:, None]
-            for column, first in zip(columns, firsts)
+            start[:, None] for start in flight_starts(traj.initial, columns, lo, hi)
         )
         # to_svg's arithmetic on the arc's equal time steps, in its order;
         # a non-finite value gives nan or inf silently, as in Python floats
@@ -501,7 +509,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             f"periodic period={result.period} hits_a={result.hits_a} "
             f"hits_b={result.hits_b}"
         )
-    elif result.kind.value == "dense":
+    elif result.kind is OrbitKind.DENSE:
         print("dense (no recurrence within horizon; not a proof of density)")
     elif result.reason:
         print(f"{result.kind.value} ({result.reason})")
@@ -576,7 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_angle_arguments(p_cls)
     _add_launch_arguments(p_cls)
     p_cls.add_argument("--n", type=int, default=10000, help="collision horizon")
-    p_cls.add_argument("--tol", type=float, default=1e-8, help="recurrence tolerance")
+    p_cls.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_PERIODICITY_TOL,
+        help=f"recurrence tolerance (default {DEFAULT_PERIODICITY_TOL:g}): positions "
+        "are compared within tol*E and momenta within tol*sqrt(E)",
+    )
     p_cls.set_defaults(func=_cmd_classify)
 
     p_fp = sub.add_parser("fixed-points", help="print the cross-wall fixed points")

@@ -41,14 +41,6 @@ class MapId(Enum):
     FB = "FB"
     GB = "GB"
 
-    @property
-    def source(self) -> Wall:
-        return Wall.A if self in (MapId.FA, MapId.FB) else Wall.B
-
-    @property
-    def target(self) -> Wall:
-        return Wall.A if self in (MapId.FA, MapId.GB) else Wall.B
-
 
 def map_id_for(source: Wall, target: Wall) -> MapId:
     """Map joining consecutive collisions on the given walls."""
@@ -83,15 +75,6 @@ class MapState:
             )
 
 
-def _opposite_normal(w_bar: float, energy: float) -> float:
-    radicand = 2.0 * energy - w_bar * w_bar
-    if radicand < -RADICAND_TOL:
-        raise EnergyViolationError(
-            f"normal kinetic energy {w_bar ** 2 / 2!r} exceeds total {energy!r}"
-        )
-    return math.sqrt(max(radicand, 0.0))
-
-
 def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
     """Outgoing momentum at the next collision on the map's target wall.
 
@@ -107,7 +90,9 @@ def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
         return MapState(u_bar - 2.0 * w_bar / tan_t, w_bar, energy)
     if map_id is MapId.GA:
         return MapState(u_bar - 2.0 * w_bar * tan_t, w_bar, energy)
-    w_next = _opposite_normal(w_bar, energy)
+    # MapState admits a radicand down to -RADICAND_TOL: a grazing arrival,
+    # clamped to 0
+    w_next = math.sqrt(max(2.0 * energy - w_bar * w_bar, 0.0))
     if map_id is MapId.FB:
         return MapState(w_bar - (u_bar + w_next) * tan_t, w_next, energy)
     return MapState(w_bar - (u_bar + w_next) / tan_t, w_next, energy)

@@ -165,33 +165,6 @@ class EventColumns:
         set_w_bar(frame, w_tilde if code == 0 else u_tilde)
         return frame
 
-    @classmethod
-    def from_events(cls, events, angle: WedgeAngle) -> "EventColumns":
-        """Columns holding the given events.
-
-        Raises ValueError for an event the columns cannot hold: ``pre`` and
-        ``post`` must share the collision point and clock, and
-        ``rotating_post`` must equal the collision frame of ``post``'s
-        momentum exactly.
-        """
-        columns = cls(angle)
-        for event in events:
-            pre, post = event.pre, event.post
-            code = WALLS.index(event.wall)
-            if (pre.x, pre.y, pre.t, post.t) != (post.x, post.y, event.t, event.t) or (
-                event.rotating_post != columns.collision_frame(code, post.u, post.w)
-            ):
-                raise ValueError(f"event at t={event.t!r} does not fit the event columns")
-            columns.wall.append(code)
-            columns.t.append(event.t)
-            columns.x.append(post.x)
-            columns.y.append(post.y)
-            columns.u_pre.append(pre.u)
-            columns.w_pre.append(pre.w)
-            columns.u.append(post.u)
-            columns.w.append(post.w)
-        return columns
-
     def __len__(self) -> int:
         return len(self.t)
 
@@ -302,26 +275,48 @@ class EventSequence(Sequence):
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
-    """A simulated run: launch state, collision events, conserved quantities.
+    """A simulated run: launch state, wedge angle, collision events and why
+    the run stopped early, if it did.
 
-    ``energy`` is the Hamiltonian of the launch state and
-    ``wedge_integrals`` the pair of one-dimensional energies; all three are
-    conserved along the run up to rounding.  ``events`` may be given as any
-    sequence of :class:`CollisionEvent`; it is stored as
-    :class:`EventColumns` and read back as an :class:`EventSequence`.
+    ``events`` is an :class:`EventSequence` over the :class:`EventColumns`
+    an engine wrote.  The run is fixed by its launch and angle, so its
+    conserved quantities are worked out from the launch: ``energy`` is the
+    Hamiltonian and ``wedge_integrals`` the pair of one-dimensional
+    energies, all three conserved along the run up to rounding.
     """
 
     initial: CartesianState
     theta: WedgeAngle
-    events: Sequence[CollisionEvent]
-    energy: float
-    wedge_integrals: tuple[float, float]
+    events: EventSequence
     termination: Termination | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.events, EventSequence):
-            columns = EventColumns.from_events(self.events, self.theta)
-            object.__setattr__(self, "events", EventSequence(columns))
+            raise TypeError(f"events must be an EventSequence, got {type(self.events).__name__}")
+
+    @property
+    def energy(self) -> float:
+        return hamiltonian(self.initial)
+
+    @property
+    def wedge_integrals(self) -> tuple[float, float]:
+        return wedge_hamiltonians(self.initial, self.theta)
+
+
+def flight_starts(
+    initial: CartesianState, columns: Sequence[np.ndarray], lo: int, hi: int
+) -> list[np.ndarray]:
+    """The states flight arcs ``lo`` to ``hi - 1`` start from.
+
+    ``columns`` are the events' ``t, x, y, u, w`` columns, and the result
+    holds the same five values per arc.  Arc 0 starts from the launch and
+    arc i from event i - 1's outgoing state; arc i ends at event i.
+    """
+    firsts = (initial.t, initial.x, initial.y, initial.u, initial.w)
+    return [
+        column[lo - 1:hi - 1] if lo else np.concatenate(([first], column[:hi - 1]))
+        for column, first in zip(columns, firsts)
+    ]
 
 
 def hamiltonian(s: CartesianState) -> float:
@@ -392,9 +387,9 @@ def _first_hit(d0: float, v0: float, g: float) -> float | None:
 
 def _next_collision_scalar(
     x: float, y: float, u: float, w: float, sin_t: float, cos_t: float, t: float
-) -> tuple[float, Wall, float, float] | Termination:
+) -> tuple[float, Wall, float] | Termination:
     """Next collision from the lab state ``(x, y, u, w)`` at clock ``t``:
-    (dt, wall, landing arclength, landing normal speed).
+    (dt, wall, landing arclength).
 
     A flight that ends at the vertex or in a grazing landing returns its
     :class:`Termination` instead, stamped with the clock ``t + dt``.  With
@@ -429,7 +424,7 @@ def _next_collision_scalar(
         return Termination(TerminationKind.VERTEX_HIT, t + dt)
     if v_n < GRAZING_EPS:
         return Termination(TerminationKind.DEGENERATE, t + dt, v_n)
-    return dt, wall, s_land, v_n
+    return dt, wall, s_land
 
 
 def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] | Termination:
@@ -441,11 +436,11 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
     step = _next_collision_scalar(s.x, s.y, s.u, s.w, angle.sin, angle.cos, 0.0)
     if isinstance(step, Termination):
         return step
-    dt, wall, _, _ = step
+    dt, wall, _ = step
     return dt, wall
 
 
-def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> float:
+def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> None:
     if not contains(initial.position, angle):
         raise ValueError(f"launch position {initial.position} lies outside the wedge")
     energy = hamiltonian(initial)
@@ -462,7 +457,6 @@ def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> float:
                 f"launch on wall {wall.value} moves out of the wedge "
                 f"(normal momentum {p_n!r})"
             )
-    return energy
 
 
 def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
@@ -476,8 +470,7 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     """
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
-    energy = _validate_launch(initial, angle)
-    integrals = wedge_hamiltonians(initial, angle)
+    _validate_launch(initial, angle)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
     add_wall, add_t, add_x, add_y = (
@@ -495,7 +488,7 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
         if isinstance(step, Termination):
             termination = step
             break
-        dt, wall, s_land, _ = step
+        dt, wall, s_land = step
         t += dt
         u_land = u
         w_land = w - dt
@@ -521,14 +514,7 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
         add_u(u)
         add_w(w)
 
-    return Trajectory(
-        initial=initial,
-        theta=angle,
-        events=EventSequence(columns),
-        energy=energy,
-        wedge_integrals=integrals,
-        termination=termination,
-    )
+    return Trajectory(initial, angle, EventSequence(columns), termination)
 
 
 def _progression_lengths(n: int, first: tuple[float, float], period: tuple[float, float]) -> list[int]:
@@ -570,7 +556,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     """
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
-    energy = _validate_launch(initial, angle)
+    _validate_launch(initial, angle)
     integrals = wedge_hamiltonians(initial, angle)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
@@ -579,14 +565,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     ut, wt = to_wedge(initial.u, initial.w, sin_t, cos_t)
 
     def finish(termination: Termination | None = None) -> Trajectory:
-        return Trajectory(
-            initial=initial,
-            theta=angle,
-            events=EventSequence(columns),
-            energy=energy,
-            wedge_integrals=integrals,
-            termination=termination,
-        )
+        return Trajectory(initial, angle, EventSequence(columns), termination)
 
     if n == 0:
         return finish()

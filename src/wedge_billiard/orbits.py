@@ -25,6 +25,7 @@ from .dynamics import (
     WALLS,
     TerminationKind,
     Trajectory,
+    flight_starts,
     launch_from_wall,
     simulate,
 )
@@ -245,19 +246,6 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         raise ValueError(f"grid dimensions must be at least 1, got {grid!r}")
     if not traj.events:
         raise ValueError("cannot rasterize an empty trajectory")
-    angle = traj.theta
-    sin_t, cos_t = angle.sin, angle.cos
-    width, height = config_bounds(traj.energy, angle)
-    cell_diag = math.hypot(width / nx, height / ny)
-    step = COVERAGE_STEP_FRACTION * cell_diag
-    speed_cap = math.sqrt(2.0 * traj.energy)
-
-    # per wedge axis (rows x_tilde, y_tilde): gravity, cells per unit length
-    # and the last inner grid line
-    gravity = np.array([[cos_t], [sin_t]])
-    per_length = np.array([[nx / width], [ny / height]])
-    inner = np.array([[nx - 1.0], [ny - 1.0]])
-
     start = traj.initial
     names = ("t", "x", "y", "u", "w")
     columns = [traj.events.column(name) for name in names]
@@ -270,15 +258,25 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
             raise ValueError(
                 f"column {name} is not finite at event {bad[0]}: {float(column[bad[0]])!r}"
             )
+
+    angle, energy = traj.theta, traj.energy
+    sin_t, cos_t = angle.sin, angle.cos
+    width, height = config_bounds(energy, angle)
+    cell_diag = math.hypot(width / nx, height / ny)
+    step = COVERAGE_STEP_FRACTION * cell_diag
+    speed_cap = math.sqrt(2.0 * energy)
+
+    # per wedge axis (rows x_tilde, y_tilde): gravity, cells per unit length
+    # and the last inner grid line
+    gravity = np.array([[cos_t], [sin_t]])
+    per_length = np.array([[nx / width], [ny / height]])
+    inner = np.array([[nx - 1.0], [ny - 1.0]])
+
     n_arcs = len(columns[0])
     visited = np.zeros((ny, nx), dtype=bool)
     for lo in range(0, n_arcs, _COVERAGE_CHUNK_ARCS):
         hi = min(lo + _COVERAGE_CHUNK_ARCS, n_arcs)
-        # each arc starts from the launch or from the previous event
-        t0, x0, y0, u0, w0 = (
-            column[lo - 1:hi - 1] if lo else np.concatenate(([first], column[:hi - 1]))
-            for column, first in zip(columns, firsts)
-        )
+        t0, x0, y0, u0, w0 = flight_starts(start, columns, lo, hi)
         duration = columns[0][lo:hi] - t0
         # an arc's samples are np.linspace(0, duration, last + 1)
         last = np.maximum(np.ceil(duration * speed_cap / step), 1.0)

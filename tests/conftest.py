@@ -25,11 +25,23 @@ def coprime_pairs(limit: int):
     ]
 
 
-def with_values(traj: Trajectory, name: str, values) -> Trajectory:
-    """``traj`` with column ``name`` of its first events set to ``values``."""
+def copied_columns(traj: Trajectory, indices) -> EventColumns:
+    """New columns holding copies of ``traj``'s events at ``indices`` (a
+    slice or a list, which may repeat an index)."""
     columns = EventColumns(traj.theta)
     for field in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
-        getattr(columns, field).extend(traj.events.column(field).tolist())
+        getattr(columns, field).extend(traj.events.column(field)[indices].tolist())
+    return columns
+
+
+def with_events(traj: Trajectory, indices) -> Trajectory:
+    """``traj`` with copies of its events at ``indices`` as its events."""
+    return dataclasses.replace(traj, events=EventSequence(copied_columns(traj, indices)))
+
+
+def with_values(traj: Trajectory, name: str, values) -> Trajectory:
+    """``traj`` with column ``name`` of its first events set to ``values``."""
+    columns = copied_columns(traj, slice(None))
     getattr(columns, name)[: len(values)] = array("d", values)
     return dataclasses.replace(traj, events=EventSequence(columns))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -516,14 +517,11 @@ class TestEventSequence:
     def test_replaced_prefix_feeds_coverage_and_classify(self, k):
         traj = build_periodic_orbit(OrbitSpec(2, 3), n_collisions=40)
         prefix = dataclasses.replace(traj, events=traj.events[:k])
-        from_tuple = dataclasses.replace(traj, events=tuple(traj.events)[:k])
         rerun = simulate(traj.initial, traj.theta, k)
-        assert prefix.events == from_tuple.events == rerun.events
-        coverage = coverage_fraction(rerun, (32, 32))
-        assert coverage_fraction(prefix, (32, 32)) == coverage
-        assert coverage_fraction(from_tuple, (32, 32)) == coverage
+        assert prefix.events == rerun.events
+        assert coverage_fraction(prefix, (32, 32)) == coverage_fraction(rerun, (32, 32))
         verdict = classify_orbit(rerun)
-        assert classify_orbit(prefix) == classify_orbit(from_tuple) == verdict
+        assert classify_orbit(prefix) == verdict
         assert verdict == (OrbitClass.dense() if k < 10 else OrbitClass.periodic(5, 2, 3))
 
     @pytest.mark.parametrize("p, q", [(1, 2), (3, 1), (2, 5), (4, 7)])
@@ -535,22 +533,31 @@ class TestEventSequence:
         assert (hits_a, len(walls) - hits_a) == (p, q)
         assert classify_orbit(traj) == OrbitClass.periodic(p + q, p, q)
 
-    def test_events_that_do_not_fit_the_columns_rejected(self):
+    def test_events_only_from_columns(self):
         traj = dense_60(3)
-        first = traj.events[0]
-        moved = dataclasses.replace(first, pre=dataclasses.replace(first.pre, x=first.pre.x + 1.0))
-        with pytest.raises(ValueError):
-            dataclasses.replace(traj, events=(moved,))
-        with pytest.raises(ValueError):
-            Trajectory(traj.initial, traj.theta, (first, moved), traj.energy, traj.wedge_integrals)
-        # the collision frame is worked out from the wall, to the last bit
-        for name in ("u_bar", "w_bar"):
-            value = getattr(first.rotating_post, name)
-            rotating = dataclasses.replace(
-                first.rotating_post, **{name: math.nextafter(value, math.inf)}
-            )
-            with pytest.raises(ValueError):
-                dataclasses.replace(traj, events=(dataclasses.replace(first, rotating_post=rotating),))
+        assert [field.name for field in dataclasses.fields(Trajectory)] == [
+            "initial", "theta", "events", "termination"
+        ]
+        with pytest.raises(TypeError):
+            Trajectory(traj.initial, traj.theta, tuple(traj.events))
+        with pytest.raises(TypeError):
+            dataclasses.replace(traj, events=list(traj.events))
+
+    @pytest.mark.parametrize(
+        "key, event",
+        [("u_bar_post", 0), ("u_bar_post", -1), ("w_bar_post", 7), ("w_bar_post", -1), ("energy", None)],
+    )
+    def test_json_value_off_by_one_ulp_rejected(self, tmp_path, key, event):
+        # the collision frame is worked out from the wall and the energy from
+        # the launch, to the last bit
+        path = tmp_path / "traj.json"
+        export_trajectory(dense_60(12), OutputFormat.JSON, str(path))
+        doc = json.loads(path.read_text())
+        values = doc if event is None else doc["events"][event]
+        values[key] = math.nextafter(values[key], math.inf)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=key if event is None else f"event {event % 12}: {key}"):
+            read_trajectory_json(str(path))
 
 
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)

@@ -26,7 +26,7 @@ from wedge_billiard.dynamics import CartesianState, TerminationKind
 from wedge_billiard.geometry import to_wedge
 from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, launch_arclength
 
-from conftest import coprime_pairs, flights, random_angle, random_launch, with_values
+from conftest import coprime_pairs, flights, random_angle, random_launch, with_events, with_values
 
 
 class TestOrbitSpec:
@@ -223,7 +223,7 @@ class TestClassifyAgainstEventLoop:
     def test_views_and_short_runs(self):
         traj = build_periodic_orbit(OrbitSpec(3, 4, 2.0), n_collisions=70)
         for view in (traj.events[1:], traj.events[::2], traj.events[::-1], traj.events[:3]):
-            sub = Trajectory(traj.initial, traj.theta, view, traj.energy, traj.wedge_integrals)
+            sub = Trajectory(traj.initial, traj.theta, view)
             assert classify_orbit(sub) == classify_by_event_loop(sub)
 
     def test_dense_launches(self, rng):
@@ -326,10 +326,7 @@ def scaled_run(traj: Trajectory, factor: float) -> Trajectory:
         getattr(columns, name).extend((traj.events.column(name) * scale).tolist())
     s = traj.initial
     initial = CartesianState(factor * s.x, factor * s.y, root * s.u, root * s.w, root * s.t)
-    hx, hy = traj.wedge_integrals
-    return Trajectory(
-        initial, traj.theta, EventSequence(columns), factor * traj.energy, (factor * hx, factor * hy)
-    )
+    return Trajectory(initial, traj.theta, EventSequence(columns))
 
 
 COVERAGE_GRIDS = [(1, 1), (2, 3), (7, 7), (31, 17), (64, 64), (97, 3)]
@@ -367,11 +364,13 @@ class TestCoverageAgainstSampling:
     def test_event_views_and_repeated_events(self):
         angle = WedgeAngle.from_degrees(40)
         traj = simulate(launch_from_wall(Wall.B, 0.9, -0.3, 1.1, angle), angle, 60)
-        events = tuple(traj.events)
         # a reversed view flies its arcs backwards; a repeated event makes an
         # arc of zero duration
-        for view in (traj.events[::-1], traj.events[::3], events[:2] + events[1:4]):
-            sub = dataclasses.replace(traj, events=view)
+        for sub in (
+            dataclasses.replace(traj, events=traj.events[::-1]),
+            dataclasses.replace(traj, events=traj.events[::3]),
+            with_events(traj, [0, 1, 1, 2, 3]),
+        ):
             for grid in COVERAGE_GRIDS:
                 assert coverage_fraction(sub, grid) == coverage_by_sampling(sub, grid)
 
