@@ -26,10 +26,6 @@ from .collision_maps import MapId, fixed_point
 from .dynamics import (
     WALLS,
     CartesianState,
-    EventColumns,
-    EventSequence,
-    Termination,
-    TerminationKind,
     Trajectory,
     flight_starts,
     launch_from_wall,
@@ -205,49 +201,6 @@ def trajectory_json(traj: Trajectory) -> str:
     rows[-1] = rows[-1].removesuffix(",")
     # in place of the empty events list that ends the document
     return "\n".join([text.removesuffix("[]\n}\n") + "[", *rows, "  ]\n}\n"])
-
-
-def read_trajectory_json(path: str) -> Trajectory:
-    """Rebuild a trajectory from its JSON export, floats bit-equal.
-
-    Raises ValueError when the file's collision-frame momenta or energy are
-    not, to the last bit, the values the columns and the launch give.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    angle = WedgeAngle(doc["theta"])
-    rows = doc["events"]
-    columns = EventColumns(angle)
-    columns.wall.extend(WALLS.index(Wall(row["wall"])) for row in rows)
-    for name, key in (
-        ("t", "t"), ("x", "x"), ("y", "y"), ("u_pre", "u_pre"), ("w_pre", "w_pre"),
-        ("u", "u_post"), ("w", "w_post"),
-    ):
-        getattr(columns, name).extend(row[key] for row in rows)
-    term = doc["termination"]
-    termination = (
-        None
-        if term is None
-        else Termination(TerminationKind(term["kind"]), term["t"], term["normal_speed"])
-    )
-    traj = Trajectory(CartesianState(**doc["initial"]), angle, EventSequence(columns), termination)
-    for key, name in (("u_bar_post", "u_bar"), ("w_bar_post", "w_bar")):
-        stored = [row[key] for row in rows]
-        bad = np.flatnonzero(_bits(stored) != _bits(traj.events.column(name)))
-        if bad.size:
-            raise ValueError(
-                f"event {bad[0]}: {key} {stored[bad[0]]!r} is not the collision frame "
-                "of its u_post, w_post"
-            )
-    if _bits(doc["energy"]) != _bits(traj.energy):
-        raise ValueError(f"energy {doc['energy']!r} is not the launch's {traj.energy!r}")
-    return traj
-
-
-def _bits(values) -> np.ndarray:
-    """The float64 bit patterns of ``values``: equal exactly when the floats
-    are the same to the last bit, signed zero and all."""
-    return np.asarray(values, dtype=float).view(np.int64)
 
 
 def export_trajectory(traj: Trajectory, fmt: OutputFormat, path: str) -> None:

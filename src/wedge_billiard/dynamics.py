@@ -14,11 +14,12 @@ stepping is involved.
 
 Two engines are provided.  :func:`simulate` works in lab coordinates: from
 each state it takes the earlier of the two bouncers' first landings and
-reflects the momentum with the wall normal, one event at a time.
-:func:`decoupled_simulate` finds the first landings once, from the launch,
-and merges the two arithmetic progressions of hit times in numpy with no
-loop per event.  The two share only the first-hit rule and must agree event
-for event; each serves as an oracle for the other.
+reflects the momentum with the wall normal, one event at a time.  That loop
+is the only copy of the collision step; :func:`next_collision` is a run of
+one event.  :func:`decoupled_simulate` finds the first landings once, from
+the launch, and merges the two arithmetic progressions of hit times in numpy
+with no loop per event.  The two share only the first-hit rule and must
+agree event for event; each serves as an oracle for the other.
 
 Both write each event's floats to :class:`EventColumns`;
 :attr:`Trajectory.events` is a read-only view that builds a
@@ -385,46 +386,77 @@ def _first_hit(d0: float, v0: float, g: float) -> float | None:
     return first if first > T_EPS else None
 
 
-def _next_collision_scalar(
-    x: float, y: float, u: float, w: float, sin_t: float, cos_t: float, t: float
-) -> tuple[float, Wall, float] | Termination:
-    """Next collision from the lab state ``(x, y, u, w)`` at clock ``t``:
-    (dt, wall, landing arclength).
+def _run(
+    x: float, y: float, u: float, w: float, t: float, angle: WedgeAngle, n: int
+) -> tuple[EventColumns, Termination | None]:
+    """Up to ``n`` collisions from the lab state ``(x, y, u, w)`` at clock
+    ``t``: the columns of the events, and the :class:`Termination` that
+    ended the run early, or None.
 
-    A flight that ends at the vertex or in a grazing landing returns its
-    :class:`Termination` instead, stamped with the clock ``t + dt``.  With
-    no root ahead on either wall the state sits at the vertex and is
-    leaving the wedge: a vertex hit at ``t``.
+    Each event is the earlier of the two bouncers' first landings, reflected
+    with the wall normal.  A flight that ends at the vertex or in a grazing
+    landing ends the run, stamped with its landing clock.  With no root
+    ahead on either wall the state sits at the vertex and is leaving the
+    wedge: a vertex hit at the state's own clock.
     """
-    # to_wedge written out: two calls would cost 7-10% of simulate's loop
-    x_tilde = x * sin_t + y * cos_t
-    y_tilde = -x * cos_t + y * sin_t
-    u_tilde = u * sin_t + w * cos_t
-    w_tilde = -u * cos_t + w * sin_t
-    # a state resting on a wall with no normal momentum is already sliding
-    if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
-        return Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
-    if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
-        return Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
-    t_a = _first_hit(y_tilde, w_tilde, sin_t)
-    t_b = _first_hit(x_tilde, u_tilde, cos_t)
-    if t_a is None and t_b is None:
-        return Termination(TerminationKind.VERTEX_HIT, t)
-    if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
-        return Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
-    if t_b is None or (t_a is not None and t_a < t_b):
-        dt, wall = t_a, Wall.A
-        s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
-        v_n = abs(w_tilde - sin_t * dt)
-    else:
-        dt, wall = t_b, Wall.B
-        s_land = y_tilde + w_tilde * dt - sin_t * dt * dt / 2.0
-        v_n = abs(u_tilde - cos_t * dt)
-    if s_land < VERTEX_EPS:
-        return Termination(TerminationKind.VERTEX_HIT, t + dt)
-    if v_n < GRAZING_EPS:
-        return Termination(TerminationKind.DEGENERATE, t + dt, v_n)
-    return dt, wall, s_land
+    sin_t, cos_t = angle.sin, angle.cos
+    columns = EventColumns(angle)
+    add_wall, add_t, add_x, add_y = (
+        columns.wall.append, columns.t.append, columns.x.append, columns.y.append
+    )
+    add_u_pre, add_w_pre, add_u, add_w = (
+        columns.u_pre.append, columns.w_pre.append, columns.u.append, columns.w.append
+    )
+    for _ in range(n):
+        # to_wedge written out: two calls would cost 7-10% of simulate's loop
+        x_tilde = x * sin_t + y * cos_t
+        y_tilde = -x * cos_t + y * sin_t
+        u_tilde = u * sin_t + w * cos_t
+        w_tilde = -u * cos_t + w * sin_t
+        # a state resting on a wall with no normal momentum is already sliding
+        if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
+            return columns, Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
+        if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
+            return columns, Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
+        t_a = _first_hit(y_tilde, w_tilde, sin_t)
+        t_b = _first_hit(x_tilde, u_tilde, cos_t)
+        if t_a is None and t_b is None:
+            return columns, Termination(TerminationKind.VERTEX_HIT, t)
+        if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
+            return columns, Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
+        # The root has rounding-level residual; place the collision exactly
+        # on the wall so on-wall invariants survive arbitrarily long runs.
+        # (from_wedge of (s_land, 0) or (0, s_land), written out as to_wedge is)
+        if t_b is None or (t_a is not None and t_a < t_b):
+            dt, code = t_a, 0
+            s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
+            v_n = abs(w_tilde - sin_t * dt)
+            x, y = s_land * sin_t, s_land * cos_t
+            nx, ny = -cos_t, sin_t
+        else:
+            dt, code = t_b, 1
+            s_land = y_tilde + w_tilde * dt - sin_t * dt * dt / 2.0
+            v_n = abs(u_tilde - cos_t * dt)
+            x, y = -s_land * cos_t, s_land * sin_t
+            nx, ny = sin_t, cos_t
+        if s_land < VERTEX_EPS:
+            return columns, Termination(TerminationKind.VERTEX_HIT, t + dt)
+        if v_n < GRAZING_EPS:
+            return columns, Termination(TerminationKind.DEGENERATE, t + dt, v_n)
+        t += dt
+        w_land = w - dt
+        p_n = u * nx + w_land * ny
+        add_wall(code)
+        add_t(t)
+        add_x(x)
+        add_y(y)
+        add_u_pre(u)
+        add_w_pre(w_land)
+        u -= 2.0 * p_n * nx
+        w = w_land - 2.0 * p_n * ny
+        add_u(u)
+        add_w(w)
+    return columns, None
 
 
 def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] | Termination:
@@ -432,12 +464,13 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
 
     A flight that does not end in a clean reflection returns its
     :class:`Termination`, whose clock is the time of flight from ``s``.
+    This is :func:`simulate`'s first event from ``s`` at clock 0, whose clock
+    ``0 + dt`` is ``dt`` exactly; the launch is not validated.
     """
-    step = _next_collision_scalar(s.x, s.y, s.u, s.w, angle.sin, angle.cos, 0.0)
-    if isinstance(step, Termination):
-        return step
-    dt, wall, _ = step
-    return dt, wall
+    columns, termination = _run(s.x, s.y, s.u, s.w, 0.0, angle, 1)
+    if termination is not None:
+        return termination
+    return columns.t[0], WALLS[columns.wall[0]]
 
 
 def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> None:
@@ -471,49 +504,7 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
     _validate_launch(initial, angle)
-    sin_t, cos_t = angle.sin, angle.cos
-    columns = EventColumns(angle)
-    add_wall, add_t, add_x, add_y = (
-        columns.wall.append, columns.t.append, columns.x.append, columns.y.append
-    )
-    add_u_pre, add_w_pre, add_u, add_w = (
-        columns.u_pre.append, columns.w_pre.append, columns.u.append, columns.w.append
-    )
-
-    x, y, u, w, t = initial.x, initial.y, initial.u, initial.w, initial.t
-    termination: Termination | None = None
-
-    for _ in range(n):
-        step = _next_collision_scalar(x, y, u, w, sin_t, cos_t, t)
-        if isinstance(step, Termination):
-            termination = step
-            break
-        dt, wall, s_land = step
-        t += dt
-        u_land = u
-        w_land = w - dt
-        # The root has rounding-level residual; place the collision exactly
-        # on the wall so on-wall invariants survive arbitrarily long runs.
-        # (from_wedge of (s_land, 0) or (0, s_land), written out as to_wedge is)
-        if wall is Wall.A:
-            x, y = s_land * sin_t, s_land * cos_t
-            nx, ny = -cos_t, sin_t
-            add_wall(0)
-        else:
-            x, y = -s_land * cos_t, s_land * sin_t
-            nx, ny = sin_t, cos_t
-            add_wall(1)
-        p_n = u_land * nx + w_land * ny
-        u = u_land - 2.0 * p_n * nx
-        w = w_land - 2.0 * p_n * ny
-        add_t(t)
-        add_x(x)
-        add_y(y)
-        add_u_pre(u_land)
-        add_w_pre(w_land)
-        add_u(u)
-        add_w(w)
-
+    columns, termination = _run(initial.x, initial.y, initial.u, initial.w, initial.t, angle, n)
     return Trajectory(initial, angle, EventSequence(columns), termination)
 
 

@@ -8,8 +8,15 @@ Wall B is hit every ``2*sqrt(2*Hx)/cos(theta)`` and wall A every
 ``tan(theta)`` only when ``Hx = Hy``, as for the periodic launch, which
 carries normal momentum ``sqrt(E)``.  At the critical angles
 ``theta* = arctan(p/q)`` with p, q coprime that launch closes after p + q
-collisions (p on wall A, q on wall B); a launch whose hit ratio is
-irrational fills the reachable configuration box densely.
+collisions (p on wall A, q on wall B).
+
+Periodic orbits exist at every angle: any launch whose hit ratio is a
+rational ``a/b`` makes a hits on wall A per b on wall B, and closes after
+a + b collisions unless it reaches the vertex first.  A launch is dense
+exactly when its hit ratio is irrational.  It then fills its own box
+``[0, Hx/cos(theta)] x [0, Hy/sin(theta)]`` in wedge coordinates, not the
+energy box ``[0, E/cos(theta)] x [0, E/sin(theta)]`` of
+:func:`coverage_fraction`.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 from .collision_maps import MapState
 from .dynamics import (
     WALLS,
+    CartesianState,
     TerminationKind,
     Trajectory,
     flight_starts,
@@ -146,11 +154,14 @@ def periodic_initial_condition(spec: OrbitSpec) -> MapState:
     return MapState(u_bar, root_e, spec.energy)
 
 
-def launch_arclength(spec: OrbitSpec) -> float:
-    """Wall-A arclength that gives the periodic launch its total energy."""
-    seed = periodic_initial_condition(spec)
+def _periodic_launch(spec: OrbitSpec, eps: float) -> tuple[CartesianState, WedgeAngle]:
+    """The wall-A launch of the (p, q) orbit at its critical angle, with
+    tangential momentum ``u_bar + eps``, and that angle.  Its arclength
+    gives the unperturbed launch its total energy."""
     angle = critical_angle(spec)
-    return (spec.energy - seed.u_bar * seed.u_bar) / (2.0 * angle.cos)
+    seed = periodic_initial_condition(spec)
+    s = (spec.energy - seed.u_bar * seed.u_bar) / (2.0 * angle.cos)
+    return launch_from_wall(Wall.A, s, seed.u_bar + eps, seed.w_bar, angle), angle
 
 
 def build_periodic_orbit(spec: OrbitSpec, n_collisions: int | None = None) -> Trajectory:
@@ -160,9 +171,7 @@ def build_periodic_orbit(spec: OrbitSpec, n_collisions: int | None = None) -> Tr
     post-collision state lands back on the launch point with the launch
     momentum; pass a larger budget to trace several periods.
     """
-    angle = critical_angle(spec)
-    seed = periodic_initial_condition(spec)
-    initial = launch_from_wall(Wall.A, launch_arclength(spec), seed.u_bar, seed.w_bar, angle)
+    initial, angle = _periodic_launch(spec, 0.0)
     return simulate(initial, angle, spec.period if n_collisions is None else n_collisions)
 
 
@@ -228,7 +237,7 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
 
 
 def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
-    """Fraction of the reachable configuration box visited by the flight arcs.
+    """Fraction of the energy box visited by the flight arcs.
 
     The box is the wall-aligned rectangle [0, E/cos(theta)] x
     [0, E/sin(theta)] split into ``grid = (nx, ny)`` cells.  A cell is
@@ -357,11 +366,7 @@ def sensitivity_probe(
     perturbation beyond roughly 1e-6 detunes the bounce-period ratio and
     yields a dense run.
     """
-    angle = critical_angle(spec)
-    seed = periodic_initial_condition(spec)
-    initial = launch_from_wall(
-        Wall.A, launch_arclength(spec), seed.u_bar + eps, seed.w_bar, angle
-    )
+    initial, angle = _periodic_launch(spec, eps)
     return classify_orbit(simulate(initial, angle, n_collisions))
 
 

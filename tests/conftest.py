@@ -1,13 +1,22 @@
 import dataclasses
+import json
 import math
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from wedge_billiard import CartesianState, Trajectory, Wall, WedgeAngle, launch_from_wall
-from wedge_billiard.dynamics import EventColumns, EventSequence
+from wedge_billiard.cli import trajectory_json
+from wedge_billiard.dynamics import (
+    WALLS,
+    EventColumns,
+    EventSequence,
+    Termination,
+    TerminationKind,
+)
 from wedge_billiard.geometry import from_wedge, to_wedge
 
 settings.register_profile(
@@ -44,6 +53,48 @@ def with_values(traj: Trajectory, name: str, values) -> Trajectory:
     columns = copied_columns(traj, slice(None))
     getattr(columns, name)[: len(values)] = array("d", values)
     return dataclasses.replace(traj, events=EventSequence(columns))
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns of ``values``: equal exactly when the floats
+    are the same to the last bit, signed zero and all."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def read_trajectory_json(path) -> Trajectory:
+    """The trajectory of a JSON export: its launch, angle, termination and
+    each event's stored columns, floats bit-equal.  The fields derived from
+    those are not read; :func:`json_round_trips` checks them."""
+    doc = json.loads(Path(path).read_text(encoding="ascii"))
+    angle = WedgeAngle(doc["theta"])
+    rows = doc["events"]
+    columns = EventColumns(angle)
+    columns.wall.extend(WALLS.index(Wall(row["wall"])) for row in rows)
+    for name, key in (
+        ("t", "t"), ("x", "x"), ("y", "y"), ("u_pre", "u_pre"), ("w_pre", "w_pre"),
+        ("u", "u_post"), ("w", "w_post"),
+    ):
+        getattr(columns, name).extend(row[key] for row in rows)
+    term = doc["termination"]
+    termination = (
+        None
+        if term is None
+        else Termination(TerminationKind(term["kind"]), term["t"], term["normal_speed"])
+    )
+    return Trajectory(CartesianState(**doc["initial"]), angle, EventSequence(columns), termination)
+
+
+def json_round_trips(path) -> bool:
+    """Whether exporting the trajectory read from the JSON file ``path``
+    gives the file's bytes: every field of every row, the derived ones too,
+    is then what the launch and the stored columns give, to the last bit."""
+    text = trajectory_json(read_trajectory_json(path))
+    return text.encode("ascii") == Path(path).read_bytes()
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` laid out as the JSON export lays out its document."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii", newline="")
 
 
 def flights(traj: Trajectory):

@@ -33,7 +33,6 @@ from wedge_billiard.cli import (
     _svg_document,
     build_parser,
     main,
-    read_trajectory_json,
     sweep_csv,
     sweep_svg,
     trajectory_csv,
@@ -42,7 +41,15 @@ from wedge_billiard.cli import (
 )
 from wedge_billiard.geometry import config_bounds, from_wedge
 
-from conftest import coprime_pairs, flights, random_angle, random_launch, with_values
+from conftest import (
+    coprime_pairs,
+    flights,
+    json_round_trips,
+    random_angle,
+    random_launch,
+    read_trajectory_json,
+    with_values,
+)
 
 
 def run(*args: str) -> int:
@@ -78,18 +85,8 @@ class TestSimulateCommand:
         assert run(*SIMULATE_ARGS, "--n", "40", "--out", str(out)) == 0
         angle = WedgeAngle.from_degrees(60)
         expected = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 40)
-        loaded = read_trajectory_json(str(out))
-        assert loaded.theta.theta == expected.theta.theta
-        assert loaded.energy == expected.energy
-        assert loaded.initial == expected.initial
-        assert len(loaded.events) == len(expected.events)
-        for got, want in zip(loaded.events, expected.events):
-            assert got.wall is want.wall
-            assert got.t == want.t
-            assert got.pre == want.pre
-            assert got.post == want.post
-            assert got.rotating_post == want.rotating_post
-        assert loaded.wedge_integrals == expected.wedge_integrals
+        assert json_round_trips(out)
+        assert read_trajectory_json(out) == expected
 
     def test_cartesian_launch(self, tmp_path):
         out = tmp_path / "traj.csv"

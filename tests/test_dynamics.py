@@ -23,11 +23,10 @@ from wedge_billiard import (
     hamiltonian,
     launch_from_wall,
     next_collision,
-    periodic_initial_condition,
     simulate,
     wedge_hamiltonians,
 )
-from wedge_billiard.cli import OutputFormat, export_trajectory, read_trajectory_json
+from wedge_billiard.cli import OutputFormat, export_trajectory
 from wedge_billiard.dynamics import (
     MAX_ENERGY,
     WALLS,
@@ -35,10 +34,20 @@ from wedge_billiard.dynamics import (
     EventSequence,
     RotatingFrameMomentum,
 )
-from wedge_billiard.geometry import from_wedge, to_wedge
-from wedge_billiard.orbits import launch_arclength
+from wedge_billiard.geometry import from_wedge
+from wedge_billiard.orbits import _periodic_launch
 
-from conftest import outside_wall, random_angle, random_launch, random_wall_launch, wall_axes
+from conftest import (
+    bits,
+    json_round_trips,
+    outside_wall,
+    random_angle,
+    random_launch,
+    random_wall_launch,
+    read_trajectory_json,
+    wall_axes,
+    write_json,
+)
 
 
 class TestHamiltonian:
@@ -314,9 +323,7 @@ class TestDecoupledSimulate:
 
 def periodic_12(energy: float) -> tuple[CartesianState, WedgeAngle]:
     """The launch of the (1, 2) orbit at the given energy."""
-    spec = OrbitSpec(1, 2, energy)
-    angle, seed = critical_angle(spec), periodic_initial_condition(spec)
-    return launch_from_wall(Wall.A, launch_arclength(spec), seed.u_bar, seed.w_bar, angle), angle
+    return _periodic_launch(OrbitSpec(1, 2, energy), 0.0)
 
 
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
@@ -408,6 +415,37 @@ def test_engines_end_edge_launches_alike(name):
         assert a.termination.t == pytest.approx(b.termination.t, abs=1e-9)
 
 
+def step_bits(step) -> tuple:
+    """A :func:`next_collision` result with its floats as bit patterns."""
+    if isinstance(step, tuple):
+        dt, wall = step
+        return wall, bits(dt).item()
+    speed = None if step.normal_speed is None else bits(step.normal_speed).item()
+    return step.kind, bits(step.t).item(), speed
+
+
+def next_collision_states():
+    """Every edge launch, and seed-977 launches with the post-collision
+    states of their runs, whose clocks are not zero."""
+    states = list(edge_launches().values())
+    rng = np.random.default_rng(977)
+    for _ in range(60):
+        angle = random_angle(rng)
+        traj = simulate(random_launch(rng, angle), angle, 20)
+        states.append((traj.initial, angle))
+        states += [(event.post, angle) for event in traj.events]
+    return states
+
+
+def test_next_collision_is_the_first_event_of_a_run_from_clock_0():
+    states = next_collision_states()
+    assert sum(s.t != 0.0 for s, _ in states) >= 1000
+    for s, angle in states:
+        run = simulate(dataclasses.replace(s, t=0.0), angle, 1)
+        first = run.termination or (run.events[0].t, run.events[0].wall)
+        assert step_bits(next_collision(s, angle)) == step_bits(first)
+
+
 @pytest.mark.parametrize("w_bar", [1e-3, 1e-4])
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
 def test_slow_entry_from_just_outside_a_wall_bounces_on(engine, w_bar):
@@ -482,9 +520,9 @@ class TestEventSequence:
         traj = dense_60(120, engine)
         path = tmp_path / "traj.json"
         export_trajectory(traj, OutputFormat.JSON, str(path))
-        loaded = read_trajectory_json(str(path))
+        assert json_round_trips(path)
+        loaded = read_trajectory_json(path)
         assert list(traj.events) == list(loaded.events)
-        assert traj.events == loaded.events
         assert traj == loaded
 
     @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
@@ -553,11 +591,24 @@ class TestEventSequence:
         path = tmp_path / "traj.json"
         export_trajectory(dense_60(12), OutputFormat.JSON, str(path))
         doc = json.loads(path.read_text())
+        write_json(path, doc)
+        assert json_round_trips(path)
         values = doc if event is None else doc["events"][event]
         values[key] = math.nextafter(values[key], math.inf)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=key if event is None else f"event {event % 12}: {key}"):
-            read_trajectory_json(str(path))
+        write_json(path, doc)
+        assert not json_round_trips(path)
+
+    def test_json_derived_fields_checked(self, tmp_path):
+        # the event's index, wedge position and energies are derived, not
+        # read back; the stored columns of the file are left intact
+        path = tmp_path / "traj.json"
+        export_trajectory(dense_60(10), OutputFormat.JSON, str(path))
+        doc = json.loads(path.read_text())
+        for key in ("event_index", "x_tilde", "y_tilde", "H", "Hx_tilde", "Hy_tilde"):
+            doc["events"][3][key] = 12345.0
+        write_json(path, doc)
+        assert read_trajectory_json(path) == dense_60(10)
+        assert not json_round_trips(path)
 
 
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)

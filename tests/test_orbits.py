@@ -24,7 +24,7 @@ from wedge_billiard import (
 from wedge_billiard.dynamics import EventColumns, EventSequence, Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
 from wedge_billiard.geometry import to_wedge
-from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, launch_arclength
+from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, _periodic_launch
 
 from conftest import coprime_pairs, flights, random_angle, random_launch, with_events, with_values
 
@@ -212,10 +212,7 @@ class TestClassifyAgainstEventLoop:
     @pytest.mark.parametrize("p, q", coprime_pairs(5))
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-3])
     def test_perturbed_periodic_launches(self, p, q, eps):
-        spec = OrbitSpec(p, q, 1.0)
-        angle = critical_angle(spec)
-        seed = periodic_initial_condition(spec)
-        initial = launch_from_wall(Wall.A, launch_arclength(spec), seed.u_bar + eps, seed.w_bar, angle)
+        initial, angle = _periodic_launch(OrbitSpec(p, q, 1.0), eps)
         traj = simulate(initial, angle, 6 * (p + q) + 1)
         for tol in (1e-8, 1e-5):
             assert classify_orbit(traj, tol) == classify_by_event_loop(traj, tol)
