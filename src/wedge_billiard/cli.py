@@ -7,7 +7,7 @@ variable WEDGE_SEED is accepted for script compatibility but ignored; the
 dynamics are deterministic.
 
 Exit codes: 0 success, 2 invalid arguments, 3 simulation ended early
-(vertex hit or grazing) although a collision count was required, 4 I/O
+(vertex hit or sliding) although a collision count was required, 4 I/O
 error.
 """
 
@@ -409,15 +409,15 @@ def _resolve_format(args: argparse.Namespace) -> OutputFormat:
 
 
 def _check_complete(traj: Trajectory, requested: int) -> int:
-    if traj.termination is not None and len(traj.events) < requested:
-        kind = traj.termination.kind.value
-        print(
-            f"simulation ended early after {len(traj.events)} of {requested} "
-            f"collisions ({kind})",
-            file=sys.stderr,
-        )
-        return EXIT_TERMINATED
-    return EXIT_OK
+    # the engine records a termination only for a run it ends early
+    if traj.termination is None:
+        return EXIT_OK
+    print(
+        f"simulation ended early after {len(traj.events)} of {requested} "
+        f"collisions ({traj.termination.kind.value})",
+        file=sys.stderr,
+    )
+    return EXIT_TERMINATED
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +442,22 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    fmt = _resolve_format(args)
+    if fmt is OutputFormat.JSON:
+        raise CliError("sweep writes CSV or SVG, not JSON")
     points = sweep_periodic_points(args.max, args.max, args.energy, half=args.half)
-    if _resolve_format(args) is OutputFormat.SVG:
+    if fmt is OutputFormat.SVG:
         render_plot(points, args.out)
     else:
         _write_text(args.out, sweep_csv(points))
     return EXIT_OK
+
+
+_VERDICT_LINES = {
+    OrbitKind.DENSE: "dense (no recurrence within horizon; not a proof of density)",
+    OrbitKind.SLIDING: "sliding",
+    OrbitKind.DEGENERATE: "degenerate (vertex_hit)",
+}
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -457,17 +467,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     initial = _resolve_launch(args, angle)
     traj = simulate(initial, angle, args.n)
     result = classify_orbit(traj, args.tol)
-    if result.period is not None:
+    if result.kind is OrbitKind.PERIODIC:
         print(
             f"periodic period={result.period} hits_a={result.hits_a} "
             f"hits_b={result.hits_b}"
         )
-    elif result.kind is OrbitKind.DENSE:
-        print("dense (no recurrence within horizon; not a proof of density)")
-    elif result.reason:
-        print(f"{result.kind.value} ({result.reason})")
     else:
-        print(result.kind.value)
+        print(_VERDICT_LINES[result.kind])
     return EXIT_OK
 
 

@@ -99,12 +99,15 @@ def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
 
 
 def fixed_point(map_id: MapId, energy: float, angle: WedgeAngle) -> MapState:
-    """Fixed point of a cross-wall map's defining equations.
+    """FB's fixed point ``(u*, sqrt(E))``, for either cross-wall map.
 
     Only FB and GB admit an isolated fixed point; the same-wall maps have
-    the sliding family (c, 0) instead.  At the critical angles
-    ``arctan(p/q)`` the two cross-wall fixed points coincide and seed the
-    periodic orbits.
+    the sliding family (c, 0) instead.  FB fixes
+    ``u* = sqrt(E)*(1 - tan(theta))/(1 + tan(theta))``.  GB's branch writes
+    the same value with cot(theta), but the state GB fixes is its mirror
+    image ``(-u*, sqrt(E))``; the two agree only at 45 degrees, where
+    u* = 0.  At a critical angle ``arctan(p/q)``, u* is the tangential
+    momentum of the (p, q) periodic launch off wall A.
     """
     if energy <= 0.0:
         raise ValueError(f"energy must be positive, got {energy!r}")

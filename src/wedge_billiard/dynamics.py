@@ -348,9 +348,9 @@ def wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t: float, cos_t: floa
 
 
 def launch_from_wall(
-    wall: Wall, s: float, u_bar: float, w_bar: float, angle: WedgeAngle, t: float = 0.0
+    wall: Wall, s: float, u_bar: float, w_bar: float, angle: WedgeAngle
 ) -> CartesianState:
-    """Post-collision style launch state on a wall.
+    """Post-collision style launch state on a wall, at clock 0.
 
     ``u_bar`` is the momentum along the wall away from the vertex and
     ``w_bar`` the momentum along the inward normal.
@@ -364,7 +364,7 @@ def launch_from_wall(
         position, momentum = (0.0, s), (w_bar, u_bar)
     x, y = from_wedge(*position, angle.sin, angle.cos)
     u, w = from_wedge(*momentum, angle.sin, angle.cos)
-    return CartesianState(x, y, u, w, t)
+    return CartesianState(x, y, u, w)
 
 
 def _first_hit(d0: float, v0: float, g: float) -> float | None:

@@ -98,7 +98,6 @@ class OrbitClass:
     period: int | None = None
     hits_a: int | None = None
     hits_b: int | None = None
-    reason: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind is OrbitKind.PERIODIC:
@@ -108,22 +107,6 @@ class OrbitClass:
                 raise ValueError(
                     f"period {self.period} != hits {self.hits_a} + {self.hits_b}"
                 )
-
-    @classmethod
-    def periodic(cls, period: int, hits_a: int, hits_b: int) -> "OrbitClass":
-        return cls(OrbitKind.PERIODIC, period=period, hits_a=hits_a, hits_b=hits_b)
-
-    @classmethod
-    def dense(cls) -> "OrbitClass":
-        return cls(OrbitKind.DENSE)
-
-    @classmethod
-    def sliding(cls) -> "OrbitClass":
-        return cls(OrbitKind.SLIDING)
-
-    @classmethod
-    def degenerate(cls, reason: str) -> "OrbitClass":
-        return cls(OrbitKind.DEGENERATE, reason=reason)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,24 +165,27 @@ def check_periodicity_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+_STOP_VERDICTS = {
+    TerminationKind.DEGENERATE: OrbitKind.SLIDING,
+    TerminationKind.VERTEX_HIT: OrbitKind.DEGENERATE,
+}
+
+
 def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> OrbitClass:
     """Classify a trajectory as periodic, dense, sliding or degenerate.
 
     A trajectory is periodic with period k when some event k in the first
     half of the run reproduces event 0 (same wall, position within
     ``tol*E`` and collision-frame momentum within ``tol*sqrt(E)``) and the
-    match repeats for every available event.  Grazing terminations are the
-    sliding family; vertex hits are degenerate.  Everything else is reported
-    dense, meaning only that no recurrence was found within the horizon.
+    match repeats for every available event.  A run the engine ended early
+    takes its verdict from the :class:`Termination` alone: a sliding or
+    grazing stop is sliding, a vertex hit degenerate.  Everything else is
+    reported dense, meaning only that no recurrence was found within the
+    horizon.
     """
     check_periodicity_tol(tol)
-    term = traj.termination
-    if term is not None:
-        if term.kind is TerminationKind.VERTEX_HIT:
-            return OrbitClass.degenerate("vertex_hit")
-        if (term.normal_speed or 0.0) < tol:
-            return OrbitClass.sliding()
-        return OrbitClass.degenerate("grazing")
+    if traj.termination is not None:
+        return OrbitClass(_STOP_VERDICTS[traj.termination.kind])
     events = traj.events
     n = len(events)
     if n < 2:
@@ -221,7 +207,7 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
         ("w_bar", momentum_threshold),
     ):
         if not returns.any():
-            return OrbitClass.dense()
+            return OrbitClass(OrbitKind.DENSE)
         values = events.column(name)
         returns &= np.abs(values[head] - values[0]) <= threshold
         states.append((values, threshold))
@@ -232,8 +218,8 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
             for values, threshold in states
         ):
             hits_a = int(np.count_nonzero(walls[:k] == WALLS.index(Wall.A)))
-            return OrbitClass.periodic(k, hits_a, k - hits_a)
-    return OrbitClass.dense()
+            return OrbitClass(OrbitKind.PERIODIC, k, hits_a, k - hits_a)
+    return OrbitClass(OrbitKind.DENSE)
 
 
 def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:

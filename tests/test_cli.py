@@ -494,11 +494,23 @@ class TestSweepCommand:
         )
         assert len(circles) == n_coprime
 
+    @pytest.mark.parametrize(
+        "name, extra", [("s.json", ()), ("s.csv", ("--format", "json"))]
+    )
+    def test_json_rejected(self, name, extra, tmp_path, capsys):
+        out = tmp_path / name
+        assert run("sweep", "--max", "3", "--out", str(out), *extra) == 2
+        assert "not JSON" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestClassifyCommand:
+    # the whole line each verdict prints at the default tolerance
     def test_dense_launch(self, capsys):
         assert run(*("classify",) + SIMULATE_ARGS[1:], "--n", "2000") == 0
-        assert "dense" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "dense (no recurrence within horizon; not a proof of density)\n"
+        )
 
     def test_periodic_launch(self, capsys):
         # seed of the (1, 2) orbit: s chosen so the total energy is 1
@@ -512,8 +524,7 @@ class TestClassifyCommand:
             "--w-bar", "1",
             "--n", "60",
         ) == 0
-        out = capsys.readouterr().out
-        assert "periodic" in out and "period=3" in out
+        assert capsys.readouterr().out == "periodic period=3 hits_a=1 hits_b=2\n"
 
     def test_sliding_launch(self, capsys):
         assert run(
@@ -525,7 +536,27 @@ class TestClassifyCommand:
             "--w-bar", "0",
             "--n", "100",
         ) == 0
-        assert "sliding" in capsys.readouterr().out
+        assert capsys.readouterr().out == "sliding\n"
+
+    def test_vertex_hit_launch(self, capsys):
+        assert run(
+            "classify", "--theta-deg", "45", "--x", "0", "--y", "1", "--u", "0", "--w", "0",
+        ) == 0
+        assert capsys.readouterr().out == "degenerate (vertex_hit)\n"
+
+    def test_grazing_launch_is_sliding_below_its_normal_speed(self, capsys):
+        # normal momentum below the engine's grazing threshold, and above
+        # the tolerance
+        assert run(
+            "classify",
+            "--theta-deg", "50",
+            "--wall", "A",
+            "--s", "1",
+            "--u-bar", "0.4",
+            "--w-bar", "5e-11",
+            "--tol", "1e-12",
+        ) == 0
+        assert capsys.readouterr().out == "sliding\n"
 
 
 class TestFixedPointsCommand:

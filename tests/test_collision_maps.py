@@ -133,6 +133,19 @@ class TestFixedPoint:
         assert out.u_bar == pytest.approx(state.u_bar, abs=1e-12)
         assert out.w_bar == pytest.approx(state.w_bar, abs=1e-12)
 
+    @pytest.mark.parametrize("energy", [0.25, 1.0, 4.0])
+    def test_gb_fixes_the_mirror_of_its_value(self, energy):
+        # fixed_point(GB) gives FB's value; GB fixes (-u_bar, w_bar)
+        for degrees in range(1, 90):
+            angle = WedgeAngle.from_degrees(degrees)
+            state = fixed_point(MapId.GB, energy, angle)
+            fb = fixed_point(MapId.FB, energy, angle)
+            assert state.u_bar == pytest.approx(fb.u_bar, abs=1e-14)
+            mirror = MapState(-state.u_bar, state.w_bar, energy)
+            out = apply_map(MapId.GB, mirror, angle)
+            assert out.u_bar == pytest.approx(mirror.u_bar, abs=1e-12), degrees
+            assert out.w_bar == pytest.approx(mirror.w_bar, abs=1e-12), degrees
+
     def test_same_wall_maps_have_no_isolated_fixed_point(self):
         with pytest.raises(ValueError):
             fixed_point(MapId.FA, 1.0, WedgeAngle(0.7))

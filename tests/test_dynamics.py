@@ -9,6 +9,7 @@ import pytest
 from wedge_billiard import (
     CartesianState,
     OrbitClass,
+    OrbitKind,
     OrbitSpec,
     TerminationKind,
     Trajectory,
@@ -28,6 +29,7 @@ from wedge_billiard import (
 )
 from wedge_billiard.cli import OutputFormat, export_trajectory
 from wedge_billiard.dynamics import (
+    GRAZING_EPS,
     MAX_ENERGY,
     WALLS,
     CollisionEvent,
@@ -415,6 +417,28 @@ def test_engines_end_edge_launches_alike(name):
         assert a.termination.t == pytest.approx(b.termination.t, abs=1e-9)
 
 
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+def test_edge_stops_classify_from_the_termination_alone(engine):
+    # a degenerate stop is a normal speed below GRAZING_EPS, so its verdict
+    # is sliding at any recurrence tolerance above it or below it
+    verdicts = {
+        TerminationKind.DEGENERATE: OrbitKind.SLIDING,
+        TerminationKind.VERTEX_HIT: OrbitKind.DEGENERATE,
+    }
+    stops = set()
+    for initial, angle in edge_launches().values():
+        traj = engine(initial, angle, 30)
+        term = traj.termination
+        if term is None:
+            continue
+        stops.add(term.kind)
+        if term.kind is TerminationKind.DEGENERATE:
+            assert term.normal_speed < GRAZING_EPS
+        for tol in (1e-8, 1e-12):
+            assert classify_orbit(traj, tol) == OrbitClass(verdicts[term.kind])
+    assert stops == set(verdicts)
+
+
 def step_bits(step) -> tuple:
     """A :func:`next_collision` result with its floats as bit patterns."""
     if isinstance(step, tuple):
@@ -560,7 +584,8 @@ class TestEventSequence:
         assert coverage_fraction(prefix, (32, 32)) == coverage_fraction(rerun, (32, 32))
         verdict = classify_orbit(rerun)
         assert classify_orbit(prefix) == verdict
-        assert verdict == (OrbitClass.dense() if k < 10 else OrbitClass.periodic(5, 2, 3))
+        expected = OrbitClass(OrbitKind.DENSE) if k < 10 else OrbitClass(OrbitKind.PERIODIC, 5, 2, 3)
+        assert verdict == expected
 
     @pytest.mark.parametrize("p, q", [(1, 2), (3, 1), (2, 5), (4, 7)])
     def test_periodic_hits_from_wall_column(self, p, q):
@@ -569,7 +594,7 @@ class TestEventSequence:
         assert [WALLS[code] for code in walls.tolist()] == [e.wall for e in traj.events[: p + q]]
         hits_a = int(np.count_nonzero(walls == WALLS.index(Wall.A)))
         assert (hits_a, len(walls) - hits_a) == (p, q)
-        assert classify_orbit(traj) == OrbitClass.periodic(p + q, p, q)
+        assert classify_orbit(traj) == OrbitClass(OrbitKind.PERIODIC, p + q, p, q)
 
     def test_events_only_from_columns(self):
         traj = dense_60(3)

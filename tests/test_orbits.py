@@ -137,7 +137,7 @@ class TestBuildPeriodicOrbit:
         energy = 10.0**exponent
         for p, q in coprime_pairs(8):
             traj = build_periodic_orbit(OrbitSpec(p, q, energy), n_collisions=2 * (p + q))
-            assert classify_orbit(traj) == OrbitClass.periodic(p + q, p, q), (p, q)
+            assert classify_orbit(traj) == OrbitClass(OrbitKind.PERIODIC, p + q, p, q), (p, q)
 
 
 class TestClassifyOrbit:
@@ -157,12 +157,20 @@ class TestClassifyOrbit:
         traj = simulate(launch_from_wall(Wall.A, 1.0, 0.4, 1e-12, angle), angle, 10)
         assert classify_orbit(traj, 1e-8).kind is OrbitKind.SLIDING
 
+    def test_grazing_stop_is_sliding_below_its_normal_speed(self):
+        # a tolerance below the stop's normal speed does not undo the
+        # engine's verdict
+        angle = WedgeAngle.from_degrees(50)
+        traj = simulate(launch_from_wall(Wall.A, 1.0, 0.4, 5e-11, angle), angle, 100)
+        assert traj.termination.kind is TerminationKind.DEGENERATE
+        assert traj.termination.normal_speed > 1e-12
+        assert classify_orbit(traj, 1e-12) == OrbitClass(OrbitKind.SLIDING)
+
     def test_vertex_termination_is_degenerate(self):
         traj = simulate(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4), 10)
         assert traj.termination.kind is TerminationKind.VERTEX_HIT
         result = classify_orbit(traj, 1e-8)
         assert result.kind is OrbitKind.DEGENERATE
-        assert result.reason == "vertex_hit"
 
     def test_nonpositive_tolerance_rejected(self):
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=10)
@@ -204,8 +212,8 @@ def classify_by_event_loop(traj, tol: float = 1e-8) -> OrbitClass:
             same(events[i + k], events[i]) for i in range(n - k)
         ):
             hits_a = sum(1 for e in events[:k] if e.wall is Wall.A)
-            return OrbitClass.periodic(k, hits_a, k - hits_a)
-    return OrbitClass.dense()
+            return OrbitClass(OrbitKind.PERIODIC, k, hits_a, k - hits_a)
+    return OrbitClass(OrbitKind.DENSE)
 
 
 class TestClassifyAgainstEventLoop:
@@ -227,7 +235,8 @@ class TestClassifyAgainstEventLoop:
         for _ in range(5):
             angle = random_angle(rng)
             traj = simulate(random_launch(rng, angle), angle, 400)
-            assert classify_orbit(traj) == classify_by_event_loop(traj) == OrbitClass.dense()
+            dense = OrbitClass(OrbitKind.DENSE)
+            assert classify_orbit(traj) == classify_by_event_loop(traj) == dense
 
 
 class TestCoverageFraction:
