@@ -20,8 +20,6 @@ import sys
 from collections.abc import Callable, Iterator
 from enum import Enum
 
-import numpy as np
-
 from .collision_maps import MapId, fixed_point
 from .dynamics import (
     WALLS,
@@ -110,28 +108,33 @@ def _format_rows(
         yield "\n".join([template] * (hi - lo)) % tuple(values(lo, hi))
 
 
-_WALL_NAMES = np.array([wall.value for wall in WALLS])
+_WALL_NAMES = tuple(wall.value for wall in WALLS)
 
 
 def _event_rows(traj: Trajectory, lo: int, hi: int, width: int) -> list:
     """Events ``lo`` to ``hi - 1`` as one flat list of Python values, row
-    after row: the event index, then the first ``width - 1`` of the values
-    in ``CSV_COLUMNS`` order and ``u_pre, w_pre``."""
+    after row: the event index, then the values in ``CSV_COLUMNS`` order,
+    and ``u_pre, w_pre`` too if ``width`` is 16.
+
+    Worked out in Python floats from the engine's columns, as
+    ``collision_frame`` works out an event's ``u_bar, w_bar``.
+    """
     events = traj.events[lo:hi]
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
-    t, x, y, u, w, u_bar, w_bar, u_pre, w_pre = (
-        events.column(name)
-        for name in ("t", "x", "y", "u", "w", "u_bar", "w_bar", "u_pre", "w_pre")
-    )
-    x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
-    hx, hy = wedge_energies(x_tilde, y_tilde, *to_wedge(u, w, sin_t, cos_t), sin_t, cos_t)
-    energy = (u * u + w * w) / 2.0 + y
-    walls = _WALL_NAMES[events.column("wall")]
-    columns = (t, walls, x, y, u, w, u_bar, w_bar, x_tilde, y_tilde, energy, hx, hy, u_pre, w_pre)
-    flat = [None] * ((hi - lo) * width)
-    flat[::width] = range(lo, hi)
-    for offset, column in enumerate(columns[:width - 1], 1):
-        flat[offset::width] = column.tolist()
+    names = ("wall", "t", "x", "y", "u", "w", "u_pre", "w_pre")
+    with_pre = width > len(CSV_COLUMNS)
+    flat = []
+    for index, code, t, x, y, u, w, u_pre, w_pre in zip(range(lo, hi), *map(events.stored, names)):
+        x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
+        u_tilde, w_tilde = to_wedge(u, w, sin_t, cos_t)
+        hx, hy = wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t, cos_t)
+        u_bar, w_bar = (w_tilde, u_tilde) if code else (u_tilde, w_tilde)
+        energy = (u * u + w * w) / 2.0 + y
+        flat += (
+            index, t, _WALL_NAMES[code], x, y, u, w, u_bar, w_bar, x_tilde, y_tilde, energy, hx, hy
+        )
+        if with_pre:
+            flat += (u_pre, w_pre)
     return flat
 
 
@@ -246,6 +249,7 @@ def trajectory_svg(traj: Trajectory) -> str:
     The viewport frames the reachable box for the trajectory's energy with a
     5% margin.
     """
+    import numpy as np
     if not traj.events:
         raise CliError("cannot render an empty trajectory")
     sin_t, cos_t = traj.theta.sin, traj.theta.cos

@@ -23,7 +23,8 @@ agree event for event; each serves as an oracle for the other.
 
 Both write each event's floats to :class:`EventColumns`;
 :attr:`Trajectory.events` is a read-only view that builds a
-:class:`CollisionEvent` only when one is asked for.
+:class:`CollisionEvent` only when one is asked for.  Only the oracle and the
+numpy views of the columns load numpy.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import Wall, WedgeAngle, contains, from_wedge, to_wedge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Roots below this are treated as re-detections of the wall just left.
 T_EPS = 1e-10
@@ -202,6 +205,7 @@ class EventColumns:
 
     def column(self, name: str, index: slice) -> np.ndarray:
         """Read-only array of one column's entries at ``index``."""
+        import numpy as np
         if name in ("u_bar", "w_bar"):
             # the same operations as collision_frame() does per event
             u_tilde, w_tilde = to_wedge(
@@ -268,10 +272,18 @@ class EventSequence(Sequence):
         into :data:`WALLS`), ``t``, ``x``, ``y``, ``u_pre``, ``w_pre``, ``u``,
         ``w``, ``u_bar`` or ``w_bar``.
         """
+        return self._columns.column(name, self._slice())
+
+    def stored(self, name: str) -> array:
+        """A copy of one column the engine wrote, as the ``array`` it wrote:
+        ``wall`` of type ``B``, the others of type ``d``.  Needs no numpy."""
+        return getattr(self._columns, name)[self._slice()]
+
+    def _slice(self) -> slice:
         r = self._range
         # a descending range that ends at index 0 stops at -1, which a
         # slice would read as the last index
-        return self._columns.column(name, slice(r.start, None if r.stop < 0 else r.stop, r.step))
+        return slice(r.start, None if r.stop < 0 else r.stop, r.step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,6 +325,7 @@ def flight_starts(
     holds the same five values per arc.  Arc 0 starts from the launch and
     arc i from event i - 1's outgoing state; arc i ends at event i.
     """
+    import numpy as np
     firsts = (initial.t, initial.x, initial.y, initial.u, initial.w)
     return [
         column[lo - 1:hi - 1] if lo else np.concatenate(([first], column[:hi - 1]))
@@ -545,6 +558,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     VERTEX_EPS to the vertex is a vertex hit.  Raises ValueError as
     :func:`simulate` does.
     """
+    import numpy as np
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
     _validate_launch(initial, angle)

@@ -11,10 +11,9 @@ allowed region is the quarter-plane they bound from below.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 # Tolerance on the signed wall distance per unit of the point's size: states
 # that land exactly on a wall (up to rounding) still count as inside the region.
@@ -76,7 +75,7 @@ def from_wedge(a_tilde, b_tilde, sin_t: float, cos_t: float):
     return a_tilde * sin_t - b_tilde * cos_t, a_tilde * cos_t + b_tilde * sin_t
 
 
-def contains(point: np.ndarray | tuple[float, float], angle: WedgeAngle) -> bool:
+def contains(point: Sequence[float], angle: WedgeAngle) -> bool:
     """True if the point is finite and lies on or above both walls, within
     ``BOUNDARY_TOL * max(1, |x| + |y|)``: rounding grows with the point."""
     x, y = float(point[0]), float(point[1])

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .collision_maps import MapState
 from .dynamics import (
     WALLS,
@@ -51,9 +49,6 @@ COVERAGE_STEP_FRACTION = 0.01
 # Arcs rasterized per numpy pass, so that no temporary array grows with the
 # horizon.
 _COVERAGE_CHUNK_ARCS = 16
-# Samples evaluated around a critical time tau, as offsets from the last
-# sample at or before it: two on either side.
-_BRACKET = np.arange(-1.0, 3.0)
 
 SENSITIVITY_COLLISIONS = 1000
 
@@ -190,7 +185,7 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     n = len(events)
     if n < 2:
         raise ValueError("need at least two events or a termination to classify")
-
+    import numpy as np
     # positions scale as E, momenta as sqrt(E)
     position_threshold = tol * traj.energy
     momentum_threshold = tol * math.sqrt(traj.energy)
@@ -236,6 +231,7 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     the same cells as sampling the whole arc.  Nondecreasing in the number
     of events for a fixed grid.
     """
+    import numpy as np
     nx, ny = grid
     if nx < 1 or ny < 1:
         raise ValueError(f"grid dimensions must be at least 1, got {grid!r}")
@@ -267,6 +263,9 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     per_length = np.array([[nx / width], [ny / height]])
     inner = np.array([[nx - 1.0], [ny - 1.0]])
 
+    # samples evaluated around a critical time tau, as offsets from the last
+    # sample at or before it: two on either side
+    bracket = np.arange(-1.0, 3.0)
     n_arcs = len(columns[0])
     visited = np.zeros((ny, nx), dtype=bool)
     for lo in range(0, n_arcs, _COVERAGE_CHUNK_ARCS):
@@ -290,7 +289,7 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         # an arc of zero duration (two events at one time) has all its
         # samples at index 0
         below = np.floor(np.divide(taus, gap, out=np.zeros_like(taus), where=gap != 0.0))
-        index = np.clip(below[:, None] + _BRACKET, 0.0, end)
+        index = np.clip(below[:, None] + bracket, 0.0, end)
         ts = np.where(index == end, duration[arcs, None], index * gap[:, None])
         xs = x0[arcs, None] + u0[arcs, None] * ts
         ys = y0[arcs, None] + w0[arcs, None] * ts - 0.5 * ts * ts
@@ -312,6 +311,7 @@ def _critical_times(duration, starts, speeds, gravity, per_length, inner):
     between the apex and the line.  Lines 0 and ``cells`` are left out:
     truncating and clipping give the cells on both sides of them one index.
     """
+    import numpy as np
     n = len(duration)
     apex = speeds / gravity
     turn = np.clip(apex, 0.0, duration)

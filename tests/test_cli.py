@@ -3,12 +3,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wedge_billiard
 from wedge_billiard import (
     CartesianState,
     OrbitSpec,
@@ -17,6 +22,7 @@ from wedge_billiard import (
     WedgeAngle,
     build_periodic_orbit,
     critical_angle,
+    decoupled_simulate,
     hamiltonian,
     launch_from_wall,
     simulate,
@@ -39,9 +45,12 @@ from wedge_billiard.cli import (
     trajectory_json,
     trajectory_svg,
 )
-from wedge_billiard.geometry import config_bounds, from_wedge
+from wedge_billiard.dynamics import WALLS, wedge_energies
+from wedge_billiard.geometry import config_bounds, from_wedge, to_wedge
+from wedge_billiard.orbits import _periodic_launch
 
 from conftest import (
+    bits,
     coprime_pairs,
     flights,
     json_round_trips,
@@ -50,6 +59,7 @@ from conftest import (
     read_trajectory_json,
     with_values,
 )
+from test_dynamics import edge_launches
 
 
 def run(*args: str) -> int:
@@ -382,6 +392,78 @@ class TestChunkedExports:
     def test_sweeps(self, half, energy):
         for limit in (1, 2, 8, 25):
             assert_sweep_exports_match(sweep_periodic_points(limit, limit, energy, half=half))
+
+
+def numpy_event_rows(traj, lo: int, hi: int) -> tuple:
+    """Events ``lo`` to ``hi - 1`` of the JSON export worked out in numpy
+    from ``events.column``: their indices, wall names and a row of 14 floats
+    per event.  The reference for the Python floats of ``_event_rows``."""
+    events = traj.events[lo:hi]
+    sin_t, cos_t = traj.theta.sin, traj.theta.cos
+    t, x, y, u, w, u_bar, w_bar, u_pre, w_pre = (
+        events.column(name)
+        for name in ("t", "x", "y", "u", "w", "u_bar", "w_bar", "u_pre", "w_pre")
+    )
+    x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
+    hx, hy = wedge_energies(x_tilde, y_tilde, *to_wedge(u, w, sin_t, cos_t), sin_t, cos_t)
+    energy = (u * u + w * w) / 2.0 + y
+    floats = np.stack(
+        (t, x, y, u, w, u_bar, w_bar, x_tilde, y_tilde, energy, hx, hy, u_pre, w_pre), axis=1
+    )
+    walls = [WALLS[code].value for code in events.column("wall").tolist()]
+    return list(range(lo, hi)), walls, floats
+
+
+def row_trajectories():
+    """Both engines' runs of 20 seed-977 launches, of every edge launch and
+    of the (1, 2) and (3, 5) orbits from 1e-9 to 1e299, reversed and
+    strided views, and values a run does not make."""
+    launches = list(edge_launches().values())
+    rng = np.random.default_rng(977)
+    for _ in range(20):
+        angle = random_angle(rng)
+        launches.append((random_launch(rng, angle), angle))
+    for p, q in ((1, 2), (3, 5)):
+        for energy in (1e-9, 1.0, 1e299):
+            launches.append(_periodic_launch(OrbitSpec(p, q, energy), 0.0))
+    trajectories = [
+        engine(initial, angle, 300)
+        for initial, angle in launches
+        for engine in (simulate, decoupled_simulate)
+    ]
+    dense = dense60(_CHUNK_ROWS + 8)
+    for view in (dense.events[::-1], dense.events[::3]):
+        trajectories.append(dataclasses.replace(dense, events=view))
+    for name in ("t", "x", "y", "u", "w", "u_pre", "w_pre"):
+        extremes = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16]
+        trajectories.append(with_values(dense, name, extremes))
+    return trajectories
+
+
+def split_rows(rows: list, width: int) -> tuple:
+    """Flat rows of ``width`` values as their indices, their wall names and
+    the bit patterns of their floats, one column after another."""
+    floats = [v for k in range(1, width) if k != 2 for v in rows[k::width]]
+    assert all(type(v) is float for v in floats)
+    return rows[0::width], rows[2::width], bits(floats).tolist()
+
+
+def test_event_rows_are_the_numpy_columns_bit_for_bit():
+    wide, narrow = len(CSV_COLUMNS) + 2, len(CSV_COLUMNS)
+    short_chunks = 0
+    for traj in row_trajectories():
+        n = len(traj.events)
+        # the chunks the exports ask for: from lo > 0, and a last one shorter
+        # than _CHUNK_ROWS when n is not a multiple of it
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            indices, walls, floats = numpy_event_rows(traj, lo, hi)
+            expected = indices, walls, bits(floats.T.ravel()).tolist()
+            assert split_rows(_event_rows(traj, lo, hi, wide), wide) == expected
+            expected = indices, walls, bits(floats[:, :narrow - 2].T.ravel()).tolist()
+            assert split_rows(_event_rows(traj, lo, hi, narrow), narrow) == expected
+            short_chunks += lo > 0 and hi - lo < _CHUNK_ROWS
+    assert short_chunks > 0
 
 
 def traced_peak(render, data) -> int:
@@ -745,6 +827,56 @@ def test_huge_or_tiny_float_option_exits_cleanly(command, option, value, tmp_pat
     assert "Traceback" not in err
     if code == 2:
         assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+# Run in a fresh interpreter: with no arguments it imports the package,
+# else it runs the command line.  Prints the exit code and whether numpy
+# was loaded, on its last line of output.
+NUMPY_PROBE = """
+import sys
+import wedge_billiard
+code = 0
+if sys.argv[1:]:
+    from wedge_billiard import cli
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def loads_numpy(argv: tuple[str, ...], cwd: Path) -> bool:
+    src = str(Path(wedge_billiard.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        ((), False),
+        ((*SIMULATE_ARGS, "--out", "x.csv"), False),
+        ((*SIMULATE_ARGS, "--out", "x.json"), False),
+        (("periodic", "--p", "2", "--q", "3", "--out", "x.csv"), False),
+        (("fixed-points", "--theta-deg", "50"), False),
+        (("sweep", "--max", "5", "--out", "x.csv"), False),
+        # the positive controls: the probe sees numpy where it is used
+        (("classify", *SIMULATE_ARGS[1:], "--n", "50"), True),
+        ((*SIMULATE_ARGS, "--out", "x.svg"), True),
+    ],
+    ids=lambda v: (" ".join(v) or "import wedge_billiard") if isinstance(v, tuple) else None,
+)
+def test_which_commands_load_numpy(argv, loads, tmp_path):
+    assert loads_numpy(argv, tmp_path) is loads
 
 
 def test_classify_checks_tol_before_simulating(monkeypatch, capsys):

@@ -417,6 +417,18 @@ def test_engines_end_edge_launches_alike(name):
         assert a.termination.t == pytest.approx(b.termination.t, abs=1e-9)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: simulate does not hold a near-grazing bouncer's normal "
+    "speed (w_bar 1.0e-10, 8.4e-9, 1.19e-8 at events 0-2), so it reads dense where "
+    "decoupled_simulate reads periodic period=1",
+)
+def test_engines_classify_edge_launches_alike():
+    initial, angle = edge_launches()["near_grazing_bouncer"]
+    a, b = simulate(initial, angle, 30), decoupled_simulate(initial, angle, 30)
+    assert classify_orbit(a) == classify_orbit(b)
+
+
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
 def test_edge_stops_classify_from_the_termination_alone(engine):
     # a degenerate stop is a normal speed below GRAZING_EPS, so its verdict
