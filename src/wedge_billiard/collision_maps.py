@@ -22,7 +22,9 @@ from enum import Enum
 
 from .geometry import Wall, WedgeAngle
 
-# Radicands no worse than this below zero are grazing arrivals and clamp to 0.
+# Radicands ``2E - w_bar**2`` no worse than ``-RADICAND_TOL*E`` are grazing
+# arrivals and clamp to 0.  Relative to E, as the rounding of
+# ``sqrt(2E)**2`` is: an absolute bound rejects valid states from E ~ 4e3.
 RADICAND_TOL = 1e-12
 
 
@@ -42,37 +44,47 @@ class MapId(Enum):
     GB = "GB"
 
 
+# Enum members bound once: reading ``MapId.FA`` costs more than a map's flops
+_A = Wall.A
+_FA, _GA, _FB, _GB = MapId.FA, MapId.GA, MapId.FB, MapId.GB
+
+
 def map_id_for(source: Wall, target: Wall) -> MapId:
     """Map joining consecutive collisions on the given walls."""
-    if source is Wall.A:
-        return MapId.FA if target is Wall.A else MapId.FB
-    return MapId.GB if target is Wall.A else MapId.GA
+    if source is _A:
+        return _FA if target is _A else _FB
+    return _GB if target is _A else _GA
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MapState:
     """Post-collision momentum in the collision frame, plus total energy.
 
     The energy rides along because the cross-wall maps are not closed
-    without it.
+    without it.  ``w_bar**2`` may exceed ``2E`` by at most ``RADICAND_TOL*E``.
     """
 
     u_bar: float
     w_bar: float
     energy: float
 
-    def __post_init__(self) -> None:
-        if self.energy <= 0.0 or not math.isfinite(self.energy):
-            raise ValueError(f"energy must be positive, got {self.energy!r}")
-        if self.w_bar < 0.0:
-            raise ValueError(
-                f"outgoing normal momentum must be nonnegative, got {self.w_bar!r}"
-            )
-        excess = self.w_bar * self.w_bar - 2.0 * self.energy
-        if excess > RADICAND_TOL:
+    def __init__(self, u_bar: float, w_bar: float, energy: float) -> None:
+        # checks and slot setters in one frame: the generated __init__ plus
+        # __post_init__ cost half as much again per state
+        if energy <= 0.0 or not math.isfinite(energy):
+            raise ValueError(f"energy must be positive, got {energy!r}")
+        if w_bar < 0.0:
+            raise ValueError(f"outgoing normal momentum must be nonnegative, got {w_bar!r}")
+        if w_bar * w_bar - 2.0 * energy > RADICAND_TOL * energy:
             raise EnergyViolationError(
-                f"normal kinetic energy {self.w_bar ** 2 / 2!r} exceeds total {self.energy!r}"
+                f"normal kinetic energy {w_bar ** 2 / 2!r} exceeds total {energy!r}"
             )
+        _set_u_bar(self, u_bar)
+        _set_w_bar(self, w_bar)
+        _set_energy(self, energy)
+
+
+_set_u_bar, _set_w_bar, _set_energy = (getattr(MapState, f).__set__ for f in MapState.__slots__)
 
 
 def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
@@ -86,14 +98,14 @@ def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
     """
     u_bar, w_bar, energy = state.u_bar, state.w_bar, state.energy
     tan_t = angle.sin / angle.cos
-    if map_id is MapId.FA:
+    if map_id is _FA:
         return MapState(u_bar - 2.0 * w_bar / tan_t, w_bar, energy)
-    if map_id is MapId.GA:
+    if map_id is _GA:
         return MapState(u_bar - 2.0 * w_bar * tan_t, w_bar, energy)
-    # MapState admits a radicand down to -RADICAND_TOL: a grazing arrival,
-    # clamped to 0
+    # MapState admits a radicand down to -RADICAND_TOL * energy: a grazing
+    # arrival, clamped to 0
     w_next = math.sqrt(max(2.0 * energy - w_bar * w_bar, 0.0))
-    if map_id is MapId.FB:
+    if map_id is _FB:
         return MapState(w_bar - (u_bar + w_next) * tan_t, w_next, energy)
     return MapState(w_bar - (u_bar + w_next) / tan_t, w_next, energy)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 # Tolerance on the signed wall distance per unit of the point's size: states
@@ -32,24 +32,26 @@ class WedgeAngle:
     """Tilt of the wedge, in radians, on the open interval (0, pi/2).
 
     Validated once at construction; everything downstream assumes a valid
-    angle.
+    angle.  ``sin`` and ``cos`` are ``math.sin(theta)`` and
+    ``math.cos(theta)``, computed once at construction; equality, hashing
+    and the repr see ``theta`` alone.
     """
 
     theta: float
+    sin: float = field(init=False, repr=False, compare=False)
+    cos: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta) or not 0.0 < self.theta < math.pi / 2:
             raise ValueError(
                 f"wedge angle must lie strictly inside (0, pi/2), got {self.theta!r}"
             )
+        object.__setattr__(self, "sin", math.sin(self.theta))
+        object.__setattr__(self, "cos", math.cos(self.theta))
 
-    @property
-    def sin(self) -> float:
-        return math.sin(self.theta)
-
-    @property
-    def cos(self) -> float:
-        return math.cos(self.theta)
+    def __reduce__(self):
+        # pickle and copy rebuild from theta, so the trig is computed afresh
+        return type(self), (self.theta,)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "WedgeAngle":

@@ -1,7 +1,8 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wedge_billiard import (
@@ -42,6 +43,40 @@ class TestMapState:
     def test_normal_energy_above_total_rejected(self):
         with pytest.raises(EnergyViolationError):
             MapState(0.0, math.sqrt(2.0) + 1e-5, 1.0)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_energy_that_is_not_finite_rejected(self, energy):
+        with pytest.raises(ValueError, match="energy must be positive"):
+            MapState(0.0, 0.5, energy)
+
+    def test_energy_check_is_relative(self):
+        # the excess allowed scales with E: 1e-13 passes at E = 1 ...
+        MapState(0.0, math.sqrt(2.0 + 1e-13), 1.0)
+        # ... but not at E = 1e-3, where it is 1e-10 of the energy
+        with pytest.raises(EnergyViolationError):
+            MapState(0.0, math.sqrt(2e-3 + 1e-13), 1e-3)
+
+    def test_keyword_construction(self):
+        state = MapState(energy=2.0, w_bar=0.5, u_bar=-0.3)
+        assert state == MapState(-0.3, 0.5, 2.0)
+        assert (state.u_bar, state.w_bar, state.energy) == (-0.3, 0.5, 2.0)
+
+    def test_replace_runs_the_checks(self):
+        state = MapState(0.1, 0.5, 1.0)
+        assert dataclasses.replace(state, w_bar=0.3) == MapState(0.1, 0.3, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(state, w_bar=-0.1)
+        with pytest.raises(EnergyViolationError):
+            dataclasses.replace(state, w_bar=math.sqrt(2.0) + 1e-5)
+        with pytest.raises(ValueError, match="energy must be positive"):
+            dataclasses.replace(state, energy=math.nan)
+
+    @pytest.mark.parametrize("name", ["u_bar", "w_bar", "energy"])
+    def test_frozen(self, name):
+        state = MapState(0.1, 0.5, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, 0.2)
+        assert not hasattr(state, "__dict__")
 
 
 class TestMapIds:
@@ -97,6 +132,23 @@ class TestApplyMap:
                 angle.cos / angle.sin if map_id is MapId.FA else angle.sin / angle.cos
             )
             assert out.u_bar == pytest.approx(state.u_bar - shift)
+
+    @given(
+        angles,
+        st.floats(min_value=-1, max_value=1),
+        st.floats(min_value=0, max_value=1),
+        st.floats(min_value=-9, max_value=299).map(lambda x: 10.0**x),
+    )
+    @example(0.7, 0.0, 0.0, 1e6)
+    @example(0.7, 0.0, 0.0, 1e300)
+    def test_valid_states_map_at_every_energy_scale(self, theta, u_fraction, w_fraction, energy):
+        # fl(sqrt(2E))**2 overshoots 2E by ~1e-16*E; at E = 1e6 that is
+        # 2.3e-10, which an absolute radicand tolerance of 1e-12 rejected
+        angle = WedgeAngle(theta)
+        state = MapState(u_fraction * math.sqrt(2 * energy), w_fraction * math.sqrt(2 * energy), energy)
+        for map_id in MapId:
+            out = apply_map(map_id, state, angle)
+            assert out.energy == energy and out.w_bar >= 0.0
 
     def test_grazing_radicand_clamps_to_zero(self):
         energy = 1.0

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +26,46 @@ class TestWedgeAngle:
 
     def test_from_degrees(self):
         assert WedgeAngle.from_degrees(45).theta == pytest.approx(math.pi / 4)
+
+    @given(angles)
+    def test_stored_trig_is_bit_equal_to_math(self, theta):
+        angle = WedgeAngle(theta)
+        assert angle.sin.hex() == math.sin(theta).hex()
+        assert angle.cos.hex() == math.cos(theta).hex()
+
+    def test_equality_hash_and_repr_see_theta_only(self):
+        angle, forged = WedgeAngle(0.7), WedgeAngle(0.7)
+        object.__setattr__(forged, "sin", 2.0)
+        object.__setattr__(forged, "cos", -2.0)
+        assert forged == angle and hash(forged) == hash(angle)
+        assert repr(forged) == repr(angle) == "WedgeAngle(theta=0.7)"
+        assert WedgeAngle(0.7) != WedgeAngle(0.8)
+
+    def test_trig_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            WedgeAngle(0.7, 0.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(WedgeAngle(0.7), sin=0.5)
+
+    def test_replace_recomputes_trig(self):
+        angle = dataclasses.replace(WedgeAngle(0.7), theta=0.3)
+        assert (angle.sin, angle.cos) == (math.sin(0.3), math.cos(0.3))
+
+    @pytest.mark.parametrize(
+        "clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.copy, copy.deepcopy]
+    )
+    def test_pickle_and_copy_recompute_trig(self, clone):
+        forged = WedgeAngle(0.7)
+        object.__setattr__(forged, "sin", 2.0)
+        object.__setattr__(forged, "cos", -2.0)
+        angle = clone(forged)
+        assert angle == forged
+        assert (angle.sin, angle.cos) == (math.sin(0.7), math.cos(0.7))
+
+    @pytest.mark.parametrize("name", ["theta", "sin", "cos"])
+    def test_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(WedgeAngle(0.7), name, 0.5)
 
 
 class TestContains:
