@@ -26,6 +26,7 @@ from .geometry import Wall, WedgeAngle
 # arrivals and clamp to 0.  Relative to E, as the rounding of
 # ``sqrt(2E)**2`` is: an absolute bound rejects valid states from E ~ 4e3.
 RADICAND_TOL = 1e-12
+_INF, _NEG_INF = math.inf, -math.inf
 
 
 class EnergyViolationError(ValueError):
@@ -61,7 +62,8 @@ class MapState:
     """Post-collision momentum in the collision frame, plus total energy.
 
     The energy rides along because the cross-wall maps are not closed
-    without it.  ``w_bar**2`` may exceed ``2E`` by at most ``RADICAND_TOL*E``.
+    without it.  Both momenta are finite, and ``w_bar**2`` may exceed ``2E``
+    by at most ``RADICAND_TOL*E``.
     """
 
     u_bar: float
@@ -70,14 +72,17 @@ class MapState:
 
     def __init__(self, u_bar: float, w_bar: float, energy: float) -> None:
         # checks and slot setters in one frame: the generated __init__ plus
-        # __post_init__ cost half as much again per state
-        if energy <= 0.0 or not math.isfinite(energy):
+        # __post_init__ cost half as much again per state.  Each compare is
+        # false for NaN, and an infinite w_bar fails the energy check.
+        if not 0.0 < energy < _INF:
             raise ValueError(f"energy must be positive, got {energy!r}")
-        if w_bar < 0.0:
-            raise ValueError(f"outgoing normal momentum must be nonnegative, got {w_bar!r}")
+        if not _NEG_INF < u_bar < _INF:
+            raise ValueError(f"u_bar must be finite, got {u_bar!r}")
+        if not w_bar >= 0.0:
+            raise ValueError(f"w_bar must be nonnegative, got {w_bar!r}")
         if w_bar * w_bar - 2.0 * energy > RADICAND_TOL * energy:
             raise EnergyViolationError(
-                f"normal kinetic energy {w_bar ** 2 / 2!r} exceeds total {energy!r}"
+                f"normal kinetic energy w_bar**2/2 = {w_bar ** 2 / 2!r} exceeds total {energy!r}"
             )
         _set_u_bar(self, u_bar)
         _set_w_bar(self, w_bar)

@@ -8,9 +8,8 @@ wall B, falls with gravity ``cos(theta)``, and ``y_tilde``, the distance
 from wall A, with gravity ``sin(theta)``.  A bouncer of energy ``H`` lands
 and takes off at its floor speed ``sqrt(2H)``, so wall B is hit every
 ``2*sqrt(2*Hx)/cos(theta)`` and wall A every ``2*sqrt(2*Hy)/sin(theta)``.
-A bouncer's first landing from any state is the larger root of its flight
-(:func:`_first_hit`), so the whole simulation is closed form; no time
-stepping is involved.
+A bouncer's first landing from any state is the larger root of its flight,
+so the whole simulation is closed form; no time stepping is involved.
 
 Two engines are provided.  :func:`simulate` works in lab coordinates: from
 each state it takes the earlier of the two bouncers' first landings and
@@ -19,7 +18,10 @@ is the only copy of the collision step; :func:`next_collision` is a run of
 one event.  :func:`decoupled_simulate` finds the first landings once, from
 the launch, and merges the two arithmetic progressions of hit times in numpy
 with no loop per event.  The two share only the first-hit rule and must
-agree event for event; each serves as an oracle for the other.
+agree event for event; each serves as an oracle for the other.  The loop
+holds that rule written out, so that an event makes no Python function
+call; :func:`_first_hit` is the oracle's copy, and a test pins the two
+copies to the same bits.
 
 Both write each event's floats to :class:`EventColumns`;
 :attr:`Trajectory.events` is a read-only view that builds a
@@ -389,14 +391,23 @@ def _first_hit(d0: float, v0: float, g: float) -> float | None:
     inside the wall (d0 >= 0) the smaller root is never positive; just
     outside it, moving in, the smaller root is the wall crossing, not a
     landing.  None when the landing is not above T_EPS (the bouncer sits on
-    the wall it just left, leaving) or there is no root at all (the bouncer
-    stays beyond its wall).
+    the wall it just left, leaving), there is no root at all (the bouncer
+    stays beyond its wall) or the root overflows to inf.
+
+    This is the oracle's copy of the rule.  :func:`_run` holds it written
+    out for both walls, with inf for None; a test pins the two copies to
+    the same bits.
     """
     disc = v0 * v0 + 2.0 * g * d0
     if disc < 0.0:
         return None
     first = (v0 + math.sqrt(disc)) / g
-    return first if first > T_EPS else None
+    return first if T_EPS < first < math.inf else None
+
+
+# Events the loop buffers as rows before it copies them into the columns;
+# 256 costs ~0.1 MB, and larger chunks are no faster
+_CHUNK = 256
 
 
 def _run(
@@ -412,64 +423,85 @@ def _run(
     ahead on either wall the state sits at the vertex and is leaving the
     wedge: a vertex hit at the state's own clock.
     """
+    # first hits inline, one row write per event: 0.8x the time of 2 _first_hit calls + 7 appends
     sin_t, cos_t = angle.sin, angle.cos
+    two_sin, two_cos = 2.0 * sin_t, 2.0 * cos_t
+    sqrt, inf = math.sqrt, math.inf
     columns = EventColumns(angle)
-    add_wall, add_t, add_x, add_y = (
-        columns.wall.append, columns.t.append, columns.x.append, columns.y.append
+    add_wall = columns.wall.append
+    float_columns = (
+        columns.t, columns.x, columns.y, columns.u_pre, columns.w_pre, columns.u, columns.w
     )
-    add_u_pre, add_w_pre, add_u, add_w = (
-        columns.u_pre.append, columns.w_pre.append, columns.u.append, columns.w.append
-    )
-    for _ in range(n):
-        # to_wedge written out: two calls would cost 7-10% of simulate's loop
-        x_tilde = x * sin_t + y * cos_t
-        y_tilde = -x * cos_t + y * sin_t
-        u_tilde = u * sin_t + w * cos_t
-        w_tilde = -u * cos_t + w * sin_t
-        # a state resting on a wall with no normal momentum is already sliding
-        if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
-            return columns, Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
-        if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
-            return columns, Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
-        t_a = _first_hit(y_tilde, w_tilde, sin_t)
-        t_b = _first_hit(x_tilde, u_tilde, cos_t)
-        if t_a is None and t_b is None:
-            return columns, Termination(TerminationKind.VERTEX_HIT, t)
-        if t_a is not None and t_b is not None and abs(t_a - t_b) <= TIE_EPS:
-            return columns, Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
-        # The root has rounding-level residual; place the collision exactly
-        # on the wall so on-wall invariants survive arbitrarily long runs.
-        # (from_wedge of (s_land, 0) or (0, s_land), written out as to_wedge is)
-        if t_b is None or (t_a is not None and t_a < t_b):
-            dt, code = t_a, 0
-            s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
-            v_n = abs(w_tilde - sin_t * dt)
-            x, y = s_land * sin_t, s_land * cos_t
-            nx, ny = -cos_t, sin_t
-        else:
-            dt, code = t_b, 1
-            s_land = y_tilde + w_tilde * dt - sin_t * dt * dt / 2.0
-            v_n = abs(u_tilde - cos_t * dt)
-            x, y = -s_land * cos_t, s_land * sin_t
-            nx, ny = sin_t, cos_t
-        if s_land < VERTEX_EPS:
-            return columns, Termination(TerminationKind.VERTEX_HIT, t + dt)
-        if v_n < GRAZING_EPS:
-            return columns, Termination(TerminationKind.DEGENERATE, t + dt, v_n)
-        t += dt
-        w_land = w - dt
-        p_n = u * nx + w_land * ny
-        add_wall(code)
-        add_t(t)
-        add_x(x)
-        add_y(y)
-        add_u_pre(u)
-        add_w_pre(w_land)
-        u -= 2.0 * p_n * nx
-        w = w_land - 2.0 * p_n * ny
-        add_u(u)
-        add_w(w)
-    return columns, None
+    rows: list[float] = []
+    add_row = rows.extend
+    termination = None
+    start = 0
+    while start < n and termination is None:
+        for _ in range(min(_CHUNK, n - start)):
+            # to_wedge written out (two calls would cost 7-10% of the loop), the
+            # negated terms last: negation is exact, so the bits are the same
+            x_tilde = x * sin_t + y * cos_t
+            y_tilde = y * sin_t - x * cos_t
+            u_tilde = u * sin_t + w * cos_t
+            w_tilde = w * sin_t - u * cos_t
+            # a state resting on a wall with no normal momentum is already sliding
+            if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
+                termination = Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
+                break
+            if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
+                termination = Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
+                break
+            # _first_hit on both walls written out; inf stands for its None
+            disc = w_tilde * w_tilde + two_sin * y_tilde
+            t_a = (w_tilde + sqrt(disc)) / sin_t if disc >= 0.0 else inf
+            if not t_a > T_EPS:
+                t_a = inf
+            disc = u_tilde * u_tilde + two_cos * x_tilde
+            t_b = (u_tilde + sqrt(disc)) / cos_t if disc >= 0.0 else inf
+            if not t_b > T_EPS:
+                t_b = inf
+            if t_a == t_b == inf:
+                termination = Termination(TerminationKind.VERTEX_HIT, t)
+                break
+            if abs(t_a - t_b) <= TIE_EPS:
+                termination = Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
+                break
+            # The root has rounding-level residual; place the collision exactly
+            # on the wall so on-wall invariants survive arbitrarily long runs.
+            # (from_wedge of (s_land, 0) or (0, s_land), written out as to_wedge is)
+            if t_a < t_b:
+                dt, code = t_a, 0
+                s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
+                v_n = abs(w_tilde - sin_t * dt)
+                x, y = s_land * sin_t, s_land * cos_t
+                nx, ny = -cos_t, sin_t
+            else:
+                dt, code = t_b, 1
+                s_land = y_tilde + w_tilde * dt - sin_t * dt * dt / 2.0
+                v_n = abs(u_tilde - cos_t * dt)
+                x, y = -s_land * cos_t, s_land * sin_t
+                nx, ny = sin_t, cos_t
+            if s_land < VERTEX_EPS:
+                termination = Termination(TerminationKind.VERTEX_HIT, t + dt)
+                break
+            if v_n < GRAZING_EPS:
+                termination = Termination(TerminationKind.DEGENERATE, t + dt, v_n)
+                break
+            t += dt
+            w_land = w - dt
+            p_n = u * nx + w_land * ny
+            u_pre = u
+            u -= 2.0 * p_n * nx
+            w = w_land - 2.0 * p_n * ny
+            add_wall(code)
+            add_row((t, x, y, u_pre, w_land, u, w))
+        # the rows' floats, de-interleaved into their columns
+        buffered = array("d", rows)
+        for j, column in enumerate(float_columns):
+            column.extend(buffered[j::7])
+        rows.clear()
+        start += _CHUNK
+    return columns, termination
 
 
 def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] | Termination:

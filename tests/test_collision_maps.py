@@ -49,6 +49,12 @@ class TestMapState:
         with pytest.raises(ValueError, match="energy must be positive"):
             MapState(0.0, 0.5, energy)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["u_bar", "w_bar"])
+    def test_momentum_that_is_not_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(MapState(0.1, 0.5, 1.0), **{name: value})
+
     def test_energy_check_is_relative(self):
         # the excess allowed scales with E: 1e-13 passes at E = 1 ...
         MapState(0.0, math.sqrt(2.0 + 1e-13), 1.0)

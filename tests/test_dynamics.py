@@ -29,14 +29,17 @@ from wedge_billiard import (
 )
 from wedge_billiard.cli import OutputFormat, export_trajectory
 from wedge_billiard.dynamics import (
+    _CHUNK,
     GRAZING_EPS,
     MAX_ENERGY,
     WALLS,
     CollisionEvent,
     EventSequence,
     RotatingFrameMomentum,
+    Termination,
+    _first_hit,
 )
-from wedge_billiard.geometry import from_wedge
+from wedge_billiard.geometry import from_wedge, to_wedge
 from wedge_billiard.orbits import _periodic_launch
 
 from conftest import (
@@ -480,6 +483,91 @@ def test_next_collision_is_the_first_event_of_a_run_from_clock_0():
         run = simulate(dataclasses.replace(s, t=0.0), angle, 1)
         first = run.termination or (run.events[0].t, run.events[0].wall)
         assert step_bits(next_collision(s, angle)) == step_bits(first)
+
+
+def test_event_loop_and_first_hit_give_the_same_landing_bits():
+    # the event loop holds the first-hit rule written out for both walls;
+    # _first_hit is the oracle's copy.  Each step is the earlier of the two
+    # _first_hit landings to the bit, and with neither it stops at once
+    at_40 = WedgeAngle.from_degrees(40)
+    states = next_collision_states() + [
+        # at the vertex, leaving the wedge: both roots are 0, below T_EPS
+        (CartesianState(0.0, 0.0, 0.0, -1.0), at_40),
+        # far beyond wall A, moving out: no root on wall A
+        (wedge_state(1.0, -1.0, 0.3, -0.1, at_40), at_40),
+        # 5e-10 off a wall, moving in: a landing just above T_EPS
+        (wedge_state(1.0, 5e-10, 0.3, -1.0, at_40), at_40),
+        (wedge_state(5e-10, 1.0, -1.0, 0.3, at_40), at_40),
+    ]
+    missing = 0
+    for s, angle in states:
+        sin_t, cos_t = angle.sin, angle.cos
+        x_tilde, y_tilde = to_wedge(s.x, s.y, sin_t, cos_t)
+        u_tilde, w_tilde = to_wedge(s.u, s.w, sin_t, cos_t)
+        hits = {Wall.A: _first_hit(y_tilde, w_tilde, sin_t), Wall.B: _first_hit(x_tilde, u_tilde, cos_t)}
+        landings = {wall: hit for wall, hit in hits.items() if hit is not None}
+        missing += len(hits) - len(landings)
+        step = next_collision(s, angle)
+        if isinstance(step, Termination) and step.t == 0.0:
+            # a stop at clock 0: a sliding state, or no landing on either wall
+            assert not landings or step.kind is TerminationKind.DEGENERATE
+            continue
+        first = min(landings, key=landings.get)
+        if isinstance(step, tuple):
+            assert step_bits(step) == (first, bits(landings[first]).item())
+        else:
+            assert bits(step.t).item() == bits(landings[first]).item()
+    assert missing >= 4
+
+
+def test_a_landing_time_that_overflows_is_no_landing():
+    # at theta = 1e-200 wall A's gravity is 1e-200, and this state's landing
+    # on it lies ~2e324 ahead, past float64; its root on wall B rounds to 0
+    angle = WedgeAngle(1e-200)
+    initial = CartesianState(5e-201, 0.5, -1e124, -9e124)
+    x_tilde, y_tilde = to_wedge(initial.x, initial.y, angle.sin, angle.cos)
+    u_tilde, w_tilde = to_wedge(initial.u, initial.w, angle.sin, angle.cos)
+    assert (w_tilde + math.sqrt(w_tilde * w_tilde + 2.0 * angle.sin * y_tilde)) / angle.sin == math.inf
+    assert _first_hit(y_tilde, w_tilde, angle.sin) is None
+    assert _first_hit(x_tilde, u_tilde, angle.cos) is None
+    stop = Termination(TerminationKind.VERTEX_HIT, 0.0)
+    assert next_collision(initial, angle) == stop
+    for engine in (simulate, decoupled_simulate):
+        traj = engine(initial, angle, 5)
+        assert len(traj.events) == 0 and traj.termination == stop
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, "stop"])
+def test_runs_across_buffer_flushes_are_prefixes_and_resume(n):
+    # the loop buffers _CHUNK events at a time: a shorter run is a prefix of
+    # a longer one, and a run resumed from an event's outgoing state (clock
+    # included) goes on with the same bits
+    if n == "stop":
+        angle = critical_angle(OrbitSpec(149, 151))
+        initial = vertex_launch(angle, 1.0)
+        full = simulate(initial, angle, 3 * _CHUNK)
+        assert full.termination is not None
+        assert _CHUNK < len(full.events) < 2 * _CHUNK
+        n = 3 * _CHUNK
+    else:
+        angle = WedgeAngle.from_degrees(60)
+        initial = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
+        full = simulate(initial, angle, n)
+        assert len(full.events) == n
+    events = full.events
+    names = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w")
+
+    def same_bits(part, whole):
+        for name in names:
+            assert part.stored(name).tobytes() == whole.stored(name).tobytes(), name
+
+    for k in sorted({1, _CHUNK - 1, _CHUNK, _CHUNK + 1, len(events) - 1} & set(range(1, len(events)))):
+        prefix = simulate(initial, angle, k)
+        assert prefix.termination is None
+        same_bits(prefix.events, events[:k])
+        rest = simulate(events[k - 1].post, angle, n - k)
+        same_bits(rest.events, events[k:])
+        assert rest.termination == full.termination
 
 
 @pytest.mark.parametrize("w_bar", [1e-3, 1e-4])
