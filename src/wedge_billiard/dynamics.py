@@ -553,23 +553,6 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     return Trajectory(initial, angle, EventSequence(columns), termination)
 
 
-def _progression_lengths(n: int, first: tuple[float, float], period: tuple[float, float]) -> list[int]:
-    """How many hits of each bouncer cover the first ``n + 1`` merged ones.
-
-    Fewer than ``n + 1`` hits come before hit ``n``, so it comes no later
-    than the ``horizon`` where the unrounded hit counts ``(T - first) /
-    period`` add up to ``n + 1``.  Each bouncer needs its hits up to the
-    horizon, the next one, which a tie check looks at, and one for rounding.
-    """
-    rate = sum(1.0 / p for p in period)
-    horizon = (n + 1 + sum(f / p for f, p in zip(first, period))) / rate
-    lengths = []
-    for f, p in zip(first, period):
-        count = (horizon - f) / p + 3.0
-        lengths.append(n + 2 if not count < n + 2 else max(1, int(count)))
-    return lengths
-
-
 def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     """Closed-form engine from the two-bouncer solution of the wedge.
 
@@ -577,12 +560,13 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     bouncers: ``y_tilde``, the distance from wall A, falls with gravity
     ``sin(theta)``, and ``x_tilde``, the distance from wall B, with gravity
     ``cos(theta)``.  A bouncer of floor speed ``V`` first hits its wall at
-    :func:`_first_hit` from the launch and then every ``2V/g``.  The two
-    arithmetic progressions of hit times are merged in numpy, and at each
-    hit the other bouncer's phase is evaluated in closed form from its own
-    last hit, or before its first from the launch.  No collision is
-    root-solved from the one before, so the output is a check of
-    :func:`simulate`, which it matches event for event.
+    :func:`_first_hit` from the launch and then every ``2V/g``.  The first
+    ``n + 1`` hits of each bouncer are merged by one stable argsort, and
+    ``divmod`` gives each merged hit's wall and its index in its own
+    progression.  At each hit the other bouncer's phase is evaluated in
+    closed form from its own last hit, or before its first from the
+    launch.  No collision is root-solved from the one before, so the output
+    is a check of :func:`simulate`, which it matches event for event.
 
     The run ends where :func:`simulate` ends it: a sliding launch or a hit
     with floor speed below GRAZING_EPS is degenerate; no root ahead on
@@ -594,7 +578,6 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
     _validate_launch(initial, angle)
-    integrals = wedge_hamiltonians(initial, angle)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
     t0 = initial.t
@@ -611,49 +594,46 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
         return finish(Termination(TerminationKind.DEGENERATE, t0, abs(wt)))
     if xt <= ON_WALL_TOL and abs(ut) < GRAZING_EPS:
         return finish(Termination(TerminationKind.DEGENERATE, t0, abs(ut)))
-    # x_tilde bounces on wall B and y_tilde on wall A
-    first_x, first_y = _first_hit(xt, ut, cos_t), _first_hit(yt, wt, sin_t)
-    if first_x is None or first_y is None:
+    # the two bouncers by wall code: 0 is wall A, which y_tilde hits with
+    # gravity sin(theta), and 1 is wall B, which x_tilde hits with cos(theta)
+    first = [_first_hit(yt, wt, sin_t), _first_hit(xt, ut, cos_t)]
+    if None in first:
         # a bouncer with no root ahead stays beyond its wall, so the other
         # one's first hit lands past the vertex
-        ahead = [first for first in (first_x, first_y) if first is not None]
+        ahead = [hit for hit in first if hit is not None]
         return finish(Termination(TerminationKind.VERTEX_HIT, t0 + min(ahead, default=0.0)))
+    first, gravity = np.array(first), np.array([sin_t, cos_t])
     # every landing and takeoff of a bouncer of energy H is at speed sqrt(2H)
-    speed_x, speed_y = (math.sqrt(2.0 * h) for h in integrals)
-    grazing_x, grazing_y = speed_x < GRAZING_EPS, speed_y < GRAZING_EPS
+    h_x, h_y = wedge_energies(xt, yt, ut, wt, sin_t, cos_t)
+    speed = np.array([math.sqrt(2.0 * h) for h in (h_y, h_x)])
     # a grazing bouncer ends the run at its first hit, so its later hits
     # need only come later, even at zero speed
-    period_x = 2.0 * max(speed_x, GRAZING_EPS) / cos_t
-    period_y = 2.0 * max(speed_y, GRAZING_EPS) / sin_t
-    m_x, m_y = _progression_lengths(n, (first_x, first_y), (period_x, period_y))
+    period = 2.0 * np.maximum(speed, GRAZING_EPS) / gravity
 
-    # hit times after the launch, merged; wall A's come first in ``hits``
-    hits = np.concatenate(
-        (first_y + period_y * np.arange(m_y), first_x + period_x * np.arange(m_x))
-    )
+    # n + 1 hits of each bouncer hold the first n + 1 merged hits: the n
+    # events and the hit after them, which the tie check reads
+    hits = (first[:, None] + period[:, None] * np.arange(n + 1)).ravel()
+    # wall A's row comes first, so on an exact tie the stable sort puts it first
     order = np.argsort(hits, kind="stable")[: n + 1]
     r = hits[order]
-    on_b = order >= m_y
+    code, own_index = np.divmod(order, n + 1)
+    other = 1 - code
     # how many hits the other bouncer made before each one: the hits before
     # it less its own index in its progression
-    before = np.arange(len(r)) - (order - m_y * on_b)
+    before = np.arange(n + 1) - own_index
     # the other bouncer flies from its last hit; before its first it flies
     # the same parabola, from a takeoff one period before that hit
-    first = np.where(on_b, first_y, first_x)
-    period = np.where(on_b, period_y, period_x)
-    speed = np.where(on_b, speed_y, speed_x)
-    gravity = np.where(on_b, sin_t, cos_t)
-    since = r - (first + period * (before - 1))
-    height = speed * since - gravity * since * since / 2.0
-    velocity = speed - gravity * since
+    since = r - (first[other] + period[other] * (before - 1))
+    height = speed[other] * since - gravity[other] * since * since / 2.0
+    velocity = speed[other] - gravity[other] * since
 
     # the first of the n events that cannot be reflected ends the run: hits
     # on both walls within TIE_EPS or a landing too near the vertex (the
     # other bouncer's height), or a grazing bouncer's hit
+    own_speed = speed[code]
     vertex = height < VERTEX_EPS
-    vertex[:-1] |= (on_b[1:] != on_b[:-1]) & (r[1:] - r[:-1] <= TIE_EPS)
-    grazing = np.where(on_b, grazing_x, grazing_y)
-    stops = np.flatnonzero((vertex | grazing)[:n])
+    vertex[:-1] |= (code[1:] != code[:-1]) & (r[1:] - r[:-1] <= TIE_EPS)
+    stops = np.flatnonzero((vertex | (own_speed < GRAZING_EPS))[:n])
     k = int(stops[0]) if stops.size else n
     termination = None
     if stops.size:
@@ -661,21 +641,20 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
         if vertex[k]:
             termination = Termination(TerminationKind.VERTEX_HIT, t_stop)
         else:
-            v_n = speed_x if on_b[k] else speed_y
-            termination = Termination(TerminationKind.DEGENERATE, t_stop, v_n)
+            termination = Termination(TerminationKind.DEGENERATE, t_stop, float(own_speed[k]))
 
     # rows: height, landing velocity, outgoing velocity.  The other bouncer
     # is in flight; at its own hit a bouncer sits on its wall and its
     # velocity turns from -V to V
-    on_b, height, velocity = on_b[:k], height[:k], velocity[:k]
-    other = np.array([height, velocity, velocity])
-    own = np.array([[0.0], [-1.0], [1.0]]) * np.where(on_b, speed_x, speed_y)
-    tilde_x = np.where(on_b, own, other)
-    tilde_y = np.where(on_b, other, own)
+    code, height, velocity = code[:k], height[:k], velocity[:k]
+    flight = np.array([height, velocity, velocity])
+    own = np.array([[0.0], [-1.0], [1.0]]) * own_speed[:k]
+    tilde_x = np.where(code, own, flight)
+    tilde_y = np.where(code, flight, own)
     # wedge -> lab: rows (x, u_pre, u) and (y, w_pre, w)
     lab_x, lab_y = from_wedge(tilde_x, tilde_y, sin_t, cos_t)
     for column, values in (
-        (columns.wall, on_b.astype(np.uint8)),
+        (columns.wall, code.astype(np.uint8)),
         (columns.t, t0 + r[:k]),
         (columns.x, lab_x[0]),
         (columns.y, lab_y[0]),

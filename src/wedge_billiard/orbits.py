@@ -2,11 +2,10 @@
 
 In wedge coordinates the motion is two independent one-dimensional
 bouncers with energies ``Hx`` and ``Hy`` (``dynamics.wedge_hamiltonians``).
-Wall B is hit every ``2*sqrt(2*Hx)/cos(theta)`` and wall A every
-``2*sqrt(2*Hy)/sin(theta)``, so the motion makes
-``tan(theta)*sqrt(Hx/Hy)`` wall-A hits per wall-B hit.  That hit ratio is
-``tan(theta)`` only when ``Hx = Hy``, as for the periodic launch, which
-carries normal momentum ``sqrt(E)``.  At the critical angles
+The ``dynamics`` module docstring gives each one's period; their ratio,
+``tan(theta)*sqrt(Hx/Hy)``, is the number of wall-A hits per wall-B hit.
+That hit ratio is ``tan(theta)`` only when ``Hx = Hy``, as for the periodic
+launch, which carries normal momentum ``sqrt(E)``.  At the critical angles
 ``theta* = arctan(p/q)`` with p, q coprime that launch closes after p + q
 collisions (p on wall A, q on wall B).
 

@@ -407,11 +407,20 @@ def edge_launches():
     }
 
 
-@pytest.mark.parametrize("name", sorted(edge_launches()))
-def test_engines_end_edge_launches_alike(name):
+# At n = 1 and 2 the tie partner or the grazing hit is often the merged hit
+# after the budget, which the oracle must still hold
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        pytest.param(name, n, id=name if n == 30 else f"{name}-n{n}")
+        for n in (1, 2, 30)
+        for name in sorted(edge_launches())
+    ],
+)
+def test_engines_end_edge_launches_alike(name, n):
     initial, angle = edge_launches()[name]
     assert contains(initial.position, angle)
-    a, b = simulate(initial, angle, 30), decoupled_simulate(initial, angle, 30)
+    a, b = simulate(initial, angle, n), decoupled_simulate(initial, angle, n)
     assert len(a.events) == len(b.events)
     assert a.events.column("wall").tolist() == b.events.column("wall").tolist()
     assert (a.termination is None) == (b.termination is None)
