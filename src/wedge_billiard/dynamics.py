@@ -23,10 +23,10 @@ holds that rule written out, so that an event makes no Python function
 call; :func:`_first_hit` is the oracle's copy, and a test pins the two
 copies to the same bits.
 
-Both write each event's floats to :class:`EventColumns`;
-:attr:`Trajectory.events` is a read-only view that builds a
-:class:`CollisionEvent` only when one is asked for.  Only the oracle and the
-numpy views of the columns load numpy.
+Both write each event's floats to :class:`EventColumns`.
+:attr:`Trajectory.events` builds a :class:`CollisionEvent` only when one is
+asked for, and its ``pre``, ``post`` and ``rotating_post`` only when first
+read, and keeps them.  Only the oracle and the columns' numpy views load numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -58,6 +58,7 @@ ON_WALL_TOL = 1e-10
 # Largest launch energy.  The flight formulas square speeds and times of order
 # sqrt(E): from ~1e307 they overflow float64 into false vertex hits and NaN.
 MAX_ENERGY = 1e300
+_new, _set = object.__new__, object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +89,7 @@ class RotatingFrameMomentum:
     w_bar: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class CollisionEvent:
     """One wall collision.
 
@@ -98,11 +99,48 @@ class CollisionEvent:
     the region), so its ``w_bar`` is always nonnegative.
     """
 
+    __slots__ = ("wall", "t", "_parts")
+
     wall: Wall
     t: float
+    # properties below, built when first read; unused as defaults (init=False)
     pre: CartesianState
     post: CartesianState
     rotating_post: RotatingFrameMomentum
+
+    def __init__(self, wall, t, pre, post, rotating_post):
+        _set(self, "wall", wall)
+        _set(self, "t", t)
+        # pre, post, rotating_post, then the columns and row they are built from
+        _set(self, "_parts", [pre, post, rotating_post, None, -1])
+
+    @property
+    def pre(self) -> CartesianState:
+        parts = self._parts
+        if parts[0] is None:
+            cols, i = parts[3], parts[4]
+            parts[0] = CartesianState(cols.x[i], cols.y[i], cols.u_pre[i], cols.w_pre[i], self.t)
+        return parts[0]
+
+    @property
+    def post(self) -> CartesianState:
+        parts = self._parts
+        if parts[1] is None:
+            cols, i = parts[3], parts[4]
+            parts[1] = CartesianState(cols.x[i], cols.y[i], cols.u[i], cols.w[i], self.t)
+        return parts[1]
+
+    @property
+    def rotating_post(self) -> RotatingFrameMomentum:
+        parts = self._parts
+        if parts[2] is None:
+            cols, i = parts[3], parts[4]
+            parts[2] = cols.collision_frame(cols.wall[i], cols.u[i], cols.w[i])
+        return parts[2]
+
+    def __reduce__(self):
+        # the public constructor's event, without the columns
+        return CollisionEvent, (self.wall, self.t, self.pre, self.post, self.rotating_post)
 
 
 class TerminationKind(Enum):
@@ -123,34 +161,19 @@ class Termination:
 WALLS = (Wall.A, Wall.B)
 
 
-def _field_setters(cls) -> tuple:
-    """The slot descriptors' setters of a frozen dataclass, in field order.
-
-    Its ``__init__`` sets each field through ``object.__setattr__``;
-    building an instance with ``object.__new__`` and these setters gives an
-    equal instance at about half the cost.
-    """
-    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
-
-
-_STATE_SETTERS = _field_setters(CartesianState)
-_FRAME_SETTERS = _field_setters(RotatingFrameMomentum)
-_EVENT_SETTERS = _field_setters(CollisionEvent)
-_new = object.__new__
-
-
 class EventColumns:
     """Per-event columns written by the event loops, one entry per collision.
 
     ``wall`` holds the index of the wall in :data:`WALLS`, ``t`` the clock,
     ``x, y`` the collision point, ``u_pre, w_pre`` the landing momentum and
-    ``u, w`` the reflected one.  The collision-frame momentum ``u_bar,
-    w_bar`` is not stored: :meth:`collision_frame` works it out from
-    ``(u, w)`` and the wall.  Wall A's tangent and inward normal are the two
-    wedge axes, and wall B's are the same axes in the other order.
+    ``u, w`` the reflected one.  An event's ``pre``, ``post`` and
+    ``rotating_post`` are built from its row when first read, then kept.
+    The collision-frame momentum ``u_bar, w_bar`` is not stored:
+    :meth:`collision_frame` works it out from ``(u, w)`` and the wall.  Wall
+    A's tangent and inward normal are the wedge axes, and wall B's swapped.
     """
 
-    __slots__ = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w", "sin_t", "cos_t", "_memo")
+    __slots__ = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w", "sin_t", "cos_t")
 
     def __init__(self, angle: WedgeAngle):
         self.wall = array("B")
@@ -158,52 +181,15 @@ class EventColumns:
         self.u_pre, self.w_pre = array("d"), array("d")
         self.u, self.w = array("d"), array("d")
         self.sin_t, self.cos_t = angle.sin, angle.cos
-        # (index, event) of the last event built: iterating ``events`` and
-        # ``events[1:]`` side by side then builds each event once
-        self._memo: tuple[int, CollisionEvent | None] = (-1, None)
 
     def collision_frame(self, code: int, u: float, w: float) -> RotatingFrameMomentum:
         """Outgoing momentum ``(u, w)`` in the frame of wall ``WALLS[code]``."""
-        u_tilde, w_tilde = to_wedge(u, w, self.sin_t, self.cos_t)
-        set_u_bar, set_w_bar = _FRAME_SETTERS
+        # to_wedge and the frame's __init__ written out: two Python calls fewer per frame
+        u_tilde, w_tilde = u * self.sin_t + w * self.cos_t, -u * self.cos_t + w * self.sin_t
         frame = _new(RotatingFrameMomentum)
-        set_u_bar(frame, u_tilde if code == 0 else w_tilde)
-        set_w_bar(frame, w_tilde if code == 0 else u_tilde)
+        _set(frame, "u_bar", u_tilde if code == 0 else w_tilde)
+        _set(frame, "w_bar", w_tilde if code == 0 else u_tilde)
         return frame
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def event(self, i: int) -> CollisionEvent:
-        """The i-th event, built from the columns."""
-        memo_index, memo_event = self._memo
-        if memo_index == i:
-            return memo_event
-        code, t, x, y = self.wall[i], self.t[i], self.x[i], self.y[i]
-        u, w = self.u[i], self.w[i]
-        # the public constructors' values, set slot by slot
-        set_x, set_y, set_u, set_w, set_t = _STATE_SETTERS
-        pre = _new(CartesianState)
-        set_x(pre, x)
-        set_y(pre, y)
-        set_u(pre, self.u_pre[i])
-        set_w(pre, self.w_pre[i])
-        set_t(pre, t)
-        post = _new(CartesianState)
-        set_x(post, x)
-        set_y(post, y)
-        set_u(post, u)
-        set_w(post, w)
-        set_t(post, t)
-        set_wall, set_event_t, set_pre, set_post, set_frame = _EVENT_SETTERS
-        event = _new(CollisionEvent)
-        set_wall(event, WALLS[code])
-        set_event_t(event, t)
-        set_pre(event, pre)
-        set_post(event, post)
-        set_frame(event, self.collision_frame(code, u, w))
-        self._memo = (i, event)
-        return event
 
     def column(self, name: str, index: slice) -> np.ndarray:
         """Read-only array of one column's entries at ``index``."""
@@ -228,30 +214,42 @@ class EventColumns:
 class EventSequence(Sequence):
     """Read-only sequence of a trajectory's collision events.
 
-    Events are built from :class:`EventColumns` on access, so two lookups of
-    one index give equal events that need not be the same object.  A slice
-    is another sequence over the same columns.  Compares equal to tuples of
-    equal events.
+    Events are built on access, and an event's ``pre``, ``post`` and
+    ``rotating_post`` when first read, then kept for repeat reads.  Two
+    lookups of one index give equal events, not always one object.  A slice
+    is another sequence over the same columns; equal to tuples of equal events.
     """
 
-    __slots__ = ("_columns", "_range")
+    __slots__ = ("_columns", "_range", "_memo")
 
     def __init__(self, columns: EventColumns, indices: range | None = None):
         self._columns = columns
-        self._range = range(len(columns)) if indices is None else indices
+        self._range = range(len(columns.t)) if indices is None else indices
+        # last (index, event) built, shared with slices: zip(events, events[1:]) builds each once
+        self._memo = [(-1, None)]
 
     def __len__(self) -> int:
         return len(self._range)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return EventSequence(self._columns, self._range[index])
-        return self._columns.event(self._range[index])
+            view = EventSequence(self._columns, self._range[index])
+            view._memo = self._memo
+            return view
+        return self._event(self._range[index])
 
     def __iter__(self) -> Iterator[CollisionEvent]:
-        event = self._columns.event
-        for i in self._range:
-            yield event(i)
+        return map(self._event, self._range)
+
+    def _event(self, i: int) -> CollisionEvent:
+        index, event = self._memo[0]
+        if index != i:
+            event = _new(CollisionEvent)
+            _set(event, "wall", WALLS[self._columns.wall[i]])
+            _set(event, "t", self._columns.t[i])
+            _set(event, "_parts", [None, None, None, self._columns, i])
+            self._memo[0] = (i, event)
+        return event
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventSequence):
@@ -495,10 +493,14 @@ def _run(
             w = w_land - 2.0 * p_n * ny
             add_wall(code)
             add_row((t, x, y, u_pre, w_land, u, w))
-        # the rows' floats, de-interleaved into their columns
-        buffered = array("d", rows)
-        for j, column in enumerate(float_columns):
-            column.extend(buffered[j::7])
+        # the rows' floats, de-interleaved into their columns; next_collision's one row unsliced
+        if len(rows) == 7:
+            for column, value in zip(float_columns, rows):
+                column.append(value)
+        else:
+            buffered = array("d", rows)
+            for j, column in enumerate(float_columns):
+                column.extend(buffered[j::7])
         rows.clear()
         start += _CHUNK
     return columns, termination
@@ -518,7 +520,9 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
     return columns.t[0], WALLS[columns.wall[0]]
 
 
-def _validate_launch(initial: CartesianState, angle: WedgeAngle) -> None:
+def _validate_run(initial: CartesianState, angle: WedgeAngle, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"collision count must be nonnegative, got {n!r}")
     if not contains(initial.position, angle):
         raise ValueError(f"launch position {initial.position} lies outside the wedge")
     energy = hamiltonian(initial)
@@ -546,9 +550,7 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     energy outside (0, MAX_ENERGY], or moving out through the wall it sits
     on.
     """
-    if n < 0:
-        raise ValueError(f"collision count must be nonnegative, got {n!r}")
-    _validate_launch(initial, angle)
+    _validate_run(initial, angle, n)
     columns, termination = _run(initial.x, initial.y, initial.u, initial.w, initial.t, angle, n)
     return Trajectory(initial, angle, EventSequence(columns), termination)
 
@@ -575,9 +577,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     :func:`simulate` does.
     """
     import numpy as np
-    if n < 0:
-        raise ValueError(f"collision count must be nonnegative, got {n!r}")
-    _validate_launch(initial, angle)
+    _validate_run(initial, angle, n)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
     t0 = initial.t

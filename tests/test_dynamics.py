@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import gc
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -675,6 +678,38 @@ class TestEventSequence:
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.pre.x = 0.0
 
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
+    def test_built_events_keep_the_frozen_dataclass_contract(self, engine):
+        events = dense_60(5, engine).events
+        made = [
+            CollisionEvent(event.wall, event.t, event.pre, event.post, event.rotating_post)
+            for event in events
+        ]
+        for i, expected in enumerate(made):
+            # each check reads a freshly built event, whose parts are not read yet
+            def fresh():
+                return dense_60(5, engine).events[i]
+
+            assert fresh() == expected
+            assert expected == fresh()
+            assert hash(fresh()) == hash(expected)
+            assert repr(fresh()) == repr(expected)
+            assert pickle.loads(pickle.dumps(fresh())) == expected
+            assert copy.copy(fresh()) == expected
+            assert copy.deepcopy(fresh()) == expected
+            for name in CollisionEvent.__match_args__:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(fresh(), name, None)
+            match fresh():
+                case CollisionEvent(wall, t, pre, post, rotating_post):
+                    assert (wall, t, pre, post, rotating_post) == (
+                        expected.wall, expected.t, expected.pre, expected.post, expected.rotating_post
+                    )
+        assert CollisionEvent.__match_args__ == ("wall", "t", "pre", "post", "rotating_post")
+        assert events == tuple(made)
+        assert tuple(made) == events
+        assert hash(events) == hash(tuple(made))
+
     def test_launch_with_no_events_compares_equal_to_empty_tuple(self):
         traj = simulate(CartesianState(0, 1, 0, 0), WedgeAngle(math.pi / 4), 10)
         assert traj.termination is not None
@@ -743,6 +778,30 @@ class TestEventSequence:
         write_json(path, doc)
         assert read_trajectory_json(path) == dense_60(10)
         assert not json_round_trips(path)
+
+
+def test_dropped_runs_and_their_events_leave_no_cycle():
+    # a deterministic allocation count: with the cyclic collector off, a run
+    # whose events and columns point at each other would stay allocated
+    def replay():
+        events = dense_60(200).events
+        for prev, event in zip(events, events[1:]):
+            assert event.wall in WALLS
+            assert prev.rotating_post.w_bar >= 0.0
+
+    replay()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            replay()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # one run's columns alone hold ~12 kB
+    assert left < 8_000
 
 
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
