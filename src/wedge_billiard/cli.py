@@ -247,11 +247,9 @@ def trajectory_svg(traj: Trajectory) -> str:
     """Configuration-space picture: wedge walls plus one polyline per flight arc.
 
     The viewport frames the reachable box for the trajectory's energy with a
-    5% margin.
+    5% margin.  A run with no events is drawn as its walls alone.
     """
     import numpy as np
-    if not traj.events:
-        raise CliError("cannot render an empty trajectory")
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
     x_tilde_max, y_tilde_max = config_bounds(traj.energy, traj.theta)
     # the vertex, the far ends of walls A and B, and the box's far corner
@@ -308,12 +306,11 @@ def trajectory_svg(traj: Trajectory) -> str:
 
 
 def sweep_svg(points: list[SweepPoint]) -> str:
-    """Scatter of periodic-orbit seeds: angle in degrees against u_bar."""
-    if not points:
-        raise CliError("cannot render an empty sweep")
+    """Scatter of periodic-orbit seeds: angle in degrees against u_bar; no
+    points give the empty frame."""
     width, height = SVG_WIDTH, 480.0
     pad = 40.0
-    u_range = max(max(abs(pt.u_bar) for pt in points), 1e-9) * 1.05
+    u_range = max(max((abs(pt.u_bar) for pt in points), default=0.0), 1e-9) * 1.05
 
     def to_svg(theta_deg: float, u_bar: float) -> tuple[float, float]:
         sx = pad + (theta_deg / 90.0) * (width - 2 * pad)
@@ -361,45 +358,46 @@ def sweep_csv(points: list[SweepPoint]) -> str:
 # Argument handling
 
 
+def _given_form(
+    args: argparse.Namespace, group: str, *forms: tuple[str, ...]
+) -> tuple[int, list]:
+    """The index of the one form of ``group`` given in ``args``, and its
+    options' values in the form's order.
+
+    A form is given when any of its options is.  Exactly one form must be
+    given, with all of its options.
+    """
+    # argparse keeps --u-bar as args.u_bar
+    values = [[getattr(args, name[2:].replace("-", "_")) for name in form] for form in forms]
+    given = [i for i in range(len(forms)) if any(value is not None for value in values[i])]
+    if len(given) != 1:
+        raise CliError(
+            f"supply exactly one {group} form: {' or '.join('/'.join(form) for form in forms)}"
+        )
+    (index,) = given
+    missing = [name for name, value in zip(forms[index], values[index]) if value is None]
+    if missing:
+        raise CliError(f"{group} form {'/'.join(forms[index])} needs {', '.join(missing)}")
+    return index, values[index]
+
+
 def _resolve_angle(args: argparse.Namespace) -> WedgeAngle:
-    has_theta = args.theta_deg is not None
-    has_pq = getattr(args, "p", None) is not None or getattr(args, "q", None) is not None
-    if has_theta == has_pq:
-        raise CliError("supply exactly one of --theta-deg or the pair --p/--q")
-    if has_theta:
-        return WedgeAngle.from_degrees(args.theta_deg)
-    if args.p is None or args.q is None:
-        raise CliError("--p and --q must be given together")
-    return critical_angle(OrbitSpec(args.p, args.q))
+    form, values = _given_form(args, "angle", ("--theta-deg",), ("--p", "--q"))
+    if form == 0:
+        return WedgeAngle.from_degrees(*values)
+    return critical_angle(OrbitSpec(*values))
 
 
 def _resolve_launch(args: argparse.Namespace, angle: WedgeAngle) -> CartesianState:
-    wall_given = args.wall is not None
-    cartesian_given = any(v is not None for v in (args.x, args.y, args.u, args.w))
-    if wall_given == cartesian_given:
-        raise CliError(
-            "supply exactly one launch form: --wall/--s/--u-bar/--w-bar "
-            "or --x/--y/--u/--w"
-        )
-    if wall_given:
-        missing = [
-            name
-            for name, value in (("--s", args.s), ("--u-bar", args.u_bar), ("--w-bar", args.w_bar))
-            if value is None
-        ]
-        if missing:
-            raise CliError(f"wall-relative launch needs {', '.join(missing)}")
-        if args.w_bar < 0:
-            raise CliError("--w-bar must be nonnegative (outgoing launch)")
-        return launch_from_wall(Wall(args.wall), args.s, args.u_bar, args.w_bar, angle)
-    missing = [
-        name
-        for name, value in (("--x", args.x), ("--y", args.y), ("--u", args.u), ("--w", args.w))
-        if value is None
-    ]
-    if missing:
-        raise CliError(f"cartesian launch needs {', '.join(missing)}")
-    return CartesianState(args.x, args.y, args.u, args.w, 0.0)
+    form, values = _given_form(
+        args, "launch", ("--wall", "--s", "--u-bar", "--w-bar"), ("--x", "--y", "--u", "--w")
+    )
+    if form == 1:
+        return CartesianState(*values, 0.0)
+    wall, s, u_bar, w_bar = values
+    if w_bar < 0:
+        raise CliError("--w-bar must be nonnegative (outgoing launch)")
+    return launch_from_wall(Wall(wall), s, u_bar, w_bar, angle)
 
 
 def _resolve_format(args: argparse.Namespace) -> OutputFormat:

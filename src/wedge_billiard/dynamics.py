@@ -75,10 +75,6 @@ class CartesianState:
     def position(self) -> tuple[float, float]:
         return self.x, self.y
 
-    @property
-    def momentum(self) -> tuple[float, float]:
-        return self.u, self.w
-
 
 @dataclass(frozen=True, slots=True)
 class RotatingFrameMomentum:
@@ -523,6 +519,8 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
 def _validate_run(initial: CartesianState, angle: WedgeAngle, n: int) -> None:
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
+    if not math.isfinite(initial.t):
+        raise ValueError(f"launch clock must be finite, got {initial.t!r}")
     if not contains(initial.position, angle):
         raise ValueError(f"launch position {initial.position} lies outside the wedge")
     energy = hamiltonian(initial)
@@ -547,8 +545,8 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     Vertex hits and grazing landings end the loop with a
     :class:`Termination`, and the trajectory keeps every event produced up
     to that point.  Raises ValueError for a launch outside the wedge, with
-    energy outside (0, MAX_ENERGY], or moving out through the wall it sits
-    on.
+    energy outside (0, MAX_ENERGY], with a clock that is not finite, or
+    moving out through the wall it sits on.
     """
     _validate_run(initial, angle, n)
     columns, termination = _run(initial.x, initial.y, initial.u, initial.w, initial.t, angle, n)

@@ -121,6 +121,12 @@ class TestSimulateCommand:
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
         assert len(root.findall(".//{http://www.w3.org/2000/svg}line")) == 2
 
+    def test_unknown_suffix_is_written_as_csv(self, tmp_path):
+        txt, csv = tmp_path / "traj.txt", tmp_path / "traj.csv"
+        assert run(*SIMULATE_ARGS, "--n", "10", "--out", str(txt)) == 0
+        assert run(*SIMULATE_ARGS, "--n", "10", "--out", str(csv)) == 0
+        assert txt.read_bytes() == csv.read_bytes()
+
     def test_seed_variable_is_ignored(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(*SIMULATE_ARGS, "--n", "10", "--out", str(a)) == 0
@@ -292,7 +298,7 @@ def sweep_svg_by_points(points) -> str:
     chunked row template ``sweep_svg`` formats."""
     width, height = SVG_WIDTH, 480.0
     pad = 40.0
-    u_range = max(max(abs(pt.u_bar) for pt in points), 1e-9) * 1.05
+    u_range = max(max((abs(pt.u_bar) for pt in points), default=0.0), 1e-9) * 1.05
 
     def to_svg(theta_deg: float, u_bar: float) -> tuple[float, float]:
         sx = pad + (theta_deg / 90.0) * (width - 2 * pad)
@@ -331,14 +337,12 @@ def sweep_csv_by_rows(points) -> str:
 def assert_trajectory_exports_match(traj) -> None:
     assert trajectory_csv(traj) == csv_by_rows(traj)
     assert trajectory_json(traj) == json_by_dumps(traj)
-    if traj.events:
-        assert trajectory_svg(traj) == svg_by_points(traj)
+    assert trajectory_svg(traj) == svg_by_points(traj)
 
 
 def assert_sweep_exports_match(points) -> None:
     assert sweep_csv(points) == sweep_csv_by_rows(points)
-    if points:
-        assert sweep_svg(points) == sweep_svg_by_points(points)
+    assert sweep_svg(points) == sweep_svg_by_points(points)
 
 
 def dense60(n_events: int) -> Trajectory:
@@ -576,6 +580,19 @@ class TestSweepCommand:
         )
         assert len(circles) == n_coprime
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_empty_sweep(self, fmt, tmp_path):
+        # no coprime q > p up to 1: the header alone, or the empty frame
+        out = tmp_path / f"empty.{fmt}"
+        assert run("sweep", "--max", "1", "--half", "--out", str(out)) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            assert text == "p,q,theta_rad,theta_deg,u_bar\n"
+        else:
+            root = ET.fromstring(text)
+            assert root.findall(".//{http://www.w3.org/2000/svg}rect")
+            assert not root.findall(".//{http://www.w3.org/2000/svg}circle")
+
     @pytest.mark.parametrize(
         "name, extra", [("s.json", ()), ("s.csv", ("--format", "json"))]
     )
@@ -708,6 +725,24 @@ class TestErrorPaths:
         assert code == 3
         assert out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_stop_before_the_first_event_writes_every_format(self, fmt, tmp_path, capsys):
+        # leaves the vertex straight up and falls back into it
+        out = tmp_path / f"empty.{fmt}"
+        code = run(
+            "simulate", "--theta-deg", "60",
+            "--x", "0", "--y", "0", "--u", "0", "--w", "1",
+            "--n", "5", "--out", str(out),
+        )
+        assert code == 3
+        assert "ended early after 0 of 5 collisions" in capsys.readouterr().err
+        assert out.exists()
+        if fmt == "svg":
+            # the walls alone
+            root = ET.fromstring(out.read_text())
+            assert not root.findall(".//{http://www.w3.org/2000/svg}polyline")
+            assert len(root.findall(".//{http://www.w3.org/2000/svg}line")) == 2
+
     def test_unwritable_path_exit_code(self, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"
         assert run(*SIMULATE_ARGS, "--n", "5", "--out", str(out)) == 4
@@ -719,6 +754,45 @@ class TestErrorPaths:
             "--wall", "A", "--s", "1", "--u-bar", "0", "--w-bar", "1",
             "--out", str(out),
         ) == 2
+
+
+THETA_FORM = ("--theta-deg", "45")
+PQ_FORM = ("--p", "1", "--q", "2")
+WALL_FORM = ("--wall", "A", "--s", "1", "--u-bar", "0", "--w-bar", "1")
+CARTESIAN_FORM = ("--x", "0", "--y", "1", "--u", "0.3", "--w", "0")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        pytest.param(
+            (*THETA_FORM, *CARTESIAN_FORM, "--s", "5", "--u-bar", "3"),
+            id="partial-wall-beside-cartesian",
+        ),
+        pytest.param((*THETA_FORM, *WALL_FORM[2:]), id="wall-form-without-wall"),
+        pytest.param(("--p", "1", *WALL_FORM), id="p-without-q"),
+        pytest.param((*THETA_FORM, "--q", "2", *WALL_FORM), id="theta-with-q"),
+        pytest.param((*THETA_FORM, *CARTESIAN_FORM[:6]), id="incomplete-cartesian"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_option_group_without_one_complete_form_is_a_usage_error(
+    command, options, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    argv = (command, *options, *(("--out", str(out)) if command == "simulate" else ()))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("angle", [THETA_FORM, PQ_FORM], ids=["theta", "pq"])
+@pytest.mark.parametrize("launch", [WALL_FORM, CARTESIAN_FORM], ids=["wall", "cartesian"])
+def test_each_complete_form_is_accepted(angle, launch, tmp_path):
+    out = tmp_path / "x.csv"
+    assert run("simulate", *angle, *launch, "--n", "5", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 6
 
 
 def test_render_plot_dispatches_on_data(tmp_path):

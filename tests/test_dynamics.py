@@ -226,7 +226,8 @@ class TestSimulate:
             )
             assert event.rotating_post.w_bar >= 0.0
             tangent, normal = wall_axes(event.wall, angle)
-            p_pre, p = np.array(event.pre.momentum), np.array(event.post.momentum)
+            pre, post = event.pre, event.post
+            p_pre, p = np.array((pre.u, pre.w)), np.array((post.u, post.w))
             # a specular reflection keeps the tangential component and
             # reverses the normal one
             assert p @ tangent == pytest.approx(p_pre @ tangent, abs=1e-14)
@@ -332,6 +333,15 @@ class TestDecoupledSimulate:
 def periodic_12(energy: float) -> tuple[CartesianState, WedgeAngle]:
     """The launch of the (1, 2) orbit at the given energy."""
     return _periodic_launch(OrbitSpec(1, 2, energy), 0.0)
+
+
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_launch_clock_that_is_not_finite_rejected(engine, t):
+    # every event clock would be nan or inf
+    initial, angle = periodic_12(1.0)
+    with pytest.raises(ValueError, match="clock"):
+        engine(dataclasses.replace(initial, t=t), angle, 5)
 
 
 @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
@@ -626,6 +636,10 @@ class TestEventSequence:
         assert events[-1] == as_tuple[199]
         assert events[-200] == as_tuple[0]
         assert events[3] == events[3]
+        # the same columns and range, and a list, which is neither a tuple
+        # nor a sequence of events
+        assert events == events[:]
+        assert events != list(events)
         strided = events[::37]
         assert isinstance(strided, EventSequence)
         assert len(strided) == 6

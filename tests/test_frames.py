@@ -133,6 +133,6 @@ class TestWallMomentum:
         angle = WedgeAngle(1.1)
         for wall in Wall:
             state = launch_from_wall(wall, 1.0, -0.4, 0.8, angle)
-            resolved = collision_frame(state.momentum, wall, angle)
+            resolved = collision_frame((state.u, state.w), wall, angle)
             assert resolved.w_bar == pytest.approx(0.8)
             assert resolved.u_bar == pytest.approx(-0.4)

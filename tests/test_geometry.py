@@ -92,10 +92,9 @@ def wall_point(wall: Wall, s: float, angle: WedgeAngle) -> np.ndarray:
 def wall_frame(wall: Wall, angle: WedgeAngle) -> tuple[np.ndarray, np.ndarray]:
     """A wall's (tangent, inward normal): the momenta of unit launches along
     each."""
-    return (
-        np.array(launch_from_wall(wall, 1.0, 1.0, 0.0, angle).momentum),
-        np.array(launch_from_wall(wall, 1.0, 0.0, 1.0, angle).momentum),
-    )
+    tangent = launch_from_wall(wall, 1.0, 1.0, 0.0, angle)
+    normal = launch_from_wall(wall, 1.0, 0.0, 1.0, angle)
+    return np.array((tangent.u, tangent.w)), np.array((normal.u, normal.w))
 
 
 class TestContainsScale:

@@ -183,6 +183,20 @@ class TestClassifyOrbit:
         with pytest.raises(ValueError):
             classify_orbit(traj, tol)
 
+    def test_return_that_does_not_repeat_is_dense(self):
+        # event 3 is event 0 again, but event 4 is not event 1
+        angle = WedgeAngle.from_degrees(60)
+        dense = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 8)
+        traj = with_events(dense, [0, 1, 2, 0, 4, 5, 6, 7])
+        assert classify_orbit(traj) == classify_by_event_loop(traj) == OrbitClass(OrbitKind.DENSE)
+
+    @pytest.mark.parametrize(
+        "period, hits_a, hits_b", [(None, 1, 2), (3, None, 2), (3, 1, None), (4, 1, 2)]
+    )
+    def test_periodic_class_needs_consistent_counts(self, period, hits_a, hits_b):
+        with pytest.raises(ValueError):
+            OrbitClass(OrbitKind.PERIODIC, period, hits_a, hits_b)
+
     def test_too_short_without_termination_rejected(self):
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=1)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests."""
+"""Every public name of the package, and every public member of its
+classes, has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -23,24 +24,46 @@ def module_level_names(path: Path) -> set[str]:
     return names
 
 
-def referenced_names(paths) -> set[str]:
-    """The names that code in ``paths`` reads, bare or as an attribute;
-    docstrings and comments do not count."""
-    names = set()
+def class_members(path: Path) -> set[str]:
+    """The public methods and properties of the classes a module defines at
+    its top level."""
+    return {
+        member.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    }
+
+
+def referenced_names(paths) -> tuple[set[str], set[str]]:
+    """The names that code in ``paths`` reads bare, and the names it reads
+    as an attribute; docstrings and comments do not count."""
+    bare, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return bare, attributes
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+# the code outside the tests that may call the package
+CALLERS = [path for path in MODULES if path.name != "__init__.py"]
+CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def test_every_public_name_has_a_caller():
-    modules = sorted(PACKAGE.glob("*.py"))
     public = set(wedge_billiard.__all__)
-    for path in modules:
+    for path in MODULES:
         public |= {name for name in module_level_names(path) if not name.startswith("_")}
-    callers = [path for path in modules if path.name != "__init__.py"]
-    callers += sorted((ROOT / "perfbench").glob("*.py"))
-    assert sorted(public - referenced_names(callers)) == []
+    bare, attributes = referenced_names(CALLERS)
+    assert sorted(public - bare - attributes) == []
+
+
+def test_every_public_class_member_is_read_as_an_attribute():
+    members = set().union(*map(class_members, MODULES))
+    _, attributes = referenced_names(CALLERS)
+    assert sorted(members - attributes) == []
