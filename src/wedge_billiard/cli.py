@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 
 from .collision_maps import MapId, fixed_point
@@ -108,6 +108,16 @@ def _format_rows(
         yield "\n".join([template] * (hi - lo)) % tuple(values(lo, hi))
 
 
+def _lines(*parts: Iterable[str]) -> Iterator[str]:
+    """Each piece of each part, then a newline: ``"\\n".join([*pieces, ""])``
+    a piece at a time.  Every export is the join of such a generator, and
+    is written to its file as the pieces are made."""
+    for part in parts:
+        for piece in part:
+            yield piece
+            yield "\n"
+
+
 _WALL_NAMES = tuple(wall.value for wall in WALLS)
 
 
@@ -141,7 +151,7 @@ def _event_rows(traj: Trajectory, lo: int, hi: int, width: int) -> list:
 _CSV_ROW = ",".join(["%d", "%.17g", "%s", *["%.17g"] * (len(CSV_COLUMNS) - 3)])
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def _trajectory_csv_lines(traj: Trajectory) -> Iterator[str]:
     # u_pre and w_pre are exported to JSON only
     rows = _format_rows(
         _CSV_ROW,
@@ -149,7 +159,7 @@ def trajectory_csv(traj: Trajectory) -> str:
         lambda lo, hi: _event_rows(traj, lo, hi, len(CSV_COLUMNS)),
         _CHUNK_ROWS,
     )
-    return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
+    return _lines([",".join(CSV_COLUMNS)], rows)
 
 
 def _state_dict(s: CartesianState) -> dict:
@@ -170,7 +180,7 @@ _JSON_ROW = _json_row_template()
 _JSON_NON_FINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
 
 
-def trajectory_json(traj: Trajectory) -> str:
+def _trajectory_json_lines(traj: Trajectory) -> Iterator[str]:
     """The trajectory as ``json.dumps(doc, indent=2)`` writes it.
 
     The event rows are formatted from a template, a chunk of rows at a
@@ -187,39 +197,51 @@ def trajectory_json(traj: Trajectory) -> str:
         "initial": _state_dict(traj.initial),
         "events": [],
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2)
     if not traj.events:
-        return text
-    # every row ends in the comma that separates it from the next one
-    rows = []
-    for chunk in _format_rows(
+        return _lines([text])
+    # in place of the empty events list that ends the document
+    return _lines([text.removesuffix("[]\n}") + "["], _json_rows(traj), ["  ]\n}"])
+
+
+def _json_rows(traj: Trajectory) -> Iterator[str]:
+    """The JSON export's event rows, a chunk at a time, with a comma after
+    every row but the last."""
+    chunks = _format_rows(
         _JSON_ROW + ",",
         len(traj.events),
         lambda lo, hi: _event_rows(traj, lo, hi, len(CSV_COLUMNS) + 2),
         _CHUNK_ROWS,
-    ):
+    )
+    previous = None
+    for chunk in chunks:
         for python, json_text in _JSON_NON_FINITE:
             chunk = chunk.replace(python, json_text)
-        rows.append(chunk)
-    rows[-1] = rows[-1].removesuffix(",")
-    # in place of the empty events list that ends the document
-    return "\n".join([text.removesuffix("[]\n}\n") + "[", *rows, "  ]\n}\n"])
+        if previous is not None:
+            yield previous
+        previous = chunk
+    yield previous.removesuffix(",")
 
 
 def export_trajectory(traj: Trajectory, fmt: OutputFormat, path: str) -> None:
     """Write a trajectory to disk in the requested format."""
-    render = {
-        OutputFormat.CSV: trajectory_csv,
-        OutputFormat.JSON: trajectory_json,
-        OutputFormat.SVG: trajectory_svg,
+    lines = {
+        OutputFormat.CSV: _trajectory_csv_lines,
+        OutputFormat.JSON: _trajectory_json_lines,
+        OutputFormat.SVG: _trajectory_svg_lines,
     }[fmt]
-    _write_text(path, render(traj))
+    _write_text(path, lines(traj))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces: Iterator[str]) -> None:
+    """Write ``pieces`` to ``path`` as they are made.  The file is opened
+    once the first piece is made, so a render that fails up front leaves
+    no file."""
+    first = next(pieces)
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(pieces)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
@@ -228,12 +250,13 @@ def _write_text(path: str, text: str) -> None:
 # SVG rendering
 
 
-def _svg_document(width: float, height: float, body: list[str]) -> str:
+def _svg_document(width: float, height: float, *body: Iterable[str]) -> Iterator[str]:
+    """The SVG document around the lines of ``body``'s parts."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.6g} {height:.6g}">'
     )
-    return "\n".join([head, *body, "</svg>", ""])
+    return _lines([head], *body, ["</svg>"])
 
 
 _SVG_ARC = (
@@ -243,7 +266,7 @@ _SVG_ARC = (
 )
 
 
-def trajectory_svg(traj: Trajectory) -> str:
+def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
     """Configuration-space picture: wedge walls plus one polyline per flight arc.
 
     The viewport frames the reachable box for the trajectory's energy with a
@@ -290,68 +313,92 @@ def trajectory_svg(traj: Trajectory) -> str:
             points = np.stack(((x - x_min) * scale, (y_max - y) * scale), axis=-1)
         return points.ravel().tolist()
 
-    body = []
+    walls = []
     for end in corners[1:3]:
         (x1, y1), (x2, y2) = to_svg(*corners[0]), to_svg(*end)
-        body.append(
+        walls.append(
             f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
             f'stroke="black" stroke-width="2"/>'
         )
-    body.extend(_format_rows(_SVG_ARC, len(traj.events), arc_points, _CHUNK_ARCS))
+    labels = []
     label_x, label_y = to_svg(x_max - margin, y_min + margin)
-    body.append(f'<text x="{label_x - 20:.1f}" y="{label_y:.1f}" font-size="14">x</text>')
+    labels.append(f'<text x="{label_x - 20:.1f}" y="{label_y:.1f}" font-size="14">x</text>')
     label_x, label_y = to_svg(x_min + margin, y_max - margin)
-    body.append(f'<text x="{label_x:.1f}" y="{label_y + 20:.1f}" font-size="14">y</text>')
-    return _svg_document(SVG_WIDTH, height, body)
+    labels.append(f'<text x="{label_x:.1f}" y="{label_y + 20:.1f}" font-size="14">y</text>')
+    yield from _svg_document(
+        SVG_WIDTH,
+        height,
+        walls,
+        _format_rows(_SVG_ARC, len(traj.events), arc_points, _CHUNK_ARCS),
+        labels,
+    )
 
 
-def sweep_svg(points: list[SweepPoint]) -> str:
+# what math.degrees multiplies by, bit for bit
+_RAD_TO_DEG = 180.0 / math.pi
+
+
+def _sweep_svg_lines(points: list[SweepPoint]) -> Iterator[str]:
     """Scatter of periodic-orbit seeds: angle in degrees against u_bar; no
     points give the empty frame."""
     width, height = SVG_WIDTH, 480.0
     pad = 40.0
     u_range = max(max((abs(pt.u_bar) for pt in points), default=0.0), 1e-9) * 1.05
-
-    def to_svg(theta_deg: float, u_bar: float) -> tuple[float, float]:
-        sx = pad + (theta_deg / 90.0) * (width - 2 * pad)
-        sy = pad + (1.0 - (u_bar + u_range) / (2.0 * u_range)) * (height - 2 * pad)
-        return sx, sy
+    x_span, y_span, u_span = width - 2 * pad, height - 2 * pad, 2.0 * u_range
 
     def centres(lo: int, hi: int) -> list[float]:
-        return [v for pt in points[lo:hi] for v in to_svg(math.degrees(pt.theta), pt.u_bar)]
+        # each point's angle in degrees, then its u_bar, scaled to the frame
+        return [
+            v
+            for pt in points[lo:hi]
+            for v in (
+                pad + (pt.theta * _RAD_TO_DEG / 90.0) * x_span,
+                pad + (1.0 - (pt.u_bar + u_range) / u_span) * y_span,
+            )
+        ]
 
-    body = [
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
-        f'height="{height - 2 * pad}" fill="none" stroke="black"/>',
-        *_format_rows(
+    return _svg_document(
+        width,
+        height,
+        [
+            f'<rect x="{pad}" y="{pad}" width="{x_span}" '
+            f'height="{y_span}" fill="none" stroke="black"/>'
+        ],
+        _format_rows(
             '<circle cx="%.3f" cy="%.3f" r="2" fill="#1f77b4"/>', len(points), centres, _CHUNK_ROWS
         ),
-        f'<text x="{width / 2:.1f}" y="{height - 8:.1f}" font-size="14" '
-        f'text-anchor="middle">theta (degrees)</text>',
-        f'<text x="12" y="{height / 2:.1f}" font-size="14" '
-        f'transform="rotate(-90 12 {height / 2:.1f})" text-anchor="middle">u_bar</text>',
-    ]
-    return _svg_document(width, height, body)
+        [
+            f'<text x="{width / 2:.1f}" y="{height - 8:.1f}" font-size="14" '
+            f'text-anchor="middle">theta (degrees)</text>',
+            f'<text x="12" y="{height / 2:.1f}" font-size="14" '
+            f'transform="rotate(-90 12 {height / 2:.1f})" text-anchor="middle">u_bar</text>',
+        ],
+    )
 
 
 def render_plot(data: Trajectory | list[SweepPoint], path: str) -> None:
-    """Render a trajectory or a list of sweep points to a self-contained SVG."""
+    """Render a trajectory or a list of sweep points to a self-contained
+    SVG, written a chunk at a time."""
     if isinstance(data, Trajectory):
-        _write_text(path, trajectory_svg(data))
+        _write_text(path, _trajectory_svg_lines(data))
     else:
-        _write_text(path, sweep_svg(data))
+        _write_text(path, _sweep_svg_lines(data))
 
 
-def sweep_csv(points: list[SweepPoint]) -> str:
+def _sweep_csv_lines(points: list[SweepPoint]) -> Iterator[str]:
     def fields(lo: int, hi: int) -> list:
         return [
             v
             for pt in points[lo:hi]
-            for v in (pt.p, pt.q, pt.theta, math.degrees(pt.theta), pt.u_bar)
+            for v in (pt.p, pt.q, pt.theta, pt.theta * _RAD_TO_DEG, pt.u_bar)
         ]
 
     rows = _format_rows("%d,%d,%.17g,%.17g,%.17g", len(points), fields, _CHUNK_ROWS)
-    return "\n".join(["p,q,theta_rad,theta_deg,u_bar", *rows, ""])
+    return _lines(["p,q,theta_rad,theta_deg,u_bar"], rows)
+
+
+def sweep_csv(points: list[SweepPoint]) -> str:
+    return "".join(_sweep_csv_lines(points))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +498,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if fmt is OutputFormat.SVG:
         render_plot(points, args.out)
     else:
-        _write_text(args.out, sweep_csv(points))
+        _write_text(args.out, _sweep_csv_lines(points))
     return EXIT_OK
 
 

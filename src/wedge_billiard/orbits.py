@@ -21,6 +21,7 @@ energy box ``[0, E/cos(theta)] x [0, E/sin(theta)]`` of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,8 +47,9 @@ DEFAULT_PERIODICITY_TOL = 1e-8
 # of a grid cell diagonal.
 COVERAGE_STEP_FRACTION = 0.01
 # Arcs rasterized per numpy pass, so that no temporary array grows with the
-# horizon.
-_COVERAGE_CHUNK_ARCS = 16
+# horizon.  Each pass makes about 60 numpy calls; the result does not depend
+# on the chunk size.
+_COVERAGE_CHUNK_ARCS = 64
 
 SENSITIVITY_COLLISIONS = 1000
 
@@ -103,7 +105,7 @@ class OrbitClass:
                 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SweepPoint:
     """One periodic-orbit seed in (theta, u_bar) space."""
 
@@ -111,6 +113,19 @@ class SweepPoint:
     q: int
     theta: float
     u_bar: float
+
+    def __init__(self, p: int, q: int, theta: float, u_bar: float) -> None:
+        # slot setters, as in MapState: the generated frozen __init__ costs
+        # half as much again per point of a sweep
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_theta(self, theta)
+        _set_u_bar(self, u_bar)
+
+
+_set_p, _set_q, _set_theta, _set_u_bar = (
+    getattr(SweepPoint, f).__set__ for f in SweepPoint.__slots__
+)
 
 
 def critical_angle(spec: OrbitSpec) -> WedgeAngle:
@@ -361,22 +376,33 @@ def sweep_periodic_points(
     """Periodic-orbit seeds (theta*, u_bar*) for all coprime pairs in range.
 
     With ``half=True`` only pairs with q > p are kept, restricting the
-    angles to (0, pi/4).  Points are sorted by angle; coprimality already
-    makes them unique.
+    angles to (0, pi/4).  Points come in increasing angle: the fractions
+    p/q are walked in Farey order, so no gcd is taken and nothing is
+    sorted.
     """
+    p_max, q_max = operator.index(p_max), operator.index(q_max)
     if p_max < 1 or q_max < 1:
         raise ValueError("sweep bounds must be at least 1")
     if not math.isfinite(energy) or energy <= 0.0:
         raise ValueError(f"energy must be positive and finite, got {energy!r}")
     root_e = math.sqrt(energy)
+    atan2 = math.atan2
     points = []
-    for p in range(1, p_max + 1):
-        q_start = p + 1 if half else 1
-        for q in range(q_start, q_max + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            points.append(
-                SweepPoint(p, q, math.atan2(p, q), root_e * (q - p) / (q + p))
-            )
-    points.sort(key=lambda pt: pt.theta)
+    append = points.append
+    # Neighbours a/b < c/d among the fractions with p <= p_max, q <= q_max
+    # have bc - ad = 1, and the next one is (kc - a)/(kd - b) for the largest
+    # k that stays in range (Hardy & Wright, ch. III).  So the walk from 0/1,
+    # 1/q_max meets every fraction once, in lowest terms.  Their angles
+    # increase strictly as computed: tan(theta' - theta) = (bc - ad)/(bd + ac)
+    # = 1/(bd + ac), at least 1/(p_max**2 + q_max**2), far above atan2's
+    # rounding at any bound whose points fit in memory.  So this is the
+    # order of a stable sort by angle.
+    a, b, c, d = 0, 1, 1, q_max
+    # up to p_max/1, or below 1/1 with half; past p_max/1 the rule gives
+    # d <= 0, which ends the walk
+    limit = 1 if half else p_max + 1
+    while c < limit * d:
+        append(SweepPoint(c, d, atan2(c, d), root_e * (d - c) / (d + c)))
+        k = min((q_max + b) // d, (p_max + a) // c)
+        a, b, c, d = c, d, k * c - a, k * d - b
     return points

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from wedge_billiard import CartesianState, Trajectory, Wall, WedgeAngle, launch_from_wall
-from wedge_billiard.cli import trajectory_json
+from wedge_billiard.cli import (
+    _sweep_svg_lines,
+    _trajectory_csv_lines,
+    _trajectory_json_lines,
+    _trajectory_svg_lines,
+)
 from wedge_billiard.dynamics import (
     WALLS,
     EventColumns,
@@ -23,6 +28,24 @@ settings.register_profile(
     "ci", derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
+
+
+# Each export as one string: the join of the pieces the command line writes
+# to its file as they are made.
+def trajectory_csv(traj: Trajectory) -> str:
+    return "".join(_trajectory_csv_lines(traj))
+
+
+def trajectory_json(traj: Trajectory) -> str:
+    return "".join(_trajectory_json_lines(traj))
+
+
+def trajectory_svg(traj: Trajectory) -> str:
+    return "".join(_trajectory_svg_lines(traj))
+
+
+def sweep_svg(points) -> str:
+    return "".join(_sweep_svg_lines(points))
 
 
 def coprime_pairs(limit: int):

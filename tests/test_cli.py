@@ -31,19 +31,19 @@ from wedge_billiard import (
 from wedge_billiard.cli import (
     _CHUNK_ARCS,
     _CHUNK_ROWS,
+    _RAD_TO_DEG,
     _SVG_ARC_STEPS,
     CSV_COLUMNS,
     SVG_MARGIN_FRACTION,
     SVG_WIDTH,
+    OutputFormat,
     _event_rows,
     _svg_document,
     build_parser,
+    export_trajectory,
     main,
+    render_plot,
     sweep_csv,
-    sweep_svg,
-    trajectory_csv,
-    trajectory_json,
-    trajectory_svg,
 )
 from wedge_billiard.dynamics import WALLS, wedge_energies
 from wedge_billiard.geometry import config_bounds, from_wedge, to_wedge
@@ -57,6 +57,10 @@ from conftest import (
     random_angle,
     random_launch,
     read_trajectory_json,
+    sweep_svg,
+    trajectory_csv,
+    trajectory_json,
+    trajectory_svg,
     with_values,
 )
 from test_dynamics import edge_launches
@@ -137,7 +141,8 @@ class TestSimulateCommand:
 
 # The paper's 60-degree launch and the first launch the acceptance suite
 # draws from seed 977, each 200 collisions; the sweep table and scatter up
-# to p, q = 25; and three periods of the (2, 5) orbit.
+# to p, q = 25, and up to 150 (whole, half and at E = 1e-9 up to 40); and
+# three periods of the (2, 5) orbit.
 GOLDEN_LAUNCHES = {
     "dense60": SIMULATE_ARGS + ("--n", "200"),
     "seed977": (
@@ -146,6 +151,9 @@ GOLDEN_LAUNCHES = {
         "--w-bar", "1.4013097017164222", "--n", "200",
     ),
     "sweep25": ("sweep", "--max", "25"),
+    "sweep150": ("sweep", "--max", "150"),
+    "sweep150half": ("sweep", "--max", "150", "--half"),
+    "sweep40tiny": ("sweep", "--max", "40", "--energy", "1e-09"),
     "orbit25": ("periodic", "--p", "2", "--q", "5", "--periods", "3"),
 }
 
@@ -162,6 +170,13 @@ GOLDEN_EXPORTS = {
     ("sweep25", "csv"): ("8c314117e1f4353c43b6df0d3f3e2e61d7f03f0c2b9b7531e106de1b6108db9d", 25273),
     ("sweep25", "svg"): ("ec8355b6c7547698a3336339be13ff0097d1bfe4729c968a64f416b82b0a5d32", 23039),
     ("orbit25", "svg"): ("a8d54e7e5708ee1838a333c5a214aa695c5020ea22d20a0dcb18d0988b773971", 23627),
+    # written by the gcd-and-sort sweep at commit b41b08c
+    ("sweep150", "csv"): ("a3bd9bdf34c8799358fa9cfa673003e1c2ef9009443af1d132331135c2f0e859", 898029),
+    ("sweep150", "svg"): ("d2e11da53326f1c2192f7b5e4635cd95f17612af031d0fd9b7166948fede573a", 779866),
+    ("sweep150half", "csv"): ("5f70ebdf14636221b0ab1520608899c40db2a4de9a988907ab95ab9f6cf99f55", 448191),
+    ("sweep150half", "svg"): ("75ffff3c2fbd264881278dccbb33ff6f05d54355ae31ff66a05bdf03f7e5575f", 388960),
+    ("sweep40tiny", "csv"): ("53fbf85fa55f678aa58811ab6a53d4e4ff0a5d40127192c00733ed783d263cf2", 65939),
+    ("sweep40tiny", "svg"): ("60580a5ac8585b636c2baa75634ad267e24e18c7a9f6a22dee31ceed9c0dc41f", 56003),
 }
 
 
@@ -290,7 +305,7 @@ def svg_by_points(traj) -> str:
     body.append(f'<text x="{label_x - 20:.1f}" y="{label_y:.1f}" font-size="14">x</text>')
     label_x, label_y = to_svg(x_min + margin, y_max - margin)
     body.append(f'<text x="{label_x:.1f}" y="{label_y + 20:.1f}" font-size="14">y</text>')
-    return _svg_document(SVG_WIDTH, height, body)
+    return "".join(_svg_document(SVG_WIDTH, height, body))
 
 
 def sweep_svg_by_points(points) -> str:
@@ -320,7 +335,7 @@ def sweep_svg_by_points(points) -> str:
         f'<text x="12" y="{height / 2:.1f}" font-size="14" '
         f'transform="rotate(-90 12 {height / 2:.1f})" text-anchor="middle">u_bar</text>'
     )
-    return _svg_document(width, height, body)
+    return "".join(_svg_document(width, height, body))
 
 
 def sweep_csv_by_rows(points) -> str:
@@ -508,6 +523,54 @@ def test_chunked_exports_working_set_does_not_grow():
 
     for (render, _, small), (_, _, large) in zip(renderers(500), renderers(5000)):
         assert working_set(render, large) <= working_set(render, small) + 32 * 1024, render.__name__
+
+
+def test_degrees_constant_is_math_degrees_bit_for_bit():
+    thetas = [pt.theta for pt in sweep_periodic_points(150, 150)]
+    assert bits([theta * _RAD_TO_DEG for theta in thetas]).tolist() == bits(
+        [math.degrees(theta) for theta in thetas]
+    ).tolist()
+
+
+class TestWrittenInChunks:
+    """Exports and plots are written to their files a chunk at a time."""
+
+    def test_files_are_the_joined_exports(self, tmp_path):
+        traj = dense60(2 * _CHUNK_ROWS + 1)
+        renders = {
+            OutputFormat.CSV: trajectory_csv,
+            OutputFormat.JSON: trajectory_json,
+            OutputFormat.SVG: trajectory_svg,
+        }
+        for fmt, render in renders.items():
+            path = tmp_path / f"traj.{fmt.value}"
+            export_trajectory(traj, fmt, str(path))
+            assert path.read_text() == render(traj)
+        points = sweep_periodic_points(25, 25)
+        for data, render in ((traj, trajectory_svg), (points, sweep_svg)):
+            path = tmp_path / "plot.svg"
+            render_plot(data, str(path))
+            assert path.read_text() == render(data)
+
+    def test_plot_peaks_below_its_file_size(self, tmp_path):
+        path = tmp_path / "dense.svg"
+        traj = dense60(5000)
+        render_plot(traj, str(path))  # leaves out what only a first call allocates
+        tracemalloc.start()
+        try:
+            render_plot(traj, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
+    def test_plot_failing_up_front_leaves_no_file(self, tmp_path):
+        # a launch at rest at the vertex has no energy, so no box to draw
+        traj = dataclasses.replace(dense60(3), initial=CartesianState(0.0, 0.0, 0.0, 0.0))
+        path = tmp_path / "traj.svg"
+        with pytest.raises(ValueError, match="energy must be positive"):
+            render_plot(traj, str(path))
+        assert not path.exists()
 
 
 class TestPeriodicCommand:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -24,9 +26,18 @@ from wedge_billiard import (
 from wedge_billiard.dynamics import EventColumns, EventSequence, Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
 from wedge_billiard.geometry import to_wedge
-from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, _periodic_launch
+from wedge_billiard import orbits
+from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, SweepPoint, _periodic_launch
 
-from conftest import coprime_pairs, flights, random_angle, random_launch, with_events, with_values
+from conftest import (
+    bits,
+    coprime_pairs,
+    flights,
+    random_angle,
+    random_launch,
+    with_events,
+    with_values,
+)
 
 
 class TestOrbitSpec:
@@ -394,6 +405,23 @@ class TestCoverageAgainstSampling:
             for grid in COVERAGE_GRIDS:
                 assert coverage_fraction(sub, grid) == coverage_by_sampling(sub, grid)
 
+    @pytest.mark.parametrize("launch", ["dense60", "seed977"])
+    def test_chunk_size_does_not_change_the_value(self, launch, monkeypatch):
+        if launch == "dense60":
+            angle = WedgeAngle.from_degrees(60)
+            initial = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
+        else:
+            rng = np.random.default_rng(977)
+            angle = random_angle(rng)
+            initial = random_launch(rng, angle)
+        traj = simulate(initial, angle, 500)
+        n = len(traj.events)
+        values = set()
+        for chunk in (1, 16, 64, n + 1):
+            monkeypatch.setattr(orbits, "_COVERAGE_CHUNK_ARCS", chunk)
+            values.add(coverage_fraction(traj, (64, 64)))
+        assert len(values) == 1
+
     def test_memory_does_not_grow_with_the_horizon(self):
         angle = WedgeAngle.from_degrees(60)
         traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 5000)
@@ -479,3 +507,83 @@ class TestSweep:
             mirror = points[(q, p)]
             assert mirror.theta == pytest.approx(math.pi / 2 - pt.theta, abs=1e-13)
             assert mirror.u_bar == pytest.approx(-pt.u_bar, abs=1e-13)
+
+    @pytest.mark.parametrize("bound", [2.5, 3.0, "3", None])
+    def test_bounds_must_be_integers(self, bound):
+        with pytest.raises(TypeError):
+            sweep_periodic_points(bound, 3)
+        with pytest.raises(TypeError):
+            sweep_periodic_points(3, bound)
+
+    def test_integer_like_bounds_accepted(self):
+        assert sweep_periodic_points(np.int64(4), np.int64(3)) == sweep_periodic_points(4, 3)
+
+
+def sweep_by_gcd_and_sort(p_max, q_max, energy, half):
+    """Every coprime pair by a double loop, sorted by angle: the reference
+    for the Farey walk ``sweep_periodic_points`` takes."""
+    root_e = math.sqrt(energy)
+    points = [
+        SweepPoint(p, q, math.atan2(p, q), root_e * (q - p) / (q + p))
+        for p in range(1, p_max + 1)
+        for q in range(p + 1 if half else 1, q_max + 1)
+        if math.gcd(p, q) == 1
+    ]
+    points.sort(key=lambda pt: pt.theta)
+    return points
+
+
+def sweep_bits(points) -> tuple:
+    return (
+        [(pt.p, pt.q) for pt in points],
+        bits([pt.theta for pt in points]).tolist(),
+        bits([pt.u_bar for pt in points]).tolist(),
+    )
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("energy", [1e-9, 1.0, 1e200])
+def test_farey_walk_is_the_sorted_enumeration_bit_for_bit(half, energy):
+    bounds = [(p, q) for p in range(1, 31) for q in range(1, 31)]
+    for p_max, q_max in [*bounds, (57, 44), (150, 150), (301, 299)]:
+        expected = sweep_bits(sweep_by_gcd_and_sort(p_max, q_max, energy, half))
+        assert sweep_bits(sweep_periodic_points(p_max, q_max, energy, half)) == expected, (
+            p_max,
+            q_max,
+        )
+
+
+class TestSweepPoint:
+    point = SweepPoint(2, 5, math.atan2(2, 5), 3 / 7)
+
+    def test_keyword_construction_equals_positional(self):
+        keywords = SweepPoint(u_bar=3 / 7, theta=math.atan2(2, 5), q=5, p=2)
+        assert keywords == self.point
+        assert hash(keywords) == hash(self.point)
+        assert SweepPoint(2, 5, self.point.theta, 0.0) != self.point
+
+    def test_repr(self):
+        assert repr(self.point) == (
+            f"SweepPoint(p=2, q=5, theta={self.point.theta!r}, u_bar={3 / 7!r})"
+        )
+
+    def test_copies(self):
+        for copied in (
+            pickle.loads(pickle.dumps(self.point)),
+            copy.copy(self.point),
+            copy.deepcopy(self.point),
+        ):
+            assert copied == self.point and type(copied) is SweepPoint
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.point.p = 3
+        assert not hasattr(self.point, "__dict__")
+
+    def test_replace(self):
+        moved = dataclasses.replace(self.point, u_bar=-1.0)
+        assert (moved.p, moved.q, moved.theta, moved.u_bar) == (2, 5, self.point.theta, -1.0)
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(TypeError):
+            SweepPoint(2, 5, 0.1)
