@@ -126,8 +126,10 @@ def _event_rows(traj: Trajectory, lo: int, hi: int, width: int) -> list:
     after row: the event index, then the values in ``CSV_COLUMNS`` order,
     and ``u_pre, w_pre`` too if ``width`` is 16.
 
-    Worked out in Python floats from the engine's columns, as
-    ``collision_frame`` works out an event's ``u_bar, w_bar``.
+    Worked out in Python floats from the engine's stored columns.  An
+    event's ``u_bar, w_bar`` is its wedge-frame outgoing momentum, swapped
+    on wall B, as :attr:`~wedge_billiard.dynamics.CollisionEvent.rotating_post`
+    works it out.
     """
     events = traj.events[lo:hi]
     sin_t, cos_t = traj.theta.sin, traj.theta.cos

@@ -23,10 +23,12 @@ holds that rule written out, so that an event makes no Python function
 call; :func:`_first_hit` is the oracle's copy, and a test pins the two
 copies to the same bits.
 
-Both write each event's floats to :class:`EventColumns`.
-:attr:`Trajectory.events` builds a :class:`CollisionEvent` only when one is
-asked for, and its ``pre``, ``post`` and ``rotating_post`` only when first
-read, and keeps them.  Only the oracle and the columns' numpy views load numpy.
+Both write each event's wall code and floats to :class:`EventColumns`,
+which holds only those and the angle's trig.  :attr:`Trajectory.events`
+builds a :class:`CollisionEvent` only when one is asked for, and its
+``pre``, ``post`` and ``rotating_post`` only when first read, and keeps
+them; ``rotating_post`` is worked out from the stored outgoing momentum and
+wall.  Only the oracle and the columns' numpy views load numpy.
 """
 
 from __future__ import annotations
@@ -131,7 +133,15 @@ class CollisionEvent:
         parts = self._parts
         if parts[2] is None:
             cols, i = parts[3], parts[4]
-            parts[2] = cols.collision_frame(cols.wall[i], cols.u[i], cols.w[i])
+            u, w, sin_t, cos_t = cols.u[i], cols.w[i], cols.sin_t, cols.cos_t
+            # to_wedge written out; wall A's tangent and inward normal are
+            # the wedge axes, and wall B's the same axes swapped
+            u_bar, w_bar = u * sin_t + w * cos_t, -u * cos_t + w * sin_t
+            if cols.wall[i]:
+                u_bar, w_bar = w_bar, u_bar
+            frame = parts[2] = _new(RotatingFrameMomentum)
+            _set(frame, "u_bar", u_bar)
+            _set(frame, "w_bar", w_bar)
         return parts[2]
 
     def __reduce__(self):
@@ -157,19 +167,21 @@ class Termination:
 WALLS = (Wall.A, Wall.B)
 
 
+# The columns an engine writes: the only names EventSequence reads
+_COLUMN_NAMES = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w")
+
+
 class EventColumns:
     """Per-event columns written by the event loops, one entry per collision.
 
     ``wall`` holds the index of the wall in :data:`WALLS`, ``t`` the clock,
     ``x, y`` the collision point, ``u_pre, w_pre`` the landing momentum and
-    ``u, w`` the reflected one.  An event's ``pre``, ``post`` and
-    ``rotating_post`` are built from its row when first read, then kept.
-    The collision-frame momentum ``u_bar, w_bar`` is not stored:
-    :meth:`collision_frame` works it out from ``(u, w)`` and the wall.  Wall
-    A's tangent and inward normal are the wedge axes, and wall B's swapped.
+    ``u, w`` the reflected one.  ``sin_t, cos_t`` are the wedge angle's
+    trig, which :attr:`CollisionEvent.rotating_post` reads.  Nothing derived
+    from the columns is stored.
     """
 
-    __slots__ = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w", "sin_t", "cos_t")
+    __slots__ = (*_COLUMN_NAMES, "sin_t", "cos_t")
 
     def __init__(self, angle: WedgeAngle):
         self.wall = array("B")
@@ -177,34 +189,6 @@ class EventColumns:
         self.u_pre, self.w_pre = array("d"), array("d")
         self.u, self.w = array("d"), array("d")
         self.sin_t, self.cos_t = angle.sin, angle.cos
-
-    def collision_frame(self, code: int, u: float, w: float) -> RotatingFrameMomentum:
-        """Outgoing momentum ``(u, w)`` in the frame of wall ``WALLS[code]``."""
-        # to_wedge and the frame's __init__ written out: two Python calls fewer per frame
-        u_tilde, w_tilde = u * self.sin_t + w * self.cos_t, -u * self.cos_t + w * self.sin_t
-        frame = _new(RotatingFrameMomentum)
-        _set(frame, "u_bar", u_tilde if code == 0 else w_tilde)
-        _set(frame, "w_bar", w_tilde if code == 0 else u_tilde)
-        return frame
-
-    def column(self, name: str, index: slice) -> np.ndarray:
-        """Read-only array of one column's entries at ``index``."""
-        import numpy as np
-        if name in ("u_bar", "w_bar"):
-            # the same operations as collision_frame() does per event
-            u_tilde, w_tilde = to_wedge(
-                self.column("u", index), self.column("w", index), self.sin_t, self.cos_t
-            )
-            on_a = self.column("wall", index) == 0
-            if name == "u_bar":
-                values = np.where(on_a, u_tilde, w_tilde)
-            else:
-                values = np.where(on_a, w_tilde, u_tilde)
-        else:
-            stored = getattr(self, name)
-            values = np.frombuffer(stored, dtype=np.uint8 if name == "wall" else float)[index]
-        values.flags.writeable = False
-        return values
 
 
 class EventSequence(Sequence):
@@ -262,24 +246,30 @@ class EventSequence(Sequence):
         return f"<EventSequence of {len(self)} events>"
 
     def column(self, name: str) -> np.ndarray:
-        """Read-only array of one per-event value, without building events.
-
-        ``name`` is a column of :class:`EventColumns`: ``wall`` (uint8 index
-        into :data:`WALLS`), ``t``, ``x``, ``y``, ``u_pre``, ``w_pre``, ``u``,
-        ``w``, ``u_bar`` or ``w_bar``.
-        """
-        return self._columns.column(name, self._slice())
+        """Read-only numpy array of one column the engine wrote, without
+        building events: ``wall`` of dtype uint8, the others float64."""
+        import numpy as np
+        stored, index = self._column(name)
+        values = np.frombuffer(stored, dtype=np.uint8 if name == "wall" else float)[index]
+        values.flags.writeable = False
+        return values
 
     def stored(self, name: str) -> array:
         """A copy of one column the engine wrote, as the ``array`` it wrote:
         ``wall`` of type ``B``, the others of type ``d``.  Needs no numpy."""
-        return getattr(self._columns, name)[self._slice()]
+        stored, index = self._column(name)
+        return stored[index]
 
-    def _slice(self) -> slice:
+    def _column(self, name: str) -> tuple[array, slice]:
+        """The whole stored column ``name`` of :data:`_COLUMN_NAMES`, and the
+        slice of it that this sequence covers."""
+        if name not in _COLUMN_NAMES:
+            names = ", ".join(_COLUMN_NAMES)
+            raise ValueError(f"no stored column {name!r}; the columns are {names}")
         r = self._range
         # a descending range that ends at index 0 stops at -1, which a
         # slice would read as the last index
-        return slice(r.start, None if r.stop < 0 else r.stop, r.step)
+        return getattr(self._columns, name), slice(r.start, None if r.stop < 0 else r.stop, r.step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,17 +401,27 @@ def _run(
     ``t``: the columns of the events, and the :class:`Termination` that
     ended the run early, or None.
 
-    Each event is the earlier of the two bouncers' first landings, reflected
-    with the wall normal.  A flight that ends at the vertex or in a grazing
-    landing ends the run, stamped with its landing clock.  With no root
+    A start resting on a wall with no normal momentum is already sliding
+    and ends the run at once.  Each event is the earlier of the two
+    bouncers' first landings, reflected with the wall normal.  A flight that
+    ends at the vertex or in a grazing landing ends the run, stamped with its
+    landing clock, so no later state is tested for sliding.  With no root
     ahead on either wall the state sits at the vertex and is leaving the
-    wedge: a vertex hit at the state's own clock.
+    wedge: a vertex hit at the state's own clock.  Events are buffered as
+    rows and copied into the columns a chunk at a time.
     """
-    # first hits inline, one row write per event: 0.8x the time of 2 _first_hit calls + 7 appends
     sin_t, cos_t = angle.sin, angle.cos
+    columns = EventColumns(angle)
+    if n > 0:
+        x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
+        u_tilde, w_tilde = to_wedge(u, w, sin_t, cos_t)
+        if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
+            return columns, Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
+        if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
+            return columns, Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
+    # first hits inline, one row write per event: 0.8x the time of 2 _first_hit calls + 7 appends
     two_sin, two_cos = 2.0 * sin_t, 2.0 * cos_t
     sqrt, inf = math.sqrt, math.inf
-    columns = EventColumns(angle)
     add_wall = columns.wall.append
     float_columns = (
         columns.t, columns.x, columns.y, columns.u_pre, columns.w_pre, columns.u, columns.w
@@ -438,13 +438,6 @@ def _run(
             y_tilde = y * sin_t - x * cos_t
             u_tilde = u * sin_t + w * cos_t
             w_tilde = w * sin_t - u * cos_t
-            # a state resting on a wall with no normal momentum is already sliding
-            if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
-                termination = Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
-                break
-            if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
-                termination = Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
-                break
             # _first_hit on both walls written out; inf stands for its None
             disc = w_tilde * w_tilde + two_sin * y_tilde
             t_a = (w_tilde + sqrt(disc)) / sin_t if disc >= 0.0 else inf
@@ -489,14 +482,10 @@ def _run(
             w = w_land - 2.0 * p_n * ny
             add_wall(code)
             add_row((t, x, y, u_pre, w_land, u, w))
-        # the rows' floats, de-interleaved into their columns; next_collision's one row unsliced
-        if len(rows) == 7:
-            for column, value in zip(float_columns, rows):
-                column.append(value)
-        else:
-            buffered = array("d", rows)
-            for j, column in enumerate(float_columns):
-                column.extend(buffered[j::7])
+        # the rows' floats, de-interleaved into their columns
+        buffered = array("d", rows)
+        for j, column in enumerate(float_columns):
+            column.extend(buffered[j::7])
         rows.clear()
         start += _CHUNK
     return columns, termination

@@ -205,19 +205,20 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     momentum_threshold = tol * math.sqrt(traj.energy)
     walls = events.column("wall")
     # events 1 .. n//2 that reproduce event 0, narrowed by one value at a
-    # time: post-collision position, then collision-frame momentum
+    # time: post-collision position, then momentum.  The momentum is
+    # compared in the wedge frame: it is the collision frame of wall A and
+    # that of wall B with its axes swapped, and only events on one wall are
+    # compared, so the differences are the collision frame's.
     head = slice(1, n // 2 + 1)
     returns = walls[head] == walls[0]
     states = []
-    for name, threshold in (
-        ("x", position_threshold),
-        ("y", position_threshold),
-        ("u_bar", momentum_threshold),
-        ("w_bar", momentum_threshold),
-    ):
+    for i, threshold in enumerate((position_threshold,) * 2 + (momentum_threshold,) * 2):
         if not returns.any():
             return OrbitClass(OrbitKind.DENSE)
-        values = events.column(name)
+        if i == 2:
+            angle = traj.theta
+            momenta = to_wedge(events.column("u"), events.column("w"), angle.sin, angle.cos)
+        values = momenta[i - 2] if i >= 2 else events.column(("x", "y")[i])
         returns &= np.abs(values[head] - values[0]) <= threshold
         states.append((values, threshold))
     for k in np.flatnonzero(returns) + 1:

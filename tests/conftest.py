@@ -132,6 +132,17 @@ def flights(traj: Trajectory):
         t0, x0, y0, u0, w0 = t, x, y, u, w
 
 
+def collision_frame(walls, u, w, angle: WedgeAngle) -> tuple:
+    """``(u_bar, w_bar)``: the outgoing momenta ``(u, w)`` in the collision
+    frames of the walls with codes ``walls`` (indices into ``WALLS``), which
+    may be scalars or numpy arrays.  Wall A's tangent and inward normal are
+    the wedge axes, and wall B's swapped; the reference for
+    ``rotating_post`` and the exports' ``u_bar_post, w_bar_post``."""
+    u_tilde, w_tilde = to_wedge(u, w, angle.sin, angle.cos)
+    on_a = np.asarray(walls) == WALLS.index(Wall.A)
+    return np.where(on_a, u_tilde, w_tilde), np.where(on_a, w_tilde, u_tilde)
+
+
 def random_angle(rng: np.random.Generator) -> WedgeAngle:
     return WedgeAngle(float(rng.uniform(0.15, math.pi / 2 - 0.15)))
 

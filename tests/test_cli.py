@@ -51,6 +51,7 @@ from wedge_billiard.orbits import _periodic_launch
 
 from conftest import (
     bits,
+    collision_frame,
     coprime_pairs,
     flights,
     json_round_trips,
@@ -415,14 +416,15 @@ class TestChunkedExports:
 
 def numpy_event_rows(traj, lo: int, hi: int) -> tuple:
     """Events ``lo`` to ``hi - 1`` of the JSON export worked out in numpy
-    from ``events.column``: their indices, wall names and a row of 14 floats
-    per event.  The reference for the Python floats of ``_event_rows``."""
+    from ``events.column`` and ``collision_frame``: their indices, wall
+    names and a row of 14 floats per event.  The reference for the Python
+    floats of ``_event_rows``."""
     events = traj.events[lo:hi]
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
-    t, x, y, u, w, u_bar, w_bar, u_pre, w_pre = (
-        events.column(name)
-        for name in ("t", "x", "y", "u", "w", "u_bar", "w_bar", "u_pre", "w_pre")
+    t, x, y, u, w, u_pre, w_pre = (
+        events.column(name) for name in ("t", "x", "y", "u", "w", "u_pre", "w_pre")
     )
+    u_bar, w_bar = collision_frame(events.column("wall"), u, w, traj.theta)
     x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
     hx, hy = wedge_energies(x_tilde, y_tilde, *to_wedge(u, w, sin_t, cos_t), sin_t, cos_t)
     energy = (u * u + w * w) / 2.0 + y
@@ -719,6 +721,42 @@ class TestClassifyCommand:
             "--tol", "1e-12",
         ) == 0
         assert capsys.readouterr().out == "sliding\n"
+
+
+# Each command's stdout, recorded byte for byte at commit 218b3c1.  At 60
+# degrees the GB fixed point differs from FB's in its last digits: the two
+# formulas round differently.
+RECORDED_STDOUT = {
+    ("classify", "--theta-deg", "37", "--wall", "B", "--s", "0.8", "--u-bar", "0.3",
+     "--w-bar", "0.9", "--n", "3000", "--tol", "1e-3"):
+        b"dense (no recurrence within horizon; not a proof of density)\n",
+    ("classify", "--p", "3", "--q", "5", "--wall", "A", "--s", "0.5466517401417469",
+     "--u-bar", "0.25", "--w-bar", "1", "--n", "80"):
+        b"periodic period=8 hits_a=3 hits_b=5\n",
+    # from wall B: a near return within tol 5e-2
+    ("classify", "--p", "3", "--q", "5", "--wall", "B", "--s", "0.7", "--u-bar", "0.2",
+     "--w-bar", "0.6", "--n", "400", "--tol", "5e-2"):
+        b"periodic period=154 hits_a=45 hits_b=109\n",
+    ("classify", "--p", "2", "--q", "3", "--x", "0", "--y", "0", "--u", "-0.2773500981126147",
+     "--w", "1.3867504905630728", "--n", "100"):
+        b"degenerate (vertex_hit)\n",
+    ("fixed-points", "--theta-deg", "30"):
+        b"FB: u_bar=0.26794919243112281 w_bar=1\nGB: u_bar=0.26794919243112281 w_bar=1\n",
+    ("fixed-points", "--theta-deg", "30", "--energy", "1e6"):
+        b"FB: u_bar=267.94919243112281 w_bar=1000\nGB: u_bar=267.94919243112281 w_bar=1000\n",
+    ("fixed-points", "--theta-deg", "60"):
+        b"FB: u_bar=-0.26794919243112258 w_bar=1\nGB: u_bar=-0.26794919243112253 w_bar=1\n",
+    ("fixed-points", "--theta-deg", "60", "--energy", "1e6"):
+        b"FB: u_bar=-267.94919243112258 w_bar=1000\nGB: u_bar=-267.94919243112253 w_bar=1000\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORDED_STDOUT), ids=" ".join)
+def test_stdout_matches_recorded_bytes(argv, capsys):
+    assert run(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode("ascii") == RECORDED_STDOUT[argv]
+    assert captured.err == ""
 
 
 class TestFixedPointsCommand:

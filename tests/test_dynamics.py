@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import pickle
+import struct
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,8 @@ from wedge_billiard.orbits import _periodic_launch
 
 from conftest import (
     bits,
+    collision_frame,
+    coprime_pairs,
     json_round_trips,
     outside_wall,
     random_angle,
@@ -559,6 +563,51 @@ def test_a_landing_time_that_overflows_is_no_landing():
         assert len(traj.events) == 0 and traj.termination == stop
 
 
+def run_digest_parts(traj: Trajectory):
+    """The bytes of a run's stored columns and termination, in a fixed order."""
+    events = traj.events
+    for name in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
+        yield events.stored(name).tobytes()
+    term = traj.termination
+    if term is None:
+        yield b"none"
+    else:
+        speed = math.nan if term.normal_speed is None else term.normal_speed
+        yield term.kind.value.encode() + struct.pack("<dd", term.t, speed)
+
+
+# sha256 of both engines' stored columns and terminations on the runs of
+# test_engines_write_the_recorded_bits, and of next_collision on every
+# edge launch, seed-977 launch and their post-collision states, recorded at
+# commit 218b3c1
+ENGINE_BITS = "b7a9038e529d4e70af9c00474fc39be5bfc2a409a745b39dd5263931d3d75390"
+
+
+def test_engines_write_the_recorded_bits():
+    # a digest of the stored bits, so that a change meant to keep every
+    # engine output the same is checked against more runs than the
+    # acceptance criteria; the runs take well under a second
+    runs = []
+    rng = np.random.default_rng(977)
+    for _ in range(200):
+        angle = random_angle(rng)
+        initial = random_launch(rng, angle)
+        runs += [(initial, angle, n) for n in (0, 1, 2, 200)]
+    runs += [(initial, angle, n) for initial, angle in edge_launches().values() for n in (1, 2, 30)]
+    for p, q in coprime_pairs(8):
+        for energy in (1e-9, 1.0, 1e299):
+            runs.append((*_periodic_launch(OrbitSpec(p, q, energy), 0.0), 3 * (p + q)))
+    digest = hashlib.sha256()
+    for initial, angle, n in runs:
+        for engine in (simulate, decoupled_simulate):
+            for part in run_digest_parts(engine(initial, angle, n)):
+                digest.update(part)
+    for s, angle in next_collision_states():
+        digest.update(repr(step_bits(next_collision(s, angle))).encode())
+    assert len(runs) == 800 + 3 * len(edge_launches()) + 3 * 43
+    assert digest.hexdigest() == ENGINE_BITS
+
+
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, "stop"])
 def test_runs_across_buffer_flushes_are_prefixes_and_resume(n):
     # the loop buffers _CHUNK events at a time: a shorter run is a prefix of
@@ -621,8 +670,6 @@ EVENT_FIELDS = {
     "w_pre": lambda e: e.pre.w,
     "u": lambda e: e.post.u,
     "w": lambda e: e.post.w,
-    "u_bar": lambda e: e.rotating_post.u_bar,
-    "w_bar": lambda e: e.rotating_post.w_bar,
 }
 
 
@@ -658,12 +705,34 @@ class TestEventSequence:
     @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
     @pytest.mark.parametrize("index", [slice(None), slice(None, None, 37), slice(None, None, -3), slice(7, 2, -1)])
     def test_columns_equal_the_built_events(self, engine, index):
-        events = dense_60(200, engine).events[index]
+        traj = dense_60(200, engine)
+        events = traj.events[index]
         for name, field in EVENT_FIELDS.items():
             column = events.column(name)
             assert column.tolist() == [field(e) for e in events], name
             with pytest.raises(ValueError):
                 column[:1] = 0
+        # the collision frame is not stored: it is the wedge frame of the
+        # stored outgoing momentum, with the axes swapped on wall B
+        u_bar, w_bar = collision_frame(
+            events.column("wall"), events.column("u"), events.column("w"), traj.theta
+        )
+        assert u_bar.tolist() == [e.rotating_post.u_bar for e in events]
+        assert w_bar.tolist() == [e.rotating_post.w_bar for e in events]
+
+    @pytest.mark.parametrize("name", ["u_bar", "w_bar", "sin_t", "collision_frame", "_columns", ""])
+    @pytest.mark.parametrize("method", ["column", "stored"])
+    def test_only_stored_columns_are_read(self, method, name):
+        # the eight columns the engines write, and nothing derived from them
+        # nor any other attribute of the store
+        events = dense_60(5).events
+        with pytest.raises(ValueError) as error:
+            getattr(events, method)(name)
+        assert str(error.value) == (
+            f"no stored column {name!r}; the columns are wall, t, x, y, u_pre, w_pre, u, w"
+        )
+        for stored in EVENT_FIELDS:
+            assert events.column(stored).tolist() == events.stored(stored).tolist()
 
     @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
     def test_iteration_matches_json_round_trip(self, engine, tmp_path):
@@ -677,10 +746,13 @@ class TestEventSequence:
 
     @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
     def test_built_event_equals_the_public_constructors(self, engine):
-        events = dense_60(5, engine).events
-        wall, t, x, y, u_pre, w_pre, u, w, u_bar, w_bar = (
-            events.column(name).tolist() for name in EVENT_FIELDS
+        traj = dense_60(5, engine)
+        events = traj.events
+        columns = [events.column(name) for name in EVENT_FIELDS]
+        u_bar, w_bar = (
+            frame.tolist() for frame in collision_frame(columns[0], *columns[-2:], traj.theta)
         )
+        wall, t, x, y, u_pre, w_pre, u, w = (column.tolist() for column in columns)
         for i, event in enumerate(events):
             assert event == CollisionEvent(
                 WALLS[wall[i]],

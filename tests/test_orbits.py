@@ -25,13 +25,14 @@ from wedge_billiard import (
 )
 from wedge_billiard.dynamics import EventColumns, EventSequence, Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
-from wedge_billiard.geometry import to_wedge
+from wedge_billiard.geometry import from_wedge, to_wedge
 from wedge_billiard import orbits
 from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, SweepPoint, _periodic_launch
 
 from conftest import (
     bits,
     coprime_pairs,
+    copied_columns,
     flights,
     random_angle,
     random_launch,
@@ -262,6 +263,77 @@ class TestClassifyAgainstEventLoop:
             traj = simulate(random_launch(rng, angle), angle, 400)
             dense = OrbitClass(OrbitKind.DENSE)
             assert classify_orbit(traj) == classify_by_event_loop(traj) == dense
+
+
+def classify_reference_runs() -> list[Trajectory]:
+    """Seed-977 launches, the (p, q) <= 8 orbits over three periods, whose
+    event 0 is on wall B, the same without event 0, and the launches of
+    sensitivity_probe."""
+    runs = []
+    rng = np.random.default_rng(977)
+    for _ in range(20):
+        angle = random_angle(rng)
+        runs.append(simulate(random_launch(rng, angle), angle, 400))
+    for p, q in coprime_pairs(8):
+        traj = build_periodic_orbit(OrbitSpec(p, q), n_collisions=3 * (p + q))
+        runs += [traj, dataclasses.replace(traj, events=traj.events[1:])]
+    for p, q in coprime_pairs(4):
+        for eps in (1e-12, 1e-9, 1e-6):
+            initial, angle = _periodic_launch(OrbitSpec(p, q), eps)
+            runs.append(simulate(initial, angle, orbits.SENSITIVITY_COLLISIONS))
+    return runs
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3, 5e-2])
+def test_classify_matches_the_collision_frame_reference(tol):
+    # classify_orbit compares wedge-frame momenta; the reference compares
+    # rotating_post, as its docstring defines the recurrence
+    verdicts = []
+    for traj in classify_reference_runs():
+        assert traj.termination is None
+        verdict = classify_by_event_loop(traj, tol)
+        assert classify_orbit(traj, tol) == verdict
+        verdicts.append((traj.events[0].wall, verdict.kind))
+    # periodic and dense verdicts, each with event 0 on either wall
+    kinds = (OrbitKind.PERIODIC, OrbitKind.DENSE)
+    assert {(wall, kind) for wall in Wall for kind in kinds} <= set(verdicts)
+
+
+@pytest.mark.parametrize(
+    "shift, periodic",
+    [((0.9, 0.9), True), ((-0.9, 0.9), True), ((1.1, 0.0), False), ((0.0, -1.1), False)],
+)
+def test_momenta_are_compared_in_the_collision_frame(shift, periodic):
+    # one return of an exact orbit has its outgoing momentum shifted by
+    # ``shift`` thresholds in its collision frame.  At these angles (0.9,
+    # 0.9) is off by more than a threshold along a lab axis, and (1.1, 0)
+    # by less along both, so a lab-frame comparison gives the other verdict
+    tol = 1e-3
+    walls = set()
+    for p, q in ((1, 1), (2, 3)):
+        traj = build_periodic_orbit(OrbitSpec(p, q), n_collisions=4 * (p + q))
+        threshold = tol * math.sqrt(traj.energy)
+        angle = traj.theta
+        for first in (0, 1):
+            columns = copied_columns(traj, slice(None))
+            k = first + p + q
+            wall = columns.wall[k]
+            walls.add(wall)
+            # the collision frame is the wedge frame, swapped on wall B
+            du_bar, dw_bar = (v * threshold for v in shift)
+            d_tilde = (dw_bar, du_bar) if wall else (du_bar, dw_bar)
+            du, dw = from_wedge(*d_tilde, angle.sin, angle.cos)
+            columns.u[k] += du
+            columns.w[k] += dw
+            shifted = Trajectory(traj.initial, angle, EventSequence(columns)[first:])
+            hits_a = sum(e.wall is Wall.A for e in shifted.events[: p + q])
+            expected = (
+                OrbitClass(OrbitKind.PERIODIC, p + q, hits_a, p + q - hits_a)
+                if periodic
+                else OrbitClass(OrbitKind.DENSE)
+            )
+            assert classify_orbit(shifted, tol) == classify_by_event_loop(shifted, tol) == expected
+    assert walls == {0, 1}
 
 
 class TestCoverageFraction:
