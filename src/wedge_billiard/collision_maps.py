@@ -27,6 +27,7 @@ from .geometry import Wall, WedgeAngle
 # ``sqrt(2E)**2`` is: an absolute bound rejects valid states from E ~ 4e3.
 RADICAND_TOL = 1e-12
 _INF, _NEG_INF = math.inf, -math.inf
+_new = object.__new__
 
 
 class EnergyViolationError(ValueError):
@@ -73,16 +74,23 @@ class MapState:
     def __init__(self, u_bar: float, w_bar: float, energy: float) -> None:
         # checks and slot setters in one frame: the generated __init__ plus
         # __post_init__ cost half as much again per state.  Each compare is
-        # false for NaN, and an infinite w_bar fails the energy check.
+        # false for NaN.
         if not 0.0 < energy < _INF:
             raise ValueError(f"energy must be positive, got {energy!r}")
         if not _NEG_INF < u_bar < _INF:
             raise ValueError(f"u_bar must be finite, got {u_bar!r}")
         if not w_bar >= 0.0:
             raise ValueError(f"w_bar must be nonnegative, got {w_bar!r}")
-        if w_bar * w_bar - 2.0 * energy > RADICAND_TOL * energy:
+        excess = w_bar * w_bar - 2.0 * energy
+        if not _NEG_INF < excess < _INF:
+            # w_bar**2 overflowed (w_bar above ~1.3e154) or 2E did (E above
+            # ~9e307), or both (inf - inf is NaN).  Quartered, the squares
+            # round alike and stay finite; an infinite w_bar gives inf.
+            excess = 4.0 * ((0.5 * w_bar) * (0.5 * w_bar) - 0.5 * energy)
+        if excess > RADICAND_TOL * energy:
             raise EnergyViolationError(
-                f"normal kinetic energy w_bar**2/2 = {w_bar ** 2 / 2!r} exceeds total {energy!r}"
+                f"normal kinetic energy w_bar**2/2 = {w_bar * w_bar / 2.0!r} "
+                f"exceeds total {energy!r}"
             )
         _set_u_bar(self, u_bar)
         _set_w_bar(self, w_bar)
@@ -104,15 +112,29 @@ def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
     u_bar, w_bar, energy = state.u_bar, state.w_bar, state.energy
     tan_t = angle.sin / angle.cos
     if map_id is _FA:
-        return MapState(u_bar - 2.0 * w_bar / tan_t, w_bar, energy)
-    if map_id is _GA:
-        return MapState(u_bar - 2.0 * w_bar * tan_t, w_bar, energy)
-    # MapState admits a radicand down to -RADICAND_TOL * energy: a grazing
-    # arrival, clamped to 0
-    w_next = math.sqrt(max(2.0 * energy - w_bar * w_bar, 0.0))
-    if map_id is _FB:
-        return MapState(w_bar - (u_bar + w_next) * tan_t, w_next, energy)
-    return MapState(w_bar - (u_bar + w_next) / tan_t, w_next, energy)
+        u_next, w_next = u_bar - 2.0 * w_bar / tan_t, w_bar
+    elif map_id is _GA:
+        u_next, w_next = u_bar - 2.0 * w_bar * tan_t, w_bar
+    else:
+        # MapState admits a radicand down to -RADICAND_TOL * energy: a
+        # grazing arrival, clamped to 0
+        w_next = math.sqrt(max(2.0 * energy - w_bar * w_bar, 0.0))
+        if map_id is _FB:
+            u_next = w_bar - (u_bar + w_next) * tan_t
+        else:
+            u_next = w_bar - (u_bar + w_next) / tan_t
+    # MapState's checks, less those the arithmetic already meets.  energy is
+    # the checked input's.  w_next is the input's w_bar or a square root, so
+    # it is >= 0, and its square exceeds 2E by a few ulp at most, far inside
+    # RADICAND_TOL * E; where 2E overflows it is inf, and u_next is then
+    # -inf.  Only u_next, which a tiny angle can overflow, is left to check.
+    if not _NEG_INF < u_next < _INF:
+        raise ValueError(f"u_bar must be finite, got {u_next!r}")
+    out = _new(MapState)
+    _set_u_bar(out, u_next)
+    _set_w_bar(out, w_next)
+    _set_energy(out, energy)
+    return out
 
 
 def fixed_point(map_id: MapId, energy: float, angle: WedgeAngle) -> MapState:

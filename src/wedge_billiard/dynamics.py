@@ -23,12 +23,17 @@ holds that rule written out, so that an event makes no Python function
 call; :func:`_first_hit` is the oracle's copy, and a test pins the two
 copies to the same bits.
 
-Both write each event's wall code and floats to :class:`EventColumns`,
-which holds only those and the angle's trig.  :attr:`Trajectory.events`
-builds a :class:`CollisionEvent` only when one is asked for, and its
-``pre``, ``post`` and ``rotating_post`` only when first read, and keeps
-them; ``rotating_post`` is worked out from the stored outgoing momentum and
-wall.  Only the oracle and the columns' numpy views load numpy.
+Both test only the launch for sliding, with :func:`_sliding_start`, and
+project it to the wedge frame once.  Both write each event's wall code and
+floats to :class:`EventColumns`, which holds only those and the angle's
+trig.  :attr:`Trajectory.events` builds a :class:`CollisionEvent` only when
+one is asked for, and its ``pre``, ``post`` and ``rotating_post`` only when
+first read, and keeps them; ``rotating_post`` is worked out from the stored
+outgoing momentum and wall.  Its iterator is a generator that shares the
+sequence's one kept event, so ``zip(events, events[1:])`` builds each event
+once.  Frozen instances are filled through their slots' setters, as
+:class:`~wedge_billiard.collision_maps.MapState` fills its own.  Only the
+oracle and the columns' numpy views load numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ ON_WALL_TOL = 1e-10
 # Largest launch energy.  The flight formulas square speeds and times of order
 # sqrt(E): from ~1e307 they overflow float64 into false vertex hits and NaN.
 MAX_ENERGY = 1e300
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,10 +112,10 @@ class CollisionEvent:
     rotating_post: RotatingFrameMomentum
 
     def __init__(self, wall, t, pre, post, rotating_post):
-        _set(self, "wall", wall)
-        _set(self, "t", t)
+        _set_wall(self, wall)
+        _set_t(self, t)
         # pre, post, rotating_post, then the columns and row they are built from
-        _set(self, "_parts", [pre, post, rotating_post, None, -1])
+        _set_parts(self, [pre, post, rotating_post, None, -1])
 
     @property
     def pre(self) -> CartesianState:
@@ -140,13 +145,19 @@ class CollisionEvent:
             if cols.wall[i]:
                 u_bar, w_bar = w_bar, u_bar
             frame = parts[2] = _new(RotatingFrameMomentum)
-            _set(frame, "u_bar", u_bar)
-            _set(frame, "w_bar", w_bar)
+            _set_u_bar(frame, u_bar)
+            _set_w_bar(frame, w_bar)
         return parts[2]
 
     def __reduce__(self):
         # the public constructor's event, without the columns
         return CollisionEvent, (self.wall, self.t, self.pre, self.post, self.rotating_post)
+
+
+_set_u_bar, _set_w_bar = (getattr(RotatingFrameMomentum, f).__set__ for f in ("u_bar", "w_bar"))
+_set_wall, _set_t, _set_parts = (
+    getattr(CollisionEvent, f).__set__ for f in CollisionEvent.__slots__
+)
 
 
 class TerminationKind(Enum):
@@ -216,20 +227,15 @@ class EventSequence(Sequence):
             view = EventSequence(self._columns, self._range[index])
             view._memo = self._memo
             return view
-        return self._event(self._range[index])
+        i = self._range[index]
+        held, event = self._memo[0]
+        return event if held == i else _event(self._columns, i, self._memo)
 
     def __iter__(self) -> Iterator[CollisionEvent]:
-        return map(self._event, self._range)
-
-    def _event(self, i: int) -> CollisionEvent:
-        index, event = self._memo[0]
-        if index != i:
-            event = _new(CollisionEvent)
-            _set(event, "wall", WALLS[self._columns.wall[i]])
-            _set(event, "t", self._columns.t[i])
-            _set(event, "_parts", [None, None, None, self._columns, i])
-            self._memo[0] = (i, event)
-        return event
+        columns, memo = self._columns, self._memo
+        for i in self._range:
+            held, event = memo[0]
+            yield event if held == i else _event(columns, i, memo)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventSequence):
@@ -270,6 +276,17 @@ class EventSequence(Sequence):
         # a descending range that ends at index 0 stops at -1, which a
         # slice would read as the last index
         return getattr(self._columns, name), slice(r.start, None if r.stop < 0 else r.stop, r.step)
+
+
+def _event(columns: EventColumns, i: int, memo: list) -> CollisionEvent:
+    """Event ``i`` of ``columns``, its parts left to be built when read, kept
+    as ``memo``'s one event: the one builder of a stored event."""
+    event = _new(CollisionEvent)
+    _set_wall(event, WALLS[columns.wall[i]])
+    _set_t(event, columns.t[i])
+    _set_parts(event, [None, None, None, columns, i])
+    memo[0] = (i, event)
+    return event
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,24 +418,17 @@ def _run(
     ``t``: the columns of the events, and the :class:`Termination` that
     ended the run early, or None.
 
-    A start resting on a wall with no normal momentum is already sliding
-    and ends the run at once.  Each event is the earlier of the two
-    bouncers' first landings, reflected with the wall normal.  A flight that
-    ends at the vertex or in a grazing landing ends the run, stamped with its
-    landing clock, so no later state is tested for sliding.  With no root
-    ahead on either wall the state sits at the vertex and is leaving the
-    wedge: a vertex hit at the state's own clock.  Events are buffered as
-    rows and copied into the columns a chunk at a time.
+    The caller has tested the start with :func:`_sliding_start`.  Each event
+    is the earlier of the two bouncers' first landings, reflected with the
+    wall normal.  A flight that ends at the vertex or in a grazing landing
+    ends the run, stamped with its landing clock, so no later state is tested
+    for sliding.  With no root ahead on either wall the state sits at the
+    vertex and is leaving the wedge: a vertex hit at the state's own clock.
+    Events are buffered as rows and copied into the columns a chunk at a
+    time.
     """
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
-    if n > 0:
-        x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
-        u_tilde, w_tilde = to_wedge(u, w, sin_t, cos_t)
-        if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
-            return columns, Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
-        if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
-            return columns, Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
     # first hits inline, one row write per event: 0.8x the time of 2 _first_hit calls + 7 appends
     two_sin, two_cos = 2.0 * sin_t, 2.0 * cos_t
     sqrt, inf = math.sqrt, math.inf
@@ -499,13 +509,35 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
     This is :func:`simulate`'s first event from ``s`` at clock 0, whose clock
     ``0 + dt`` is ``dt`` exactly; the launch is not validated.
     """
-    columns, termination = _run(s.x, s.y, s.u, s.w, 0.0, angle, 1)
+    sin_t, cos_t = angle.sin, angle.cos
+    termination = _sliding_start(
+        *to_wedge(s.x, s.y, sin_t, cos_t), *to_wedge(s.u, s.w, sin_t, cos_t), 0.0
+    )
+    if termination is None:
+        columns, termination = _run(s.x, s.y, s.u, s.w, 0.0, angle, 1)
     if termination is not None:
         return termination
     return columns.t[0], WALLS[columns.wall[0]]
 
 
-def _validate_run(initial: CartesianState, angle: WedgeAngle, n: int) -> None:
+def _sliding_start(
+    x_tilde: float, y_tilde: float, u_tilde: float, w_tilde: float, t: float
+) -> Termination | None:
+    """The :class:`Termination` at clock ``t`` of a start, given in the wedge
+    frame, that rests on a wall with no normal momentum: it is already
+    sliding.  None for any other start."""
+    if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
+        return Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
+    if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
+        return Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
+    return None
+
+
+def _validate_run(
+    initial: CartesianState, angle: WedgeAngle, n: int
+) -> tuple[float, float, float, float]:
+    """Raise ValueError for a launch :func:`simulate` rejects, else return the
+    launch in the wedge frame, ``(x_tilde, y_tilde, u_tilde, w_tilde)``."""
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
     if not math.isfinite(initial.t):
@@ -526,6 +558,7 @@ def _validate_run(initial: CartesianState, angle: WedgeAngle, n: int) -> None:
                 f"launch on wall {wall.value} moves out of the wedge "
                 f"(normal momentum {p_n!r})"
             )
+    return x_tilde, y_tilde, u_tilde, w_tilde
 
 
 def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
@@ -537,8 +570,12 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     energy outside (0, MAX_ENERGY], with a clock that is not finite, or
     moving out through the wall it sits on.
     """
-    _validate_run(initial, angle, n)
-    columns, termination = _run(initial.x, initial.y, initial.u, initial.w, initial.t, angle, n)
+    launch = _validate_run(initial, angle, n)
+    termination = _sliding_start(*launch, initial.t) if n > 0 else None
+    if termination is None:
+        columns, termination = _run(initial.x, initial.y, initial.u, initial.w, initial.t, angle, n)
+    else:
+        columns = EventColumns(angle)
     return Trajectory(initial, angle, EventSequence(columns), termination)
 
 
@@ -564,23 +601,19 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     :func:`simulate` does.
     """
     import numpy as np
-    _validate_run(initial, angle, n)
+    xt, yt, ut, wt = _validate_run(initial, angle, n)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
     t0 = initial.t
-    xt, yt = to_wedge(initial.x, initial.y, sin_t, cos_t)
-    ut, wt = to_wedge(initial.u, initial.w, sin_t, cos_t)
 
     def finish(termination: Termination | None = None) -> Trajectory:
         return Trajectory(initial, angle, EventSequence(columns), termination)
 
     if n == 0:
         return finish()
-    # a launch resting on a wall with no normal momentum is already sliding
-    if yt <= ON_WALL_TOL and abs(wt) < GRAZING_EPS:
-        return finish(Termination(TerminationKind.DEGENERATE, t0, abs(wt)))
-    if xt <= ON_WALL_TOL and abs(ut) < GRAZING_EPS:
-        return finish(Termination(TerminationKind.DEGENERATE, t0, abs(ut)))
+    sliding = _sliding_start(xt, yt, ut, wt, t0)
+    if sliding is not None:
+        return finish(sliding)
     # the two bouncers by wall code: 0 is wall A, which y_tilde hits with
     # gravity sin(theta), and 1 is wall B, which x_tilde hits with cos(theta)
     first = [_first_hit(yt, wt, sin_t), _first_hit(xt, ut, cos_t)]

@@ -46,8 +46,8 @@ class WedgeAngle:
             raise ValueError(
                 f"wedge angle must lie strictly inside (0, pi/2), got {self.theta!r}"
             )
-        object.__setattr__(self, "sin", math.sin(self.theta))
-        object.__setattr__(self, "cos", math.cos(self.theta))
+        _set_sin(self, math.sin(self.theta))
+        _set_cos(self, math.cos(self.theta))
 
     def __reduce__(self):
         # pickle and copy rebuild from theta, so the trig is computed afresh
@@ -56,6 +56,10 @@ class WedgeAngle:
     @classmethod
     def from_degrees(cls, degrees: float) -> "WedgeAngle":
         return cls(math.radians(degrees))
+
+
+# The frozen trig is filled through its slots' setters
+_set_sin, _set_cos = WedgeAngle.sin.__set__, WedgeAngle.cos.__set__
 
 
 def to_wedge(a, b, sin_t: float, cos_t: float):

@@ -363,9 +363,15 @@ def sensitivity_probe(
 ) -> OrbitClass:
     """Classify the orbit launched with tangential momentum u_bar + eps.
 
-    The unperturbed launch (eps = 0) is periodic by construction; any
-    perturbation beyond roughly 1e-6 detunes the bounce-period ratio and
-    yields a dense run.
+    The unperturbed launch (eps = 0) is periodic by construction.  A
+    perturbation detunes the bounce-period ratio, and the run reads dense
+    once the mismatch per period exceeds the default tolerance of
+    :func:`classify_orbit`.  Only that mismatch is compared, so the horizon
+    does not move the threshold.  The mismatch is first order in eps, and
+    (1, 2) and (2, 3) read dense from eps = 1e-8.  The (1, 1) orbit has
+    u_bar* = 0, so eps moves Hx by eps**2/2, not by u_bar* * eps: its
+    mismatch is second order, and it reads periodic up to eps ~ 1e-4 (at
+    1000 collisions, eps = 1e-6, 1e-5 and 5e-5 all read periodic).
     """
     initial, angle = _periodic_launch(spec, eps)
     return classify_orbit(simulate(initial, angle, n_collisions))

@@ -1,8 +1,9 @@
 import dataclasses
 import math
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from wedge_billiard import (
@@ -19,9 +20,11 @@ from wedge_billiard import (
     periodic_initial_condition,
     simulate,
 )
+from wedge_billiard.collision_maps import RADICAND_TOL
+from wedge_billiard.dynamics import MAX_ENERGY
 from wedge_billiard.orbits import OrbitSpec
 
-from conftest import random_angle, random_launch
+from conftest import bits, random_angle, random_launch
 
 angles = st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05)
 
@@ -61,6 +64,53 @@ class TestMapState:
         # ... but not at E = 1e-3, where it is 1e-10 of the energy
         with pytest.raises(EnergyViolationError):
             MapState(0.0, math.sqrt(2e-3 + 1e-13), 1e-3)
+
+    @pytest.mark.parametrize("w_bar, energy", [(1.5e154, 1e300), (math.inf, 1e308), (1.5e154, 1e308)])
+    def test_normal_energy_that_overflows_rejected(self, w_bar, energy):
+        # w_bar**2 overflows, and above E ~ 9e307 so does 2E
+        with pytest.raises(EnergyViolationError):
+            MapState(0.0, w_bar, energy)
+
+    @pytest.mark.parametrize("energy", [1e308, sys.float_info.max / 2, sys.float_info.max])
+    def test_energy_check_holds_where_the_squares_overflow(self, energy):
+        # w_bar**2 = 2E(1 + excess): admitted up to an excess of RADICAND_TOL/2
+        def w_bar(excess):
+            return math.sqrt(energy) * math.sqrt(2.0 * (1.0 + excess))
+
+        for excess in (-1e-3, 0.0, 1e-13):
+            assert MapState(0.0, w_bar(excess), energy).w_bar == w_bar(excess)
+        for excess in (1e-11, 1e-3):
+            with pytest.raises(EnergyViolationError):
+                MapState(0.0, w_bar(excess), energy)
+
+    def test_energy_verdicts_unchanged_up_to_max_energy(self):
+        # the check w_bar**2 - 2E > RADICAND_TOL*E, written out: below
+        # MAX_ENERGY only w_bar**2 can overflow, to inf, which it rejects
+        def ulps_around(x):
+            near, below, above = [x], x, x
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                near += [below, above]
+            return near
+
+        for energy in (
+            5e-324, 1e-310, sys.float_info.min, 1e-200, 1e-9, 1e-3, 1.0, 4e3, 1e6, 1e150,
+            1e299, MAX_ENERGY,
+        ):
+            root = math.sqrt(2.0 * energy)
+            near_edge = ulps_around(math.sqrt(2.0 * energy + RADICAND_TOL * energy))
+            verdicts = {}
+            for w_bar in [0.0, 0.5 * root, 1.3e154, 1.5e154, math.inf, *ulps_around(root), *near_edge]:
+                rejected = verdicts[w_bar] = w_bar * w_bar - 2.0 * energy > RADICAND_TOL * energy
+                if rejected:
+                    with pytest.raises(EnergyViolationError):
+                        MapState(0.0, w_bar, energy)
+                else:
+                    assert MapState(0.0, w_bar, energy).w_bar == w_bar
+            # the sample straddles the tolerance's edge, except where a
+            # subnormal 2E is coarser than a few ulp of w_bar**2
+            if energy >= sys.float_info.min:
+                assert {verdicts[w_bar] for w_bar in near_edge} == {True, False}, energy
 
     def test_keyword_construction(self):
         state = MapState(energy=2.0, w_bar=0.5, u_bar=-0.3)
@@ -156,11 +206,76 @@ class TestApplyMap:
             out = apply_map(map_id, state, angle)
             assert out.energy == energy and out.w_bar >= 0.0
 
+    @given(
+        st.one_of(
+            st.floats(min_value=-308, max_value=0.19).map(lambda x: 10.0**x),
+            st.floats(min_value=-15, max_value=-1).map(lambda x: math.pi / 2 - 10.0**x),
+        ),
+        st.floats(min_value=-9, max_value=300).map(lambda x: 10.0**x),
+        st.floats(min_value=-1, max_value=1),
+        st.one_of(st.floats(min_value=0, max_value=1), st.sampled_from(["sqrt(2E)", "edge"])),
+        st.integers(min_value=-3, max_value=3),
+    )
+    @example(1e-308, 1e300, 0.5, "sqrt(2E)", 0)
+    @example(1e-308, 1.0, 0.0, 0.0, 0)
+    @example(1e-150, 1e-9, -1.0, "edge", 0)
+    @example(math.pi / 2 - 1e-15, 1e300, 1.0, "edge", -1)
+    def test_result_is_the_checked_constructors(self, theta, energy, u_fraction, normal, ulps):
+        # apply_map checks only u_bar; MapState, given the same floats,
+        # either builds them bit for bit or raises the same exception type.
+        # The normal momentum is a fraction of sqrt(2E), or grazing: a few
+        # ulp from sqrt(2E) or from the largest w_bar admitted
+        assume(theta < math.pi / 2)
+        angle = WedgeAngle(theta)
+        root = math.sqrt(2.0 * energy)
+        if normal == "sqrt(2E)":
+            w_bar = root
+        elif normal == "edge":
+            w_bar = math.sqrt(2.0 * energy + RADICAND_TOL * energy)
+        else:
+            w_bar = normal * root
+        for _ in range(abs(ulps)):
+            w_bar = math.nextafter(w_bar, math.copysign(math.inf, ulps))
+        try:
+            state = MapState(u_fraction * root, w_bar, energy)
+        except ValueError:
+            assume(False)
+        for map_id in MapId:
+            try:
+                expected = map_by_constructor(map_id, state, angle)
+            except ValueError as error:
+                with pytest.raises(ValueError) as raised:
+                    apply_map(map_id, state, angle)
+                assert type(raised.value) is type(error)
+                assert str(raised.value) == str(error)
+            else:
+                out = apply_map(map_id, state, angle)
+                assert type(out) is MapState
+                assert (
+                    bits([out.u_bar, out.w_bar, out.energy]).tolist()
+                    == bits([expected.u_bar, expected.w_bar, expected.energy]).tolist()
+                )
+
     def test_grazing_radicand_clamps_to_zero(self):
         energy = 1.0
         w_bar = math.sqrt(2 * energy)  # rounding may land a hair above 2E
         out = apply_map(MapId.FB, MapState(0.2, w_bar, energy), WedgeAngle(0.6))
         assert out.w_bar == 0.0
+
+
+def map_by_constructor(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
+    """The maps' arithmetic, each result built by MapState's checked
+    constructor."""
+    u_bar, w_bar, energy = state.u_bar, state.w_bar, state.energy
+    tan_t = angle.sin / angle.cos
+    if map_id is MapId.FA:
+        return MapState(u_bar - 2.0 * w_bar / tan_t, w_bar, energy)
+    if map_id is MapId.GA:
+        return MapState(u_bar - 2.0 * w_bar * tan_t, w_bar, energy)
+    w_next = math.sqrt(max(2.0 * energy - w_bar * w_bar, 0.0))
+    if map_id is MapId.FB:
+        return MapState(w_bar - (u_bar + w_next) * tan_t, w_next, energy)
+    return MapState(w_bar - (u_bar + w_next) / tan_t, w_next, energy)
 
 
 class TestFixedPoint:

@@ -734,6 +734,49 @@ class TestEventSequence:
         for stored in EVENT_FIELDS:
             assert events.column(stored).tolist() == events.stored(stored).tolist()
 
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+    def test_each_pair_shares_its_event_with_the_next(self, engine):
+        # zip(events, events[1:]) builds each event once: a pair's event is
+        # the next pair's prev, the same object
+        events = dense_60(200, engine).events
+        pairs = list(zip(events, events[1:]))
+        assert len(pairs) == 199
+        for (_, event), (prev, _) in zip(pairs, pairs[1:]):
+            assert event is prev
+        reference = dense_60(200, engine).events
+        assert [prev for prev, _ in pairs] + [pairs[-1][1]] == [reference[i] for i in range(200)]
+
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+    def test_interleaved_iterators_yield_the_indexed_events(self, engine):
+        # iterators over overlapping and descending slices share one kept
+        # event; stepped in a seeded order, some dropped part way, each still
+        # yields the events that indexing an independent run gives
+        events = dense_60(60, engine).events
+        reference = dense_60(60, engine).events
+        slices = [
+            slice(None), slice(5, 50), slice(None, None, -1), slice(40, 3, -2),
+            slice(10, None, 3), slice(59, None, -7), slice(5, 50),
+        ]
+        expected = [[reference[s][k] for k in range(len(reference[s]))] for s in slices]
+        iterators = {j: iter(events[s]) for j, s in enumerate(slices)}
+        # iterator -> events it yields before it is dropped
+        dropped_after = {1: 9, 4: 3}
+        yielded = {j: 0 for j in iterators}
+        rng = np.random.default_rng(977)
+        while iterators:
+            j = int(rng.choice(sorted(iterators)))
+            event = next(iterators[j], None)
+            if event is None:
+                del iterators[j]
+                continue
+            assert event == expected[j][yielded[j]], (j, yielded[j])
+            yielded[j] += 1
+            if yielded[j] == dropped_after.get(j):
+                del iterators[j]
+        assert yielded == {
+            j: dropped_after.get(j, len(expected[j])) for j in range(len(slices))
+        }
+
     @pytest.mark.parametrize("engine", [simulate, decoupled_simulate])
     def test_iteration_matches_json_round_trip(self, engine, tmp_path):
         traj = dense_60(120, engine)
