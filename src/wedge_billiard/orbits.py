@@ -27,11 +27,13 @@ from enum import Enum
 
 from .collision_maps import MapState
 from .dynamics import (
+    MAX_ENERGY,
     WALLS,
     CartesianState,
     TerminationKind,
     Trajectory,
     flight_starts,
+    hamiltonian,
     launch_from_wall,
     simulate,
 )
@@ -161,9 +163,17 @@ def build_periodic_orbit(spec: OrbitSpec, n_collisions: int | None = None) -> Tr
 
     With the default collision budget of one period (p + q events) the final
     post-collision state lands back on the launch point with the launch
-    momentum; pass a larger budget to trace several periods.
+    momentum; pass a larger budget to trace several periods.  Raises
+    ValueError, naming both energies, when the launch's energy rounds above
+    MAX_ENERGY, as it may for a requested energy at that limit.
     """
     initial, angle = _periodic_launch(spec, 0.0)
+    energy = hamiltonian(initial)
+    if energy > MAX_ENERGY:
+        raise ValueError(
+            f"the ({spec.p}, {spec.q}) orbit at energy {spec.energy!r} launches with "
+            f"energy {energy!r} after rounding, above the largest launch energy {MAX_ENERGY:g}"
+        )
     return simulate(initial, angle, spec.period if n_collisions is None else n_collisions)
 
 

@@ -611,6 +611,23 @@ class TestPeriodicCommand:
     def test_energy_above_the_limit_is_a_usage_error(self, tmp_path, capsys):
         assert_usage_error("periodic", "--energy", "1e308", tmp_path, capsys)
 
+    def test_energy_at_the_limit_runs_or_names_both_energies(self, tmp_path, capsys):
+        # a launch built for energy 1e300 may round to just above it; the
+        # error then names the requested energy and the launch's
+        out = tmp_path / "orbit.csv"
+        codes = []
+        for p, q in coprime_pairs(8):
+            codes.append(run("periodic", "--p", str(p), "--q", str(q), "--energy", "1e300", "--out", str(out)))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if codes[-1] == 2:
+                assert err.startswith(f"error: the ({p}, {q}) orbit at energy 1e+300 launches with energy ")
+                launch = float(err.split("launches with energy ")[1].split()[0])
+                assert launch > 1e300
+            else:
+                assert codes[-1] == 0 and err == ""
+        assert len(codes) == 43 and set(codes) == {0, 2}
+
 
 class TestSweepCommand:
     def test_csv_rows_and_determinism(self, tmp_path):

@@ -7,6 +7,7 @@ import math
 import pickle
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -608,6 +609,70 @@ def test_engines_write_the_recorded_bits():
     assert digest.hexdigest() == ENGINE_BITS
 
 
+# sha256 of both engines' stored columns and terminations on the runs of
+# test_long_runs_write_the_recorded_bits, recorded at commit 176a32e
+LONG_RUN_BITS = "270db05ec36c96191bd8a8a8a86141b1fd8dc7ce7fb06ef779a14fafc3cb8314"
+
+
+def test_long_runs_write_the_recorded_bits():
+    # runs of many buffer flushes: the pin above stops at 200 events, less
+    # than one chunk of the event loop
+    rng = np.random.default_rng(977)
+    runs = []
+    for n in [1000] * 20 + [10_000] * 4:
+        angle = random_angle(rng)
+        runs.append((random_launch(rng, angle), angle, n))
+    digest = hashlib.sha256()
+    events = 0
+    for initial, angle, n in runs:
+        for engine in (simulate, decoupled_simulate):
+            traj = engine(initial, angle, n)
+            events += len(traj.events)
+            for part in run_digest_parts(traj):
+                digest.update(part)
+    assert events > 20 * _CHUNK
+    assert digest.hexdigest() == LONG_RUN_BITS
+
+
+def number_type_launches(kind) -> list[tuple[CartesianState, WedgeAngle]]:
+    """Float launches whose every value ``kind`` holds exactly."""
+    angles = [WedgeAngle.from_degrees(d) for d in (30, 45, 60)]
+    if kind is bool:
+        states = [CartesianState(0.0, 1.0, u, w, t) for u in (0.0, 1.0) for w in (0.0, 1.0) for t in (0.0, 1.0)]
+    elif kind is int:
+        states = [
+            CartesianState(x, 3.0, u, w, t)
+            for x in (-1.0, 0.0, 1.0)
+            for u, w in ((0.0, 2.0), (-1.0, 1.0), (2.0, 0.0))
+            for t in (0.0, 5.0)
+        ]
+    else:
+        rng = np.random.default_rng(977)
+        return [
+            (dataclasses.replace(random_launch(rng, angle), t=float(rng.uniform(-10, 10))), angle)
+            for angle in angles
+            for _ in range(6)
+        ]
+    return [(state, angle) for state in states for angle in angles]
+
+
+@pytest.mark.parametrize("kind", [int, bool, np.float64, Fraction], ids=lambda k: k.__name__)
+def test_launches_in_other_number_types_write_the_float_bits(kind):
+    # the loop's first row holds the launch's own u, and a stop at the
+    # launch's clock its own t; the columns take any number through
+    # __float__, so the bytes are the float launch's.  The oracle adds
+    # the launch clock to a numpy array of hit times
+    for state, angle in number_type_launches(kind):
+        values = dataclasses.astuple(state)
+        given = CartesianState(*map(kind, values))
+        assert tuple(map(float, dataclasses.astuple(given))) == values
+        assert step_bits(next_collision(given, angle)) == step_bits(next_collision(state, angle))
+        n = _CHUNK + 1
+        for engine in (simulate, decoupled_simulate):
+            parts = list(run_digest_parts(engine(given, angle, n)))
+            assert parts == list(run_digest_parts(engine(state, angle, n)))
+
+
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, "stop"])
 def test_runs_across_buffer_flushes_are_prefixes_and_resume(n):
     # the loop buffers _CHUNK events at a time: a shorter run is a prefix of
@@ -947,3 +1012,22 @@ def test_engine_holds_at_most_64_bytes_per_event(engine):
         tracemalloc.stop()
     assert len(traj.events) == 10_000
     assert held / 10_000 <= 64
+
+
+def test_oracle_peaks_below_295_bytes_per_event():
+    # a deterministic allocation count, not a timing: the merged hits and
+    # their sort order (32 B/event) are dropped once each hit's time, wall
+    # and own index are taken from them; 294.6 B/event measured
+    angle = WedgeAngle.from_degrees(60)
+    initial = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
+    decoupled_simulate(initial, angle, 1000)
+    n = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = decoupled_simulate(initial, angle, n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.events) == n
+    assert peak / n <= 295
