@@ -77,12 +77,6 @@ class OutputFormat(Enum):
     SVG = "svg"
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -245,7 +239,7 @@ def _write_text(path: str, pieces: Iterator[str]) -> None:
             fh.write(first)
             fh.writelines(pieces)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +414,13 @@ def _given_form(
     values = [[getattr(args, name[2:].replace("-", "_")) for name in form] for form in forms]
     given = [i for i in range(len(forms)) if any(value is not None for value in values[i])]
     if len(given) != 1:
-        raise CliError(
+        raise ValueError(
             f"supply exactly one {group} form: {' or '.join('/'.join(form) for form in forms)}"
         )
     (index,) = given
     missing = [name for name, value in zip(forms[index], values[index]) if value is None]
     if missing:
-        raise CliError(f"{group} form {'/'.join(forms[index])} needs {', '.join(missing)}")
+        raise ValueError(f"{group} form {'/'.join(forms[index])} needs {', '.join(missing)}")
     return index, values[index]
 
 
@@ -445,7 +439,7 @@ def _resolve_launch(args: argparse.Namespace, angle: WedgeAngle) -> CartesianSta
         return CartesianState(*values, 0.0)
     wall, s, u_bar, w_bar = values
     if w_bar < 0:
-        raise CliError("--w-bar must be nonnegative (outgoing launch)")
+        raise ValueError("--w-bar must be nonnegative (outgoing launch)")
     return launch_from_wall(Wall(wall), s, u_bar, w_bar, angle)
 
 
@@ -486,7 +480,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_periodic(args: argparse.Namespace) -> int:
     spec = OrbitSpec(args.p, args.q, args.energy)
     if args.periods < 1:
-        raise CliError("--periods must be at least 1")
+        raise ValueError("--periods must be at least 1")
     traj = build_periodic_orbit(spec, n_collisions=spec.period * args.periods)
     export_trajectory(traj, _resolve_format(args), args.out)
     return _check_complete(traj, spec.period * args.periods)
@@ -495,7 +489,7 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
     if fmt is OutputFormat.JSON:
-        raise CliError("sweep writes CSV or SVG, not JSON")
+        raise ValueError("sweep writes CSV or SVG, not JSON")
     points = sweep_periodic_points(args.max, args.max, args.energy, half=args.half)
     if fmt is OutputFormat.SVG:
         render_plot(points, args.out)
@@ -616,9 +610,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,22 +21,20 @@ with no loop per event.  The two share only the first-hit rule and must
 agree event for event; each serves as an oracle for the other.  The loop
 holds that rule written out, so that an event makes no Python function
 call; :func:`_first_hit` is the oracle's copy, and a test pins the two
-copies to the same bits.  It buffers a chunk of events as rows of floats
-and packs each chunk into an ``array`` with one ``struct.pack`` call:
-``array("d", list)`` converts float by float through CPython 3.11's
-argument parser, at over twice the cost.
+copies to the same bits.  It buffers a chunk of events as the store's rows
+and appends each chunk with one ``struct.pack`` call, as :func:`_run` says.
 
 Both test only the launch for sliding, with :func:`_sliding_start`, and
-project it to the wedge frame once.  Both write each event's wall code and
-floats to :class:`EventColumns`, which holds only those and the angle's
-trig.  :attr:`Trajectory.events` builds a :class:`CollisionEvent` only when
-one is asked for, and its ``pre``, ``post`` and ``rotating_post`` only when
-first read, and keeps them; ``rotating_post`` is worked out from the stored
-outgoing momentum and wall.  Its iterator is a generator that shares the
-sequence's one kept event, so ``zip(events, events[1:])`` builds each event
-once.  Frozen instances are filled through their slots' setters, as
-:class:`~wedge_billiard.collision_maps.MapState` fills its own.  Only the
-oracle and the columns' numpy views load numpy.
+project it to the wedge frame once.  Both store each event in
+:class:`EventColumns` as a wall code and a row of floats, read back as
+strided columns.  :attr:`Trajectory.events` builds a :class:`CollisionEvent`
+only when one is asked for, and its ``pre``, ``post`` and ``rotating_post``
+only when first read, and keeps them; ``rotating_post`` is worked out from
+the stored outgoing momentum and wall.  Its iterator is a generator that
+shares the sequence's one kept event, so ``zip(events, events[1:])`` builds
+each event once.  Frozen instances are filled through their slots' setters,
+as :class:`~wedge_billiard.collision_maps.MapState` fills its own.  Only
+the oracle and the columns' numpy views load numpy.
 """
 
 from __future__ import annotations
@@ -118,35 +116,35 @@ class CollisionEvent:
     def __init__(self, wall, t, pre, post, rotating_post):
         _set_wall(self, wall)
         _set_t(self, t)
-        # pre, post, rotating_post, then the columns and row they are built from
+        # pre, post, rotating_post, then the store and the offset of their row
         _set_parts(self, [pre, post, rotating_post, None, -1])
 
     @property
     def pre(self) -> CartesianState:
         parts = self._parts
         if parts[0] is None:
-            cols, i = parts[3], parts[4]
-            parts[0] = CartesianState(cols.x[i], cols.y[i], cols.u_pre[i], cols.w_pre[i], self.t)
+            r, k = parts[3].rows, parts[4]
+            parts[0] = CartesianState(r[k + _X], r[k + _Y], r[k + _U_PRE], r[k + _W_PRE], self.t)
         return parts[0]
 
     @property
     def post(self) -> CartesianState:
         parts = self._parts
         if parts[1] is None:
-            cols, i = parts[3], parts[4]
-            parts[1] = CartesianState(cols.x[i], cols.y[i], cols.u[i], cols.w[i], self.t)
+            r, k = parts[3].rows, parts[4]
+            parts[1] = CartesianState(r[k + _X], r[k + _Y], r[k + _U], r[k + _W], self.t)
         return parts[1]
 
     @property
     def rotating_post(self) -> RotatingFrameMomentum:
         parts = self._parts
         if parts[2] is None:
-            cols, i = parts[3], parts[4]
-            u, w, sin_t, cos_t = cols.u[i], cols.w[i], cols.sin_t, cols.cos_t
+            cols, k = parts[3], parts[4]
+            u, w, sin_t, cos_t = cols.rows[k + _U], cols.rows[k + _W], cols.sin_t, cols.cos_t
             # to_wedge written out; wall A's tangent and inward normal are
             # the wedge axes, and wall B's the same axes swapped
             u_bar, w_bar = u * sin_t + w * cos_t, -u * cos_t + w * sin_t
-            if cols.wall[i]:
+            if self.wall is WALLS[1]:
                 u_bar, w_bar = w_bar, u_bar
             frame = parts[2] = _new(RotatingFrameMomentum)
             _set_u_bar(frame, u_bar)
@@ -182,27 +180,30 @@ class Termination:
 WALLS = (Wall.A, Wall.B)
 
 
-# The columns an engine writes: the only names EventSequence reads
+# The columns an engine writes: the only names EventSequence reads.  The
+# wall is stored on its own and the rest as one row of floats per event, in
+# this order; _OFFSETS gives each one's place in a row
 _COLUMN_NAMES = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w")
+_OFFSETS = {name: j for j, name in enumerate(_COLUMN_NAMES[1:])}
+_ROW = len(_OFFSETS)
+_T, _X, _Y, _U_PRE, _W_PRE, _U, _W = map(_OFFSETS.get, ("t", "x", "y", "u_pre", "w_pre", "u", "w"))
 
 
 class EventColumns:
-    """Per-event columns written by the event loops, one entry per collision.
+    """The events written by the event loops, one per collision.
 
-    ``wall`` holds the index of the wall in :data:`WALLS`, ``t`` the clock,
-    ``x, y`` the collision point, ``u_pre, w_pre`` the landing momentum and
-    ``u, w`` the reflected one.  ``sin_t, cos_t`` are the wedge angle's
-    trig, which :attr:`CollisionEvent.rotating_post` reads.  Nothing derived
-    from the columns is stored.
+    ``wall`` holds each event's index of its wall in :data:`WALLS`, and
+    ``rows`` a row per event of the clock ``t``, the collision point ``x,
+    y``, the landing momentum ``u_pre, w_pre`` and the reflected one ``u,
+    w``, laid out as :data:`_COLUMN_NAMES`.  ``sin_t, cos_t`` are the wedge
+    angle's trig, which :attr:`CollisionEvent.rotating_post` reads.  Nothing
+    derived from the events is stored.
     """
 
-    __slots__ = (*_COLUMN_NAMES, "sin_t", "cos_t")
+    __slots__ = ("wall", "rows", "sin_t", "cos_t")
 
     def __init__(self, angle: WedgeAngle):
-        self.wall = array("B")
-        self.t, self.x, self.y = array("d"), array("d"), array("d")
-        self.u_pre, self.w_pre = array("d"), array("d")
-        self.u, self.w = array("d"), array("d")
+        self.wall, self.rows = array("B"), array("d")
         self.sin_t, self.cos_t = angle.sin, angle.cos
 
 
@@ -219,7 +220,7 @@ class EventSequence(Sequence):
 
     def __init__(self, columns: EventColumns, indices: range | None = None):
         self._columns = columns
-        self._range = range(len(columns.t)) if indices is None else indices
+        self._range = range(len(columns.wall)) if indices is None else indices
         # last (index, event) built, shared with slices: zip(events, events[1:]) builds each once
         self._memo = [(-1, None)]
 
@@ -271,24 +272,33 @@ class EventSequence(Sequence):
         return stored[index]
 
     def _column(self, name: str) -> tuple[array, slice]:
-        """The whole stored column ``name`` of :data:`_COLUMN_NAMES`, and the
-        slice of it that this sequence covers."""
+        """The stored array holding column ``name`` of :data:`_COLUMN_NAMES`,
+        and the slice of it that this sequence covers, strided in ``rows``."""
         if name not in _COLUMN_NAMES:
             names = ", ".join(_COLUMN_NAMES)
             raise ValueError(f"no stored column {name!r}; the columns are {names}")
+        if name == "wall":
+            stored, offset, stride = self._columns.wall, 0, 1
+        else:
+            stored, offset, stride = self._columns.rows, _OFFSETS[name], _ROW
         r = self._range
-        # a descending range that ends at index 0 stops at -1, which a
-        # slice would read as the last index
-        return getattr(self._columns, name), slice(r.start, None if r.stop < 0 else r.stop, r.step)
+        if not r:
+            return stored, slice(0, 0)
+        step = r.step * stride
+        # one step past the last entry; a descending slice that ends at index
+        # 0 stops below it, where a negative stop would read from the end
+        stop = r[-1] * stride + offset + step
+        return stored, slice(r[0] * stride + offset, None if stop < 0 else stop, step)
 
 
 def _event(columns: EventColumns, i: int, memo: list) -> CollisionEvent:
     """Event ``i`` of ``columns``, its parts left to be built when read, kept
     as ``memo``'s one event: the one builder of a stored event."""
+    k = i * _ROW
     event = _new(CollisionEvent)
     _set_wall(event, WALLS[columns.wall[i]])
-    _set_t(event, columns.t[i])
-    _set_parts(event, [None, None, None, columns, i])
+    _set_t(event, columns.rows[k + _T])
+    _set_parts(event, [None, None, None, columns, k])
     memo[0] = (i, event)
     return event
 
@@ -410,7 +420,7 @@ def _first_hit(d0: float, v0: float, g: float) -> float | None:
     return first if T_EPS < first < math.inf else None
 
 
-# Events the loop buffers as rows before it copies them into the columns;
+# Events the loop buffers as rows before it appends them to the store;
 # 256 costs ~0.1 MB, and with the packed flush 128, 512 and 1024 were no
 # faster on 8 runs of 1e4 events
 _CHUNK = 256
@@ -429,20 +439,17 @@ def _run(
     ends the run, stamped with its landing clock, so no later state is tested
     for sliding.  With no root ahead on either wall the state sits at the
     vertex and is leaving the wedge: a vertex hit at the state's own clock.
-    Events are buffered as rows and copied into the columns a chunk at a
-    time.  Each chunk's floats are converted with one ``struct.pack`` call:
-    ``array("d", rows)`` converts them one at a time through the argument
-    parser (``PyArg_Parse`` on CPython 3.11), at over twice the cost.
+    Events are buffered as the store's rows and appended to it a chunk at a
+    time, each chunk packed by one ``struct.pack`` call: ``array("d", rows)``
+    converts floats one at a time through the argument parser
+    (``PyArg_Parse`` on CPython 3.11), at over twice the cost.
     """
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
     # first hits inline, one row write per event: 0.8x the time of 2 _first_hit calls + 7 appends
     two_sin, two_cos = 2.0 * sin_t, 2.0 * cos_t
     sqrt, inf, pack = math.sqrt, math.inf, struct.pack
-    add_wall = columns.wall.append
-    float_columns = (
-        columns.t, columns.x, columns.y, columns.u_pre, columns.w_pre, columns.u, columns.w
-    )
+    add_wall, add_rows = columns.wall.append, columns.rows.frombytes
     rows: list[float] = []
     add_row = rows.extend
     termination = None
@@ -476,7 +483,8 @@ def _run(
             # to_wedge is).  The reflection (u, w) -= 2 * p_n * normal is
             # written out with each wall's normal, (-cos, sin) on wall A and
             # (sin, cos) on wall B: negation and doubling are exact, so the
-            # bits are the same.  A row reads u before the walrus rebinds it.
+            # bits are the same.  A row, laid out as the store's rows, reads u
+            # before the walrus rebinds it.
             if gap < 0.0:
                 dt = t_a
                 s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
@@ -512,10 +520,7 @@ def _run(
             else:
                 termination = Termination(TerminationKind.VERTEX_HIT, t)
                 break
-        # the rows' floats, de-interleaved into their columns
-        buffered = array("d", pack(f"{len(rows)}d", *rows))
-        for j, column in enumerate(float_columns):
-            column.extend(buffered[j::7])
+        add_rows(pack(f"{len(rows)}d", *rows))
         rows.clear()
         start += _CHUNK
     return columns, termination
@@ -537,7 +542,7 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
         columns, termination = _run(s.x, s.y, s.u, s.w, 0.0, angle, 1)
     if termination is not None:
         return termination
-    return columns.t[0], WALLS[columns.wall[0]]
+    return columns.rows[_T], WALLS[columns.wall[0]]
 
 
 def _sliding_start(
@@ -669,6 +674,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     since = r - (first[other] + period[other] * (before - 1))
     height = speed[other] * since - gravity[other] * since * since / 2.0
     velocity = speed[other] - gravity[other] * since
+    del other, before, since, own_index
 
     # the first of the n events that cannot be reflected ends the run: hits
     # on both walls within TIE_EPS or a landing too near the vertex (the
@@ -689,22 +695,23 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     # rows: height, landing velocity, outgoing velocity.  The other bouncer
     # is in flight; at its own hit a bouncer sits on its wall and its
     # velocity turns from -V to V
-    code, height, velocity = code[:k], height[:k], velocity[:k]
-    flight = np.array([height, velocity, velocity])
+    code = code[:k]
+    flight = np.array([height[:k], velocity[:k], velocity[:k]])
     own = np.array([[0.0], [-1.0], [1.0]]) * own_speed[:k]
+    del height, velocity, own_speed
     tilde_x = np.where(code, own, flight)
     tilde_y = np.where(code, flight, own)
+    del flight, own
     # wedge -> lab: rows (x, u_pre, u) and (y, w_pre, w)
     lab_x, lab_y = from_wedge(tilde_x, tilde_y, sin_t, cos_t)
-    for column, values in (
-        (columns.wall, code.astype(np.uint8)),
-        (columns.t, t0 + r[:k]),
-        (columns.x, lab_x[0]),
-        (columns.y, lab_y[0]),
-        (columns.u_pre, lab_x[1]),
-        (columns.w_pre, lab_y[1]),
-        (columns.u, lab_x[2]),
-        (columns.w, lab_y[2]),
-    ):
-        column.frombytes(values.tobytes())
+    del tilde_x, tilde_y
+    # one event per row of the block, laid out as the store's rows
+    block = np.empty((k, _ROW))
+    block[:, _T] = t0 + r[:k]
+    block[:, _X], block[:, _U_PRE], block[:, _U] = lab_x
+    block[:, _Y], block[:, _W_PRE], block[:, _W] = lab_y
+    del lab_x, lab_y
+    # frombytes copies from any buffer of bytes, so no bytes object is made
+    columns.wall.frombytes(code.astype(np.uint8))
+    columns.rows.frombytes(block.view(np.uint8))
     return finish(termination)

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ from wedge_billiard.cli import (
     _trajectory_svg_lines,
 )
 from wedge_billiard.dynamics import (
+    _COLUMN_NAMES,
     WALLS,
     EventColumns,
     EventSequence,
@@ -57,25 +57,35 @@ def coprime_pairs(limit: int):
     ]
 
 
-def copied_columns(traj: Trajectory, indices) -> EventColumns:
-    """New columns holding copies of ``traj``'s events at ``indices`` (a
-    slice or a list, which may repeat an index)."""
-    columns = EventColumns(traj.theta)
-    for field in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
-        getattr(columns, field).extend(traj.events.column(field)[indices].tolist())
+def filled_columns(angle: WedgeAngle, values: dict) -> EventColumns:
+    """New columns at ``angle`` whose stored column ``name`` holds
+    ``values[name]``, for each name the engines write: the one writer of
+    the store outside the engines."""
+    assert len({len(values[name]) for name in _COLUMN_NAMES}) == 1
+    columns = EventColumns(angle)
+    columns.wall.extend(values["wall"])
+    rows = zip(*(values[name] for name in _COLUMN_NAMES[1:]))
+    columns.rows.extend(value for row in rows for value in row)
     return columns
+
+
+def stored_values(traj: Trajectory, indices=slice(None)) -> dict:
+    """Each stored column of ``traj``'s events at ``indices`` (a slice or a
+    list, which may repeat an index), as a list by name."""
+    return {name: traj.events.column(name)[indices].tolist() for name in _COLUMN_NAMES}
 
 
 def with_events(traj: Trajectory, indices) -> Trajectory:
     """``traj`` with copies of its events at ``indices`` as its events."""
-    return dataclasses.replace(traj, events=EventSequence(copied_columns(traj, indices)))
+    columns = filled_columns(traj.theta, stored_values(traj, indices))
+    return dataclasses.replace(traj, events=EventSequence(columns))
 
 
 def with_values(traj: Trajectory, name: str, values) -> Trajectory:
     """``traj`` with column ``name`` of its first events set to ``values``."""
-    columns = copied_columns(traj, slice(None))
-    getattr(columns, name)[: len(values)] = array("d", values)
-    return dataclasses.replace(traj, events=EventSequence(columns))
+    stored = stored_values(traj)
+    stored[name][: len(values)] = values
+    return dataclasses.replace(traj, events=EventSequence(filled_columns(traj.theta, stored)))
 
 
 def bits(values) -> np.ndarray:
@@ -91,13 +101,12 @@ def read_trajectory_json(path) -> Trajectory:
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     angle = WedgeAngle(doc["theta"])
     rows = doc["events"]
-    columns = EventColumns(angle)
-    columns.wall.extend(WALLS.index(Wall(row["wall"])) for row in rows)
-    for name, key in (
-        ("t", "t"), ("x", "x"), ("y", "y"), ("u_pre", "u_pre"), ("w_pre", "w_pre"),
-        ("u", "u_post"), ("w", "w_post"),
-    ):
-        getattr(columns, name).extend(row[key] for row in rows)
+    keys = {"u": "u_post", "w": "w_post"}
+    stored = {
+        name: [row[keys.get(name, name)] for row in rows] for name in _COLUMN_NAMES[1:]
+    }
+    stored["wall"] = [WALLS.index(Wall(row["wall"])) for row in rows]
+    columns = filled_columns(angle, stored)
     term = doc["termination"]
     termination = (
         None

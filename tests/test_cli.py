@@ -913,6 +913,53 @@ def test_each_complete_form_is_accepted(angle, launch, tmp_path):
     assert len(out.read_text().splitlines()) == 6
 
 
+# Every check the command line makes itself, with its whole stderr and exit
+# code; "{out}" stands for the file the command is asked to write.
+@pytest.mark.parametrize(
+    "argv, out_name, code, err",
+    [
+        pytest.param(
+            ("simulate", *WALL_FORM), "x.csv", 2,
+            "error: supply exactly one angle form: --theta-deg or --p/--q\n",
+            id="no-angle-form",
+        ),
+        pytest.param(
+            ("simulate", "--p", "1", *WALL_FORM), "x.csv", 2,
+            "error: angle form --p/--q needs --q\n",
+            id="incomplete-angle-form",
+        ),
+        pytest.param(
+            ("simulate", *THETA_FORM, *WALL_FORM[:6], "--w-bar", "-1"), "x.csv", 2,
+            "error: --w-bar must be nonnegative (outgoing launch)\n",
+            id="negative-w-bar",
+        ),
+        pytest.param(
+            ("periodic", "--p", "1", "--q", "2", "--periods", "0"), "x.csv", 2,
+            "error: --periods must be at least 1\n",
+            id="zero-periods",
+        ),
+        pytest.param(
+            ("sweep", "--max", "3"), "s.json", 2,
+            "error: sweep writes CSV or SVG, not JSON\n",
+            id="json-sweep",
+        ),
+        pytest.param(
+            (*SIMULATE_ARGS, "--n", "5"), "missing/x.csv", 4,
+            "error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n",
+            id="unwritable-out",
+        ),
+    ],
+)
+def test_command_line_checks_print_one_error_line_and_exit_code(
+    argv, out_name, code, err, tmp_path, capsys
+):
+    out = tmp_path / out_name
+    assert run(*argv, "--out", str(out)) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err.format(out=out))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_plot_dispatches_on_data(tmp_path):
     from wedge_billiard import OrbitSpec, build_periodic_orbit, sweep_periodic_points
     from wedge_billiard.cli import render_plot

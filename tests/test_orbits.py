@@ -23,7 +23,7 @@ from wedge_billiard import (
     simulate,
     sweep_periodic_points,
 )
-from wedge_billiard.dynamics import EventColumns, EventSequence, Trajectory
+from wedge_billiard.dynamics import EventSequence, Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
 from wedge_billiard.geometry import from_wedge, to_wedge
 from wedge_billiard import orbits
@@ -32,10 +32,11 @@ from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, SweepPoint
 from conftest import (
     bits,
     coprime_pairs,
-    copied_columns,
+    filled_columns,
     flights,
     random_angle,
     random_launch,
+    stored_values,
     with_events,
     with_values,
 )
@@ -315,17 +316,18 @@ def test_momenta_are_compared_in_the_collision_frame(shift, periodic):
         threshold = tol * math.sqrt(traj.energy)
         angle = traj.theta
         for first in (0, 1):
-            columns = copied_columns(traj, slice(None))
+            stored = stored_values(traj)
             k = first + p + q
-            wall = columns.wall[k]
+            wall = stored["wall"][k]
             walls.add(wall)
             # the collision frame is the wedge frame, swapped on wall B
             du_bar, dw_bar = (v * threshold for v in shift)
             d_tilde = (dw_bar, du_bar) if wall else (du_bar, dw_bar)
             du, dw = from_wedge(*d_tilde, angle.sin, angle.cos)
-            columns.u[k] += du
-            columns.w[k] += dw
-            shifted = Trajectory(traj.initial, angle, EventSequence(columns)[first:])
+            stored["u"][k] += du
+            stored["w"][k] += dw
+            events = EventSequence(filled_columns(angle, stored))
+            shifted = Trajectory(traj.initial, angle, events[first:])
             hits_a = sum(e.wall is Wall.A for e in shifted.events[: p + q])
             expected = (
                 OrbitClass(OrbitKind.PERIODIC, p + q, hits_a, p + q - hits_a)
@@ -422,14 +424,13 @@ def scaled_run(traj: Trajectory, factor: float) -> Trajectory:
     absolute: a launch scaled to E = 1e-9 ends in a vertex hit at once.
     """
     root = math.sqrt(factor)
-    columns = EventColumns(traj.theta)
-    columns.wall.extend(traj.events.column("wall").tolist())
+    stored = {"wall": traj.events.column("wall").tolist()}
     for name, scale in (("t", root), ("x", factor), ("y", factor), ("u_pre", root),
                         ("w_pre", root), ("u", root), ("w", root)):
-        getattr(columns, name).extend((traj.events.column(name) * scale).tolist())
+        stored[name] = (traj.events.column(name) * scale).tolist()
     s = traj.initial
     initial = CartesianState(factor * s.x, factor * s.y, root * s.u, root * s.w, root * s.t)
-    return Trajectory(initial, traj.theta, EventSequence(columns))
+    return Trajectory(initial, traj.theta, EventSequence(filled_columns(traj.theta, stored)))
 
 
 COVERAGE_GRIDS = [(1, 1), (2, 3), (7, 7), (31, 17), (64, 64), (97, 3)]
