@@ -120,17 +120,15 @@ def _event_rows(traj: Trajectory, lo: int, hi: int, width: int) -> list:
     after row: the event index, then the values in ``CSV_COLUMNS`` order,
     and ``u_pre, w_pre`` too if ``width`` is 16.
 
-    Worked out in Python floats from the engine's stored columns.  An
+    Worked out in Python floats from the engine's stored rows.  An
     event's ``u_bar, w_bar`` is its wedge-frame outgoing momentum, swapped
     on wall B, as :attr:`~wedge_billiard.dynamics.CollisionEvent.rotating_post`
     works it out.
     """
-    events = traj.events[lo:hi]
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
-    names = ("wall", "t", "x", "y", "u", "w", "u_pre", "w_pre")
     with_pre = width > len(CSV_COLUMNS)
     flat = []
-    for index, code, t, x, y, u, w, u_pre, w_pre in zip(range(lo, hi), *map(events.stored, names)):
+    for index, (code, t, x, y, u_pre, w_pre, u, w) in enumerate(traj.events[lo:hi]._rows(), lo):
         x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
         u_tilde, w_tilde = to_wedge(u, w, sin_t, cos_t)
         hx, hy = wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t, cos_t)

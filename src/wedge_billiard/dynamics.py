@@ -24,10 +24,10 @@ call; :func:`_first_hit` is the oracle's copy, and a test pins the two
 copies to the same bits.  It buffers a chunk of events as the store's rows
 and appends each chunk with one ``struct.pack`` call, as :func:`_run` says.
 
-Both test only the launch for sliding, with :func:`_sliding_start`, and
-project it to the wedge frame once.  Both store each event in
-:class:`EventColumns` as a wall code and a row of floats, read back as
-strided columns.  :attr:`Trajectory.events` builds a :class:`CollisionEvent`
+Both start through :func:`_validate_run`, which projects the launch once
+and tests only it for sliding.  Both store each event in
+:class:`EventColumns` as a wall code and a row of floats, read in bulk by
+one span rule.  :attr:`Trajectory.events` builds a :class:`CollisionEvent`
 only when one is asked for, and its ``pre``, ``post`` and ``rotating_post``
 only when first read, and keeps them; ``rotating_post`` is worked out from
 the stored outgoing momentum and wall.  Its iterator is a generator that
@@ -214,6 +214,7 @@ class EventSequence(Sequence):
     ``rotating_post`` when first read, then kept for repeat reads.  Two
     lookups of one index give equal events, not always one object.  A slice
     is another sequence over the same columns; equal to tuples of equal events.
+    :meth:`column` and the exports' rows (:meth:`_rows`) read by :meth:`_span`.
     """
 
     __slots__ = ("_columns", "_range", "_memo")
@@ -260,35 +261,33 @@ class EventSequence(Sequence):
         """Read-only numpy array of one column the engine wrote, without
         building events: ``wall`` of dtype uint8, the others float64."""
         import numpy as np
-        stored, index = self._column(name)
-        values = np.frombuffer(stored, dtype=np.uint8 if name == "wall" else float)[index]
-        values.flags.writeable = False
-        return values
-
-    def stored(self, name: str) -> array:
-        """A copy of one column the engine wrote, as the ``array`` it wrote:
-        ``wall`` of type ``B``, the others of type ``d``.  Needs no numpy."""
-        stored, index = self._column(name)
-        return stored[index]
-
-    def _column(self, name: str) -> tuple[array, slice]:
-        """The stored array holding column ``name`` of :data:`_COLUMN_NAMES`,
-        and the slice of it that this sequence covers, strided in ``rows``."""
         if name not in _COLUMN_NAMES:
             names = ", ".join(_COLUMN_NAMES)
             raise ValueError(f"no stored column {name!r}; the columns are {names}")
+        lo, hi, step = self._span()
         if name == "wall":
-            stored, offset, stride = self._columns.wall, 0, 1
+            values = np.frombuffer(self._columns.wall, np.uint8)[lo:hi]
         else:
-            stored, offset, stride = self._columns.rows, _OFFSETS[name], _ROW
+            values = np.frombuffer(self._columns.rows)[lo * _ROW + _OFFSETS[name]:hi * _ROW:_ROW]
+        values = values[::step]
+        values.flags.writeable = False
+        return values
+
+    def _rows(self) -> list[tuple]:
+        """Each event's stored values in :data:`_COLUMN_NAMES` order, from one
+        slice of the rows, without numpy."""
+        lo, hi, step = self._span()
+        columns = self._columns
+        floats = iter(columns.rows[lo * _ROW:hi * _ROW])
+        return list(zip(columns.wall[lo:hi], *[floats] * _ROW))[::step]
+
+    def _span(self) -> tuple[int, int, int]:
+        """The one rule for bulk reads: the events are store indices ``lo`` to
+        ``hi - 1`` read by ``step``, from ``hi - 1`` down if it is negative."""
         r = self._range
         if not r:
-            return stored, slice(0, 0)
-        step = r.step * stride
-        # one step past the last entry; a descending slice that ends at index
-        # 0 stops below it, where a negative stop would read from the end
-        stop = r[-1] * stride + offset + step
-        return stored, slice(r[0] * stride + offset, None if stop < 0 else stop, step)
+            return 0, 0, 1
+        return (r[0], r[-1] + 1, r.step) if r.step > 0 else (r[-1], r[0] + 1, r.step)
 
 
 def _event(columns: EventColumns, i: int, memo: list) -> CollisionEvent:
@@ -433,16 +432,17 @@ def _run(
     ``t``: the columns of the events, and the :class:`Termination` that
     ended the run early, or None.
 
-    The caller has tested the start with :func:`_sliding_start`.  Each event
-    is the earlier of the two bouncers' first landings, reflected with the
-    wall normal.  A flight that ends at the vertex or in a grazing landing
-    ends the run, stamped with its landing clock, so no later state is tested
-    for sliding.  With no root ahead on either wall the state sits at the
-    vertex and is leaving the wedge: a vertex hit at the state's own clock.
-    Events are buffered as the store's rows and appended to it a chunk at a
-    time, each chunk packed by one ``struct.pack`` call: ``array("d", rows)``
-    converts floats one at a time through the argument parser
-    (``PyArg_Parse`` on CPython 3.11), at over twice the cost.
+    The caller passes a float clock and has tested the start with
+    :func:`_sliding_start`.  Each event is the earlier of the two bouncers'
+    first landings, reflected with the wall normal.  A flight that ends at
+    the vertex or in a grazing landing ends the run, stamped with its landing
+    clock, so no later state is tested for sliding.  With no root ahead on
+    either wall the state sits at the vertex and is leaving the wedge: a
+    vertex hit at the state's own clock.  Events are buffered as the store's
+    rows and appended to it a chunk at a time, each chunk packed by one
+    ``struct.pack`` call: ``array("d", rows)`` converts floats one at a time
+    through the argument parser (``PyArg_Parse`` on CPython 3.11), at over
+    twice the cost.
     """
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
@@ -560,9 +560,11 @@ def _sliding_start(
 
 def _validate_run(
     initial: CartesianState, angle: WedgeAngle, n: int
-) -> tuple[float, float, float, float]:
-    """Raise ValueError for a launch :func:`simulate` rejects, else return the
-    launch in the wedge frame, ``(x_tilde, y_tilde, u_tilde, w_tilde)``."""
+) -> tuple[tuple[float, float, float, float], float, Termination | None]:
+    """The one start of both engines.  Raise ValueError for a launch they
+    reject, else return the launch in the wedge frame, ``(x_tilde, y_tilde,
+    u_tilde, w_tilde)``, its clock as a float, and the :class:`Termination`
+    of a sliding start, or None; a run of no events has no start to test."""
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
     if not math.isfinite(initial.t):
@@ -583,7 +585,10 @@ def _validate_run(
                 f"launch on wall {wall.value} moves out of the wedge "
                 f"(normal momentum {p_n!r})"
             )
-    return x_tilde, y_tilde, u_tilde, w_tilde
+    # a stop at the launch's clock and the oracle's clocks are floats whatever its type
+    t = float(initial.t)
+    stop = _sliding_start(x_tilde, y_tilde, u_tilde, w_tilde, t) if n > 0 else None
+    return (x_tilde, y_tilde, u_tilde, w_tilde), t, stop
 
 
 def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
@@ -595,10 +600,9 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
     energy outside (0, MAX_ENERGY], with a clock that is not finite, or
     moving out through the wall it sits on.
     """
-    launch = _validate_run(initial, angle, n)
-    termination = _sliding_start(*launch, initial.t) if n > 0 else None
+    _, t, termination = _validate_run(initial, angle, n)
     if termination is None:
-        columns, termination = _run(initial.x, initial.y, initial.u, initial.w, initial.t, angle, n)
+        columns, termination = _run(initial.x, initial.y, initial.u, initial.w, t, angle, n)
     else:
         columns = EventColumns(angle)
     return Trajectory(initial, angle, EventSequence(columns), termination)
@@ -626,19 +630,15 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     :func:`simulate` does.
     """
     import numpy as np
-    xt, yt, ut, wt = _validate_run(initial, angle, n)
+    (xt, yt, ut, wt), t0, sliding = _validate_run(initial, angle, n)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
-    # a float, so that t0 + r is a float array whatever number type the clock is
-    t0 = float(initial.t)
 
-    def finish(termination: Termination | None = None) -> Trajectory:
+    def finish(termination: Termination | None) -> Trajectory:
         return Trajectory(initial, angle, EventSequence(columns), termination)
 
-    if n == 0:
-        return finish()
-    sliding = _sliding_start(xt, yt, ut, wt, t0)
-    if sliding is not None:
+    # a run of no events ends here too: the no-root test below would stop it
+    if sliding is not None or n == 0:
         return finish(sliding)
     # the two bouncers by wall code: 0 is wall A, which y_tilde hits with
     # gravity sin(theta), and 1 is wall B, which x_tilde hits with cos(theta)

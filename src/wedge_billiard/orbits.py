@@ -218,7 +218,8 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     # time: post-collision position, then momentum.  The momentum is
     # compared in the wedge frame: it is the collision frame of wall A and
     # that of wall B with its axes swapped, and only events on one wall are
-    # compared, so the differences are the collision frame's.
+    # compared, so the differences are the collision frame's.  A dense run
+    # stops at x: all four values before the filter took 2.2-2.5x the time.
     head = slice(1, n // 2 + 1)
     returns = walls[head] == walls[0]
     states = []

@@ -366,6 +366,10 @@ def dense60(n_events: int) -> Trajectory:
     return simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, n_events)
 
 
+# on a 5-event run: one view empty and two that end at event 0
+DESCENDING_PAST_0 = (slice(-10, None, -1), slice(-6, None, -2), slice(0, -10, -1))
+
+
 class TestChunkedExports:
     def test_seed977_random_launches(self):
         rng = np.random.default_rng(977)
@@ -387,6 +391,10 @@ class TestChunkedExports:
         traj = dense60(3 * _CHUNK_ARCS)
         for view in (traj.events[::-1], traj.events[::3], traj.events[_CHUNK_ARCS - 1:]):
             assert_trajectory_exports_match(dataclasses.replace(traj, events=view))
+        # descending views that pass event 0: empty, or ending at it
+        short = dense60(5)
+        for view in DESCENDING_PAST_0:
+            assert_trajectory_exports_match(dataclasses.replace(short, events=short.events[view]))
 
     @pytest.mark.parametrize("chunk", [_CHUNK_ARCS, _CHUNK_ROWS])
     def test_chunk_boundaries(self, chunk):
@@ -438,7 +446,8 @@ def numpy_event_rows(traj, lo: int, hi: int) -> tuple:
 def row_trajectories():
     """Both engines' runs of 20 seed-977 launches, of every edge launch and
     of the (1, 2) and (3, 5) orbits from 1e-9 to 1e299, reversed and
-    strided views, and values a run does not make."""
+    strided views, descending views that pass event 0, and values a run
+    does not make."""
     launches = list(edge_launches().values())
     rng = np.random.default_rng(977)
     for _ in range(20):
@@ -455,6 +464,9 @@ def row_trajectories():
     dense = dense60(_CHUNK_ROWS + 8)
     for view in (dense.events[::-1], dense.events[::3]):
         trajectories.append(dataclasses.replace(dense, events=view))
+    short = dense60(5)
+    for view in DESCENDING_PAST_0:
+        trajectories.append(dataclasses.replace(short, events=short.events[view]))
     for name in ("t", "x", "y", "u", "w", "u_pre", "w_pre"):
         extremes = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16]
         trajectories.append(with_values(dense, name, extremes))

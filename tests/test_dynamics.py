@@ -547,11 +547,15 @@ def test_event_loop_and_first_hit_give_the_same_landing_bits():
     assert missing >= 4
 
 
+def overflowing_landing() -> tuple[CartesianState, WedgeAngle]:
+    """At theta = 1e-200 wall A's gravity is 1e-200, and this launch's
+    landing on it lies ~2e324 ahead, past float64; its root on wall B
+    rounds to 0."""
+    return CartesianState(5e-201, 0.5, -1e124, -9e124), WedgeAngle(1e-200)
+
+
 def test_a_landing_time_that_overflows_is_no_landing():
-    # at theta = 1e-200 wall A's gravity is 1e-200, and this state's landing
-    # on it lies ~2e324 ahead, past float64; its root on wall B rounds to 0
-    angle = WedgeAngle(1e-200)
-    initial = CartesianState(5e-201, 0.5, -1e124, -9e124)
+    initial, angle = overflowing_landing()
     x_tilde, y_tilde = to_wedge(initial.x, initial.y, angle.sin, angle.cos)
     u_tilde, w_tilde = to_wedge(initial.u, initial.w, angle.sin, angle.cos)
     assert (w_tilde + math.sqrt(w_tilde * w_tilde + 2.0 * angle.sin * y_tilde)) / angle.sin == math.inf
@@ -568,7 +572,7 @@ def run_digest_parts(traj: Trajectory):
     """The bytes of a run's stored columns and termination, in a fixed order."""
     events = traj.events
     for name in ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w"):
-        yield events.stored(name).tobytes()
+        yield events.column(name).tobytes()
     term = traj.termination
     if term is None:
         yield b"none"
@@ -671,6 +675,15 @@ def test_launches_in_other_number_types_write_the_float_bits(kind):
         for engine in (simulate, decoupled_simulate):
             parts = list(run_digest_parts(engine(given, angle, n)))
             assert parts == list(run_digest_parts(engine(state, angle, n)))
+    # a run that stops at the launch's clock, sliding or with no landing
+    # ahead, is stamped with the clock as a float by both engines
+    at_60 = WedgeAngle.from_degrees(60)
+    clock = Fraction(1, 3) if kind is Fraction else kind(1)
+    for state, angle in ((launch_from_wall(Wall.A, 1.0, 0.0, 0.0, at_60), at_60), overflowing_landing()):
+        given = dataclasses.replace(state, t=clock)
+        stops = [engine(given, angle, 5).termination for engine in (simulate, decoupled_simulate)]
+        assert stops[0] == stops[1]
+        assert [type(stop.t) for stop in stops] == [float, float]
 
 
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, "stop"])
@@ -695,7 +708,7 @@ def test_runs_across_buffer_flushes_are_prefixes_and_resume(n):
 
     def same_bits(part, whole):
         for name in names:
-            assert part.stored(name).tobytes() == whole.stored(name).tobytes(), name
+            assert part.column(name).tobytes() == whole.column(name).tobytes(), name
 
     for k in sorted({1, _CHUNK - 1, _CHUNK, _CHUNK + 1, len(events) - 1} & set(range(1, len(events)))):
         prefix = simulate(initial, angle, k)
@@ -798,21 +811,17 @@ class TestEventSequence:
         part = events[index]
         assert len(part) == len(expected)
         assert part.column(name).tolist() == expected
-        assert part.stored(name).tolist() == expected
 
     @pytest.mark.parametrize("name", ["u_bar", "w_bar", "sin_t", "collision_frame", "_columns", ""])
-    @pytest.mark.parametrize("method", ["column", "stored"])
-    def test_only_stored_columns_are_read(self, method, name):
+    def test_only_stored_columns_are_read(self, name):
         # the eight columns the engines write, and nothing derived from them
         # nor any other attribute of the store
         events = dense_60(5).events
         with pytest.raises(ValueError) as error:
-            getattr(events, method)(name)
+            events.column(name)
         assert str(error.value) == (
             f"no stored column {name!r}; the columns are wall, t, x, y, u_pre, w_pre, u, w"
         )
-        for stored in EVENT_FIELDS:
-            assert events.column(stored).tolist() == events.stored(stored).tolist()
 
     @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
     def test_each_pair_shares_its_event_with_the_next(self, engine):
