@@ -812,6 +812,21 @@ class TestEventSequence:
         assert len(part) == len(expected)
         assert part.column(name).tolist() == expected
 
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "index",
+        [slice(None), slice(None, None, 37), slice(None, None, -3), slice(7, 2, -1),
+         slice(0, -300, -1), slice(-300, None, -1), slice(5, 5)],
+        ids=str,
+    )
+    def test_export_rows_read_the_span_the_columns_read(self, engine, index):
+        # the exports' rows are each event's eight stored values, in column
+        # order: the columns zipped, and the built events' fields
+        events = dense_60(200, engine).events[index]
+        rows = events._rows()
+        assert rows == list(zip(*(events.column(name).tolist() for name in EVENT_FIELDS)))
+        assert rows == [tuple(field(e) for field in EVENT_FIELDS.values()) for e in events]
+
     @pytest.mark.parametrize("name", ["u_bar", "w_bar", "sin_t", "collision_frame", "_columns", ""])
     def test_only_stored_columns_are_read(self, name):
         # the eight columns the engines write, and nothing derived from them
