@@ -15,9 +15,12 @@ Two engines are provided.  :func:`simulate` works in lab coordinates: from
 each state it takes the earlier of the two bouncers' first landings and
 reflects the momentum with the wall normal, one event at a time.  That loop
 is the only copy of the collision step; :func:`next_collision` is a run of
-one event.  :func:`decoupled_simulate` finds the first landings once, from
-the launch, and merges the two arithmetic progressions of hit times in numpy
-with no loop per event.  The two share only the first-hit rule and must
+one event.  One branch per wall picks the landing, the three stops (no root
+ahead, the vertex or a tie, a grazing landing) follow it once each, and each
+wall's placement and reflection stay written out in a branch of their own.
+:func:`decoupled_simulate` finds the first landings once, from the launch,
+and merges the two arithmetic progressions of hit times in numpy with no
+loop per event.  The two share only the first-hit rule and must
 agree event for event; each serves as an oracle for the other.  The loop
 holds that rule written out, so that an event makes no Python function
 call; :func:`_first_hit` is the oracle's copy, and a test pins the two
@@ -434,15 +437,20 @@ def _run(
 
     The caller passes a float clock and has tested the start with
     :func:`_sliding_start`.  Each event is the earlier of the two bouncers'
-    first landings, reflected with the wall normal.  A flight that ends at
-    the vertex or in a grazing landing ends the run, stamped with its landing
-    clock, so no later state is tested for sliding.  With no root ahead on
-    either wall the state sits at the vertex and is leaving the wedge: a
-    vertex hit at the state's own clock.  Events are buffered as the store's
-    rows and appended to it a chunk at a time, each chunk packed by one
-    ``struct.pack`` call: ``array("d", rows)`` converts floats one at a time
-    through the argument parser (``PyArg_Parse`` on CPython 3.11), at over
-    twice the cost.
+    first landings, reflected with the wall normal.  One branch per wall
+    picks the landing's time, point and normal speed; the stops follow it,
+    each written once.  A flight that lands at the vertex, or on both walls
+    within TIE_EPS, or in a grazing landing ends the run, stamped with its
+    landing clock, so no later state is tested for sliding.  With no root
+    ahead on either wall the state sits at the vertex and is leaving the
+    wedge: a vertex hit at the state's own clock.  Each wall's placement and
+    reflection stay written out in their own branch after the stops: one
+    shared step with the wall's tangent and normal picked in the branch
+    kept the bits but took 1.09x the time.  Events are buffered as the
+    store's rows and appended to it a chunk at a time, each chunk packed by
+    one ``struct.pack`` call: ``array("d", rows)`` converts floats one at a
+    time through the argument parser (``PyArg_Parse`` on CPython 3.11), at
+    over twice the cost.
     """
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
@@ -471,11 +479,26 @@ def _run(
             t_b = (u_tilde + sqrt(disc)) / cos_t if disc >= 0.0 else inf
             if not t_b > T_EPS:
                 t_b = inf
-            # the gap's sign picks the wall; with no root on either it is
-            # inf - inf, NaN, which no comparison below holds for
+            # the gap's sign picks the earlier landing, wall A's at gap 0, so
+            # that a tie reaches the vertex stop below; with no root on either
+            # wall it is inf - inf, NaN, which neither branch holds for
             gap = t_a - t_b
-            if -TIE_EPS <= gap <= TIE_EPS:
-                termination = Termination(TerminationKind.VERTEX_HIT, t + min(t_a, t_b))
+            if gap <= 0.0:
+                dt = t_a
+                s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
+                v_n = w_tilde - sin_t * dt
+            elif gap > 0.0:
+                dt = t_b
+                s_land = y_tilde + w_tilde * dt - sin_t * dt * dt / 2.0
+                v_n = u_tilde - cos_t * dt
+            else:
+                termination = Termination(TerminationKind.VERTEX_HIT, t)
+                break
+            if s_land < VERTEX_EPS or -TIE_EPS <= gap <= TIE_EPS:
+                termination = Termination(TerminationKind.VERTEX_HIT, t + dt)
+                break
+            if -GRAZING_EPS < v_n < GRAZING_EPS:
+                termination = Termination(TerminationKind.DEGENERATE, t + dt, abs(v_n))
                 break
             # The root has rounding-level residual; place the collision exactly
             # on the wall so on-wall invariants survive arbitrarily long runs
@@ -485,41 +508,18 @@ def _run(
             # (sin, cos) on wall B: negation and doubling are exact, so the
             # bits are the same.  A row, laid out as the store's rows, reads u
             # before the walrus rebinds it.
+            t += dt
+            w_land = w - dt
             if gap < 0.0:
-                dt = t_a
-                s_land = x_tilde + u_tilde * dt - cos_t * dt * dt / 2.0
-                v_n = w_tilde - sin_t * dt
-                if s_land < VERTEX_EPS:
-                    termination = Termination(TerminationKind.VERTEX_HIT, t + dt)
-                    break
-                if -GRAZING_EPS < v_n < GRAZING_EPS:
-                    termination = Termination(TerminationKind.DEGENERATE, t + dt, abs(v_n))
-                    break
                 x, y = s_land * sin_t, s_land * cos_t
-                w_land = w - dt
                 p2 = 2.0 * (w_land * sin_t - u * cos_t)
-                t += dt
                 add_wall(0)
                 add_row((t, x, y, u, w_land, u := u + p2 * cos_t, w := w_land - p2 * sin_t))
-            elif gap > 0.0:
-                dt = t_b
-                s_land = y_tilde + w_tilde * dt - sin_t * dt * dt / 2.0
-                v_n = u_tilde - cos_t * dt
-                if s_land < VERTEX_EPS:
-                    termination = Termination(TerminationKind.VERTEX_HIT, t + dt)
-                    break
-                if -GRAZING_EPS < v_n < GRAZING_EPS:
-                    termination = Termination(TerminationKind.DEGENERATE, t + dt, abs(v_n))
-                    break
+            else:
                 x, y = -s_land * cos_t, s_land * sin_t
-                w_land = w - dt
                 p2 = 2.0 * (u * sin_t + w_land * cos_t)
-                t += dt
                 add_wall(1)
                 add_row((t, x, y, u, w_land, u := u - p2 * sin_t, w := w_land - p2 * cos_t))
-            else:
-                termination = Termination(TerminationKind.VERTEX_HIT, t)
-                break
         add_rows(pack(f"{len(rows)}d", *rows))
         rows.clear()
         start += _CHUNK
@@ -551,10 +551,10 @@ def _sliding_start(
     """The :class:`Termination` at clock ``t`` of a start, given in the wedge
     frame, that rests on a wall with no normal momentum: it is already
     sliding.  None for any other start."""
-    if y_tilde <= ON_WALL_TOL and abs(w_tilde) < GRAZING_EPS:
-        return Termination(TerminationKind.DEGENERATE, t, abs(w_tilde))
-    if x_tilde <= ON_WALL_TOL and abs(u_tilde) < GRAZING_EPS:
-        return Termination(TerminationKind.DEGENERATE, t, abs(u_tilde))
+    # wall A's (distance, normal momentum), then wall B's
+    for dist, p_n in ((y_tilde, w_tilde), (x_tilde, u_tilde)):
+        if dist <= ON_WALL_TOL and abs(p_n) < GRAZING_EPS:
+            return Termination(TerminationKind.DEGENERATE, t, abs(p_n))
     return None
 
 

@@ -447,6 +447,21 @@ def test_engines_end_edge_launches_alike(name, n):
         assert a.termination.t == pytest.approx(b.termination.t, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_engines_end_a_grazing_hit_on_wall_b_alike(n):
+    # edge_launches()'s grazing_hit mirrored onto wall B: near the vertex,
+    # just outside wall B, moving in; the wall-B bouncer's floor speed is
+    # below GRAZING_EPS, so its first hit grazes.  Kept out of
+    # edge_launches(), whose runs the recorded engine bits hash
+    at_40 = WedgeAngle.from_degrees(40)
+    initial = wedge_state(-8e-21, 1e-5, 1.2e-10, 0.3, at_40)
+    a, b = simulate(initial, at_40, n), decoupled_simulate(initial, at_40, n)
+    assert len(a.events) == len(b.events) == 0
+    assert a.termination.kind is b.termination.kind is TerminationKind.DEGENERATE
+    # the normal speeds differ in their last bit, so only the clocks are compared
+    assert a.termination.t == b.termination.t == 2.0588722984147176e-10
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="FOUND in CHANGES.md: simulate does not hold a near-grazing bouncer's normal "
@@ -566,6 +581,21 @@ def test_a_landing_time_that_overflows_is_no_landing():
     for engine in (simulate, decoupled_simulate):
         traj = engine(initial, angle, 5)
         assert len(traj.events) == 0 and traj.termination == stop
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: the wall-A landing time overflows, which the oracle reads "
+    "as no root ahead and stops as a vertex hit at its wall-B landing, while simulate "
+    "reads it as inf and runs on along wall B",
+)
+def test_engines_agree_where_one_landing_time_overflows():
+    angle, energy = WedgeAngle(1e-160), 1e299
+    r = math.sqrt(energy)
+    initial = launch_from_wall(Wall.A, 0.25 * energy / angle.cos, 0.3 * r, 0.9 * r, angle)
+    a, b = simulate(initial, angle, 200), decoupled_simulate(initial, angle, 200)
+    assert len(a.events) == len(b.events)
+    assert a.termination == b.termination
 
 
 def run_digest_parts(traj: Trajectory):

@@ -568,6 +568,20 @@ class TestSweep:
         thetas = [pt.theta for pt in points]
         assert thetas == sorted(thetas)
         assert len(set(thetas)) == len(thetas)
+        # the Farey walk against a brute-force enumeration, with unequal bounds too
+        for p_max, q_max in ((12, 12), (3, 11), (11, 3), (1, 7), (7, 1), (1, 1)):
+            for half in (False, True):
+                expected = sorted(
+                    (
+                        (p, q)
+                        for p in range(1, p_max + 1)
+                        for q in range(1, q_max + 1)
+                        if math.gcd(p, q) == 1 and (q > p or not half)
+                    ),
+                    key=lambda pq: math.atan2(*pq),
+                )
+                points = sweep_periodic_points(p_max, q_max, half=half)
+                assert [(pt.p, pt.q) for pt in points] == expected, (p_max, q_max, half)
 
     def test_half_sweep_restricts_angles(self):
         points = sweep_periodic_points(25, 25, half=True)
