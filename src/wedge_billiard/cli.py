@@ -9,6 +9,12 @@ dynamics are deterministic.
 Exit codes: 0 success, 2 invalid arguments, 3 simulation ended early
 (vertex hit or sliding) although a collision count was required, 4 I/O
 error.
+
+Each command loads only the package modules it runs.  This module imports
+``geometry`` and ``dynamics``, which are all that ``simulate`` needs; the
+commands that need ``orbits`` (``periodic``, ``sweep``, ``classify`` and the
+``--p/--q`` angle) or ``collision_maps`` (``fixed-points``) import them when
+they run.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .collision_maps import MapId, fixed_point
 from .dynamics import (
+    DEFAULT_PERIODICITY_TOL,
     WALLS,
     CartesianState,
     Trajectory,
@@ -31,17 +38,9 @@ from .dynamics import (
     wedge_energies,
 )
 from .geometry import Wall, WedgeAngle, config_bounds, from_wedge, to_wedge
-from .orbits import (
-    DEFAULT_PERIODICITY_TOL,
-    OrbitKind,
-    OrbitSpec,
-    SweepPoint,
-    build_periodic_orbit,
-    check_periodicity_tol,
-    classify_orbit,
-    critical_angle,
-    sweep_periodic_points,
-)
+
+if TYPE_CHECKING:
+    from .orbits import SweepPoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -426,6 +425,8 @@ def _resolve_angle(args: argparse.Namespace) -> WedgeAngle:
     form, values = _given_form(args, "angle", ("--theta-deg",), ("--p", "--q"))
     if form == 0:
         return WedgeAngle.from_degrees(*values)
+    from .orbits import OrbitSpec, critical_angle
+
     return critical_angle(OrbitSpec(*values))
 
 
@@ -476,6 +477,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_periodic(args: argparse.Namespace) -> int:
+    from .orbits import OrbitSpec, build_periodic_orbit
+
     spec = OrbitSpec(args.p, args.q, args.energy)
     if args.periods < 1:
         raise ValueError("--periods must be at least 1")
@@ -488,6 +491,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
     if fmt is OutputFormat.JSON:
         raise ValueError("sweep writes CSV or SVG, not JSON")
+    from .orbits import sweep_periodic_points
+
     points = sweep_periodic_points(args.max, args.max, args.energy, half=args.half)
     if fmt is OutputFormat.SVG:
         render_plot(points, args.out)
@@ -496,14 +501,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# keyed by OrbitKind's values, so that no other command loads orbits
 _VERDICT_LINES = {
-    OrbitKind.DENSE: "dense (no recurrence within horizon; not a proof of density)",
-    OrbitKind.SLIDING: "sliding",
-    OrbitKind.DEGENERATE: "degenerate (vertex_hit)",
+    "dense": "dense (no recurrence within horizon; not a proof of density)",
+    "sliding": "sliding",
+    "degenerate": "degenerate (vertex_hit)",
 }
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .orbits import OrbitKind, check_periodicity_tol, classify_orbit
+
     # before the whole horizon is simulated
     check_periodicity_tol(args.tol)
     angle = _resolve_angle(args)
@@ -516,11 +524,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             f"hits_b={result.hits_b}"
         )
     else:
-        print(_VERDICT_LINES[result.kind])
+        print(_VERDICT_LINES[result.kind.value])
     return EXIT_OK
 
 
 def _cmd_fixed_points(args: argparse.Namespace) -> int:
+    from .collision_maps import MapId, fixed_point
+
     angle = WedgeAngle.from_degrees(args.theta_deg)
     for map_id in (MapId.FB, MapId.GB):
         state = fixed_point(map_id, args.energy, angle)

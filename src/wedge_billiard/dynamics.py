@@ -70,6 +70,12 @@ ON_WALL_TOL = 1e-10
 # Largest launch energy.  The flight formulas square speeds and times of order
 # sqrt(E): from ~1e307 they overflow float64 into false vertex hits and NaN.
 MAX_ENERGY = 1e300
+# Relative recurrence tolerance of ``orbits.classify_orbit``: positions are
+# compared within tol*E and collision-frame momenta within tol*sqrt(E), as
+# each scales with the energy.  An order above the simulator's worst drift,
+# far below any orbit separation seen at desk scale.  Kept here, beside the
+# engine's tolerances, so that the command line reads it without orbits.
+DEFAULT_PERIODICITY_TOL = 1e-8
 _new = object.__new__
 
 

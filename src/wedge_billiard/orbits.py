@@ -27,6 +27,7 @@ from enum import Enum
 
 from .collision_maps import MapState
 from .dynamics import (
+    DEFAULT_PERIODICITY_TOL,
     MAX_ENERGY,
     WALLS,
     CartesianState,
@@ -38,12 +39,6 @@ from .dynamics import (
     simulate,
 )
 from .geometry import Wall, WedgeAngle, config_bounds, to_wedge
-
-# Relative recurrence tolerance: positions are compared within tol*E and
-# collision-frame momenta within tol*sqrt(E), as each scales with the
-# energy.  An order above the simulator's worst drift, far below any orbit
-# separation seen at desk scale.
-DEFAULT_PERIODICITY_TOL = 1e-8
 
 # Flight arcs are rasterized with a sample spacing of at most this fraction
 # of a grid cell diagonal.
@@ -196,7 +191,10 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
     A trajectory is periodic with period k when some event k in the first
     half of the run reproduces event 0 (same wall, position within
     ``tol*E`` and collision-frame momentum within ``tol*sqrt(E)``) and the
-    match repeats for every available event.  A run the engine ended early
+    match repeats for every available event.  Each bouncer's period holds
+    exactly one hit on its own wall, so a closed orbit has hits on both
+    walls: a k whose first k events all lie on one wall is never a period,
+    however well the run repeats it.  A run the engine ended early
     takes its verdict from the :class:`Termination` alone: a sliding or
     grazing stop is sliding, a vertex hit degenerate.  Everything else is
     reported dense, meaning only that no recurrence was found within the
@@ -239,7 +237,11 @@ def classify_orbit(traj: Trajectory, tol: float = DEFAULT_PERIODICITY_TOL) -> Or
             for values, threshold in states
         ):
             hits_a = int(np.count_nonzero(walls[:k] == WALLS.index(Wall.A)))
-            return OrbitClass(OrbitKind.PERIODIC, k, hits_a, k - hits_a)
+            if 0 < hits_a < k:
+                return OrbitClass(OrbitKind.PERIODIC, k, hits_a, k - hits_a)
+            # the walls repeat every k events and the first k lie on one
+            # wall, so every event does: no larger k holds both walls
+            break
     return OrbitClass(OrbitKind.DENSE)
 
 

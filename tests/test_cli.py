@@ -1081,24 +1081,26 @@ def test_huge_or_tiny_float_option_exits_cleanly(command, option, value, tmp_pat
 
 
 # Run in a fresh interpreter: with no arguments it imports the package,
-# else it runs the command line.  Prints the exit code and whether numpy
-# was loaded, on its last line of output.
-NUMPY_PROBE = """
+# else it runs the command line.  Prints the exit code, whether numpy was
+# loaded and the package's submodules loaded, on its last line of output.
+IMPORT_PROBE = """
 import sys
 import wedge_billiard
 code = 0
 if sys.argv[1:]:
     from wedge_billiard import cli
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+modules = sorted(m for m in sys.modules if m.startswith("wedge_billiard."))
+print(code, "numpy" in sys.modules, *modules)
 """
 
 
-def loads_numpy(argv: tuple[str, ...], cwd: Path) -> bool:
+def probe_imports(argv: tuple[str, ...], cwd: Path) -> tuple[bool, set[str]]:
+    """Whether ``argv`` loads numpy, and the package modules it loads."""
     src = str(Path(wedge_billiard.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -1106,9 +1108,27 @@ def loads_numpy(argv: tuple[str, ...], cwd: Path) -> bool:
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.splitlines()[-1].split()
+    code, loaded, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
-    return loaded == "True"
+    return loaded == "True", {m.removeprefix("wedge_billiard.") for m in modules}
+
+
+# the package modules each command loads besides cli, geometry and dynamics:
+# orbits imports collision_maps for MapState
+COMMAND_MODULES = {
+    "simulate": set(),
+    "periodic": {"orbits", "collision_maps"},
+    "sweep": {"orbits", "collision_maps"},
+    "classify": {"orbits", "collision_maps"},
+    "fixed-points": {"collision_maps"},
+}
+
+
+def modules_loaded_by(argv: tuple[str, ...]) -> set[str]:
+    if not argv:
+        return set()
+    extra = {"orbits", "collision_maps"} if "--p" in argv else set()
+    return {"cli", "geometry", "dynamics"} | COMMAND_MODULES[argv[0]] | extra
 
 
 @pytest.mark.parametrize(
@@ -1120,6 +1140,7 @@ def loads_numpy(argv: tuple[str, ...], cwd: Path) -> bool:
         (("periodic", "--p", "2", "--q", "3", "--out", "x.csv"), False),
         (("fixed-points", "--theta-deg", "50"), False),
         (("sweep", "--max", "5", "--out", "x.csv"), False),
+        (("simulate", "--p", "2", "--q", "3", *SIMULATE_ARGS[3:], "--out", "x.csv"), False),
         # the positive controls: the probe sees numpy where it is used
         (("classify", *SIMULATE_ARGS[1:], "--n", "50"), True),
         ((*SIMULATE_ARGS, "--out", "x.svg"), True),
@@ -1127,7 +1148,8 @@ def loads_numpy(argv: tuple[str, ...], cwd: Path) -> bool:
     ids=lambda v: (" ".join(v) or "import wedge_billiard") if isinstance(v, tuple) else None,
 )
 def test_which_commands_load_numpy(argv, loads, tmp_path):
-    assert loads_numpy(argv, tmp_path) is loads
+    # one interpreter per case checks numpy and the package modules both
+    assert probe_imports(argv, tmp_path) == (loads, modules_loaded_by(argv))
 
 
 def test_classify_checks_tol_before_simulating(monkeypatch, capsys):
@@ -1141,3 +1163,15 @@ def test_classify_checks_tol_before_simulating(monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tolerance" in err
+
+
+def test_classify_tol_defaults_to_the_classifier_tolerance(capsys):
+    from wedge_billiard import orbits
+
+    parser = build_parser()
+    args = parser.parse_args(["classify", *SIMULATE_ARGS[1:]])
+    assert args.tol == orbits.DEFAULT_PERIODICITY_TOL
+    with pytest.raises(SystemExit):
+        parser.parse_args(["classify", "--help"])
+    # argparse may wrap the line anywhere
+    assert "default 1e-08" in " ".join(capsys.readouterr().out.split())

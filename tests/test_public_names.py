@@ -1,8 +1,15 @@
 """Every public name of the package, and every public member of its
-classes, has a caller outside the tests."""
+classes, has a caller outside the tests; and the package reads each public
+name, lazily, from the submodule that defines it."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import wedge_billiard
 
@@ -67,3 +74,84 @@ def test_every_public_class_member_is_read_as_an_attribute():
     members = set().union(*map(class_members, MODULES))
     _, attributes = referenced_names(CALLERS)
     assert sorted(members - attributes) == []
+
+
+# the package's names as the eager imports of the earlier __init__ listed them
+PUBLIC_NAMES = [
+    "CartesianState",
+    "CollisionEvent",
+    "EnergyViolationError",
+    "MapId",
+    "MapState",
+    "OrbitClass",
+    "OrbitKind",
+    "OrbitSpec",
+    "RotatingFrameMomentum",
+    "SweepPoint",
+    "Termination",
+    "TerminationKind",
+    "Trajectory",
+    "Wall",
+    "WedgeAngle",
+    "apply_map",
+    "build_periodic_orbit",
+    "classify_orbit",
+    "config_bounds",
+    "contains",
+    "coverage_fraction",
+    "critical_angle",
+    "decoupled_simulate",
+    "fixed_point",
+    "hamiltonian",
+    "launch_from_wall",
+    "map_id_for",
+    "next_collision",
+    "periodic_initial_condition",
+    "sensitivity_probe",
+    "simulate",
+    "sweep_periodic_points",
+    "wedge_hamiltonians",
+]
+
+
+def defining_module(name: str):
+    """The one submodule whose top level defines ``name``."""
+    (path,) = [path for path in MODULES if name in module_level_names(path)]
+    return importlib.import_module(f"wedge_billiard.{path.stem}")
+
+
+def test_all_keeps_the_public_names_in_order():
+    assert wedge_billiard.__all__ == PUBLIC_NAMES
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    star = {}
+    exec("from wedge_billiard import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        defined = getattr(defining_module(name), name)
+        assert getattr(wedge_billiard, name) is defined
+        assert star[name] is defined
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC_NAMES) <= set(dir(wedge_billiard))
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'wedge_billiard' has no attribute 'orbit'"):
+        wedge_billiard.orbit  # noqa: B018
+
+
+def test_submodules_import_from_the_package_in_a_fresh_interpreter():
+    # in this process cli is loaded already, so the package holds it
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from wedge_billiard import cli; print(cli.__name__)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout == "wedge_billiard.cli\n", proc.stderr
