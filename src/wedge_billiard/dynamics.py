@@ -206,10 +206,13 @@ class EventColumns:
     y``, the landing momentum ``u_pre, w_pre`` and the reflected one ``u,
     w``, laid out as :data:`_COLUMN_NAMES`.  ``sin_t, cos_t`` are the wedge
     angle's trig, which :attr:`CollisionEvent.rotating_post` reads.  Nothing
-    derived from the events is stored.
+    derived from the events is stored.  A store is written only by the
+    engine that returns it, before it returns, and never after: what is
+    read from a store stays true, which ``orbits.coverage_fraction`` relies
+    on when it keeps a run's cells by its store (hence the weak reference).
     """
 
-    __slots__ = ("wall", "rows", "sin_t", "cos_t")
+    __slots__ = ("wall", "rows", "sin_t", "cos_t", "__weakref__")
 
     def __init__(self, angle: WedgeAngle):
         self.wall, self.rows = array("B"), array("d")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,12 @@ COVERAGE_STEP_FRACTION = 0.01
 # horizon.  Each pass makes about 60 numpy calls; the result does not depend
 # on the chunk size.
 _COVERAGE_CHUNK_ARCS = 64
+# Each live run's visited cells from its latest prefix call, keyed by the
+# run's event store: ``(launch, angle, (nx, ny), arcs rasterized, cells)``.
+# A held grid is never written again: a call that resumes from it copies it,
+# so a call that stops part way, or runs beside another, leaves it as it was.
+_HELD_CELLS = weakref.WeakKeyDictionary()
+_NONE_HELD = (None, None, None, 0, None)
 
 SENSITIVITY_COLLISIONS = 1000
 
@@ -258,16 +265,26 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     arc.  Only the samples around those times are computed, and they find
     the same cells as sampling the whole arc.  Nondecreasing in the number
     of events for a fixed grid.
+
+    The cells of a prefix of a run (``events[:h]``) are a subset of those of
+    any longer prefix, so a prefix call keeps its cells, one ``nx x ny``
+    bool grid per live run, dropped with the run's events.  A later prefix
+    call on the same run with the same launch and angle objects, an equal
+    grid and at least as many events starts from a copy of them and
+    rasterizes only the arcs past them; the arcs are taken 64 at a time,
+    and the result does not depend on how they are grouped, so the value is
+    the same as from zero.  Any other call rasterizes every arc.  ``grid``
+    holds integers (``operator.index``).
     """
     import numpy as np
-    nx, ny = grid
+    nx, ny = map(operator.index, grid)
     if nx < 1 or ny < 1:
         raise ValueError(f"grid dimensions must be at least 1, got {grid!r}")
     if not traj.events:
         raise ValueError("cannot rasterize an empty trajectory")
-    start = traj.initial
+    start, events = traj.initial, traj.events
     names = ("t", "x", "y", "u", "w")
-    columns = [traj.events.column(name) for name in names]
+    columns = [events.column(name) for name in names]
     firsts = (start.t, start.x, start.y, start.u, start.w)
     for name, column, first in zip(names, columns, firsts):
         if not math.isfinite(first):
@@ -295,8 +312,19 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     # sample at or before it: two on either side
     bracket = np.arange(-1.0, 3.0)
     n_arcs = len(columns[0])
-    visited = np.zeros((ny, nx), dtype=bool)
-    for lo in range(0, n_arcs, _COVERAGE_CHUNK_ARCS):
+    # a prefix reads its store's events 0 .. n_arcs - 1 in order
+    span_lo, _, span_step = events._span()
+    prefix = span_lo == 0 and span_step == 1
+    store = events._columns
+    launch, held_angle, held_grid, first_arc, held = _HELD_CELLS.get(store, _NONE_HELD)
+    # the same launch and angle objects: an equal launch need not rasterize
+    # alike (one with a Fraction field raises where a float one does not)
+    if (prefix and launch is start and held_angle is angle and held_grid == (nx, ny)
+            and first_arc <= n_arcs):
+        visited = held.copy()
+    else:
+        first_arc, visited = 0, np.zeros((ny, nx), dtype=bool)
+    for lo in range(first_arc, n_arcs, _COVERAGE_CHUNK_ARCS):
         hi = min(lo + _COVERAGE_CHUNK_ARCS, n_arcs)
         t0, x0, y0, u0, w0 = flight_starts(start, columns, lo, hi)
         duration = columns[0][lo:hi] - t0
@@ -325,6 +353,8 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         ix = np.clip((x_tilde / width * nx).astype(int), 0, nx - 1)
         iy = np.clip((y_tilde / height * ny).astype(int), 0, ny - 1)
         visited[iy, ix] = True
+    if prefix:
+        _HELD_CELLS[store] = (start, angle, (nx, ny), n_arcs, visited)
     return float(visited.sum()) / float(nx * ny)
 
 

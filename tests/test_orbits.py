@@ -1,8 +1,12 @@
 import copy
 import dataclasses
+import gc
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -492,7 +496,8 @@ class TestCoverageAgainstSampling:
         values = set()
         for chunk in (1, 16, 64, n + 1):
             monkeypatch.setattr(orbits, "_COVERAGE_CHUNK_ARCS", chunk)
-            values.add(coverage_fraction(traj, (64, 64)))
+            # a fresh store for each size, so that no call starts from held cells
+            values.add(coverage_fraction(with_events(traj, range(n)), (64, 64)))
         assert len(values) == 1
 
     def test_memory_does_not_grow_with_the_horizon(self):
@@ -500,7 +505,8 @@ class TestCoverageAgainstSampling:
         traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 5000)
 
         def peak(n_events: int) -> int:
-            prefix = dataclasses.replace(traj, events=traj.events[:n_events])
+            # a fresh store, so that every call rasterizes all its arcs
+            prefix = with_events(traj, range(n_events))
             tracemalloc.start()
             try:
                 coverage_fraction(prefix, (64, 64))
@@ -510,6 +516,189 @@ class TestCoverageAgainstSampling:
 
         peak(10)  # leaves out what only a first call allocates
         assert peak(5000) <= peak(500) + 64 * 1024
+
+
+def apex_tangent_run(n: int) -> Trajectory:
+    """The 60-degree launch whose apexes all touch a 64 x 64 grid line."""
+    angle = WedgeAngle.from_degrees(60)
+    return simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, n)
+
+
+def arcs_handed(monkeypatch) -> list:
+    """The number of arcs each later call of ``orbits._critical_times`` is
+    handed, one entry per call."""
+    handed = []
+    critical_times = orbits._critical_times
+
+    def counting(duration, *args):
+        handed.append(len(duration))
+        return critical_times(duration, *args)
+
+    monkeypatch.setattr(orbits, "_critical_times", counting)
+    return handed
+
+
+class TestCoverageHeldCells:
+    """A prefix call keeps its cells by the run's store, and a longer prefix
+    of the same run resumes from them."""
+
+    def test_growing_horizons_rasterize_each_arc_once(self, monkeypatch):
+        traj = apex_tangent_run(500)
+        horizons = (125, 250, 375, 500)
+        fresh = [coverage_fraction(with_events(traj, range(h)), (64, 64)) for h in horizons]
+        handed = arcs_handed(monkeypatch)
+        values = [
+            coverage_fraction(dataclasses.replace(traj, events=traj.events[:h]), (64, 64))
+            for h in horizons
+        ]
+        assert sum(handed) == 500
+        assert values == fresh
+        handed.clear()
+        assert coverage_fraction(traj, (64, 64)) == fresh[-1]
+        assert handed == []
+
+    def test_reuse_never_changes_a_value(self, monkeypatch):
+        traj = apex_tangent_run(500)
+        n = len(traj.events)
+        # on the same store: another launch, an equal launch in another object
+        # and another angle
+        runs = {
+            "traj": traj,
+            "moved": dataclasses.replace(traj, initial=dataclasses.replace(traj.initial, w=1.5)),
+            "copied": dataclasses.replace(traj, initial=dataclasses.replace(traj.initial)),
+            "turned": dataclasses.replace(traj, theta=WedgeAngle.from_degrees(50)),
+        }
+        # views as (start, stop, step): prefixes, then offset, strided and reversed
+        horizons = [(None, h, None) for h in (125, 250, 375, 500)]
+        others = [(50, 300, None), (None, 400, 2), (None, None, -1)]
+        # at 64 x 64 the run covers its own box from 125 events on; at 200 x 90
+        # each horizon adds cells
+        grids = [(64, 64), (200, 90)]
+        cases = [(run, view, grid) for run in runs for view in horizons for grid in grids]
+        cases += [("traj", view, grid) for view in others for grid in grids]
+
+        def call(case) -> float:
+            run, view, grid = case
+            events = runs[run].events[slice(*view)]
+            return coverage_fraction(dataclasses.replace(runs[run], events=events), grid)
+
+        expected = {}
+        for run, view, grid in cases:
+            fresh = with_events(runs[run], range(n)[slice(*view)])
+            expected[run, view, grid] = coverage_fraction(fresh, grid)
+            if run == "traj":
+                assert expected[run, view, grid] == coverage_by_sampling(fresh, grid)
+        for view in horizons:
+            for grid in grids:
+                assert expected["copied", view, grid] == expected["traj", view, grid]
+
+        rng = np.random.default_rng(28)
+        ascending = [(run, view, grid) for run in runs for grid in grids for view in horizons]
+        orders = {
+            "ascending": ascending,
+            "descending": ascending[::-1],
+            "repeated": [case for case in ascending for _ in range(2)],
+            # each horizon at both grids before the next horizon
+            "grids interleaved": [
+                (run, view, grid) for run in runs for view in horizons for grid in grids
+            ],
+            # a launch or angle on the same store between two horizons of another
+            "launches interleaved": [
+                (run, view, grid) for grid in grids for view in horizons for run in runs
+            ],
+            # views that are not prefixes between the horizons
+            "views interleaved": [
+                ("traj", view, grid)
+                for grid in grids
+                for view in [x for pair in zip(horizons, others) for x in pair] + horizons[-1:]
+            ],
+            "shuffled": [cases[i] for i in rng.permutation(len(cases))],
+            "shuffled again": [cases[i] for i in rng.permutation(len(cases))],
+        }
+        handed = arcs_handed(monkeypatch)
+        called = 0
+        for name, order in orders.items():
+            for case in order:
+                assert call(case) == expected[case], (name, case)
+                called += len(range(n)[slice(*case[1])])
+        # the calls in ascending order, at least, resumed from held cells
+        assert sum(handed) < called
+
+    def test_a_failed_call_leaves_the_held_cells_as_they_were(self, monkeypatch):
+        traj = apex_tangent_run(500)
+        grid = (200, 90)
+        fresh = coverage_fraction(with_events(traj, range(100)), grid)
+        prefix = dataclasses.replace(traj, events=traj.events[:100])
+        assert coverage_fraction(prefix, grid) == fresh
+        handed = arcs_handed(monkeypatch)
+        critical_times = orbits._critical_times
+
+        def failing(*args):
+            if handed:
+                raise RuntimeError("interrupted")
+            return critical_times(*args)
+
+        monkeypatch.setattr(orbits, "_critical_times", failing)
+        # resumes from arc 100 and stops in its second chunk
+        with pytest.raises(RuntimeError, match="interrupted"):
+            coverage_fraction(traj, grid)
+        assert handed == [64]
+        monkeypatch.undo()
+        assert coverage_fraction(prefix, grid) == fresh
+
+    def test_threads_sharing_a_run_read_fresh_values(self):
+        traj = apex_tangent_run(500)
+        grid = (200, 90)
+        horizons = (60, 125, 190, 250, 375, 440, 500)
+        fresh = {h: coverage_fraction(with_events(traj, range(h)), grid) for h in horizons}
+        wrong = []
+
+        def worker(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for h in rng.choice(horizons, 24):
+                prefix = dataclasses.replace(traj, events=traj.events[:h])
+                value = coverage_fraction(prefix, grid)
+                if value != fresh[h]:
+                    wrong.append((int(h), value))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_held_cells_keep_no_run_alive(self):
+        gc.collect()
+        before = len(orbits._HELD_CELLS)
+        traj = apex_tangent_run(200)
+        coverage_fraction(dataclasses.replace(traj, events=traj.events[:100]), (64, 64))
+        store = weakref.ref(traj.events._columns)
+        assert store() in orbits._HELD_CELLS
+        assert len(orbits._HELD_CELLS) == before + 1
+        del traj
+        gc.collect()
+        assert store() is None
+        assert len(orbits._HELD_CELLS) == before
+
+    def test_grid_is_read_as_integers(self, monkeypatch):
+        empty = build_periodic_orbit(OrbitSpec(1, 2, 1.0), n_collisions=0)
+        for grid in ((64.0, 64), (64, 64.0), (np.float64(8), 8)):
+            # a TypeError before the empty run's ValueError
+            with pytest.raises(TypeError):
+                coverage_fraction(empty, grid)
+        traj = apex_tangent_run(500)
+        fresh = coverage_fraction(with_events(traj, range(500)), (64, 64))
+        coverage_fraction(dataclasses.replace(traj, events=traj.events[:250]), (64, 64))
+        handed = arcs_handed(monkeypatch)
+        assert coverage_fraction(traj, (np.int64(64), 64)) == fresh
+        assert sum(handed) == 250
 
 
 class TestSensitivityProbe:
