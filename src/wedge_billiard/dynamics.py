@@ -27,8 +27,9 @@ call; :func:`_first_hit` is the oracle's copy, and a test pins the two
 copies to the same bits.  It buffers a chunk of events as the store's rows
 and appends each chunk with one ``struct.pack`` call, as :func:`_run` says.
 
-Both start through :func:`_validate_run`, which projects the launch once
-and tests only it for sliding.  Both store each event in
+Both start through :func:`_validate_run`, which takes the launch as
+floats once checked, projects it once and tests only it for sliding; both
+run from that launch and keep it.  Both store each event in
 :class:`EventColumns` as a wall code and a row of floats, read in bulk by
 one span rule.  :attr:`Trajectory.events` builds a :class:`CollisionEvent`
 only when one is asked for, and its ``pre``, ``post`` and ``rotating_post``
@@ -320,10 +321,13 @@ class Trajectory:
     the run stopped early, if it did.
 
     ``events`` is an :class:`EventSequence` over the :class:`EventColumns`
-    an engine wrote.  The run is fixed by its launch and angle, so its
-    conserved quantities are worked out from the launch: ``energy`` is the
-    Hamiltonian and ``wedge_integrals`` the pair of one-dimensional
-    energies, all three conserved along the run up to rounding.
+    an engine wrote.  An engine's ``initial`` is the launch it checked and
+    ran from, each field a float whatever number type it was given in, so
+    what reads a run meets no other type.  The run is fixed by its launch
+    and angle, so its conserved quantities are worked out from the launch:
+    ``energy`` is the Hamiltonian and ``wedge_integrals`` the pair of
+    one-dimensional energies, all three conserved along the run up to
+    rounding.
     """
 
     initial: CartesianState
@@ -445,21 +449,22 @@ def _run(
     ended the run early, or None.
 
     The caller passes a float clock and has tested the start with
-    :func:`_sliding_start`.  Each event is the earlier of the two bouncers'
-    first landings, reflected with the wall normal.  One branch per wall
-    picks the landing's time, point and normal speed; the stops follow it,
-    each written once.  A flight that lands at the vertex, or on both walls
-    within TIE_EPS, or in a grazing landing ends the run, stamped with its
-    landing clock, so no later state is tested for sliding.  With no root
-    ahead on either wall the state sits at the vertex and is leaving the
-    wedge: a vertex hit at the state's own clock.  Each wall's placement and
-    reflection stay written out in their own branch after the stops: one
-    shared step with the wall's tangent and normal picked in the branch
-    kept the bits but took 1.09x the time.  Events are buffered as the
-    store's rows and appended to it a chunk at a time, each chunk packed by
-    one ``struct.pack`` call: ``array("d", rows)`` converts floats one at a
-    time through the argument parser (``PyArg_Parse`` on CPython 3.11), at
-    over twice the cost.
+    :func:`_sliding_start`, and asks for ``n = 0`` after a stop there,
+    which returns an empty store and None.  Each event is the earlier of
+    the two bouncers' first landings, reflected with the wall normal.  One
+    branch per wall picks the landing's time, point and normal speed; the
+    stops follow it, each written once.  A flight that lands at the
+    vertex, or on both walls within TIE_EPS, or in a grazing landing ends
+    the run, stamped with its landing clock, so no later state is tested
+    for sliding.  With no root ahead on either wall the state sits at the
+    vertex and is leaving the wedge: a vertex hit at the state's own clock.
+    Each wall's placement and reflection stay written out in their own
+    branch after the stops: one shared step with the wall's tangent and
+    normal picked in the branch kept the bits but took 1.09x the time.
+    Events are buffered as the store's rows and appended to it a chunk at a
+    time, each chunk packed by one ``struct.pack`` call: ``array("d",
+    rows)`` converts floats one at a time through the argument parser
+    (``PyArg_Parse`` on CPython 3.11), at over twice the cost.
     """
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
@@ -539,19 +544,17 @@ def next_collision(s: CartesianState, angle: WedgeAngle) -> tuple[float, Wall] |
     """Time of flight to the next wall and which wall it is.
 
     A flight that does not end in a clean reflection returns its
-    :class:`Termination`, whose clock is the time of flight from ``s``.
-    This is :func:`simulate`'s first event from ``s`` at clock 0, whose clock
-    ``0 + dt`` is ``dt`` exactly; the launch is not validated.
+    :class:`Termination`, whose clock is the time of flight from ``s``, and
+    a sliding ``s`` its stop at clock 0.  This is :func:`simulate`'s first
+    event from ``s`` at clock 0, whose clock ``0 + dt`` is ``dt`` exactly,
+    from the same start test and loop; the launch is not validated.
     """
     sin_t, cos_t = angle.sin, angle.cos
-    termination = _sliding_start(
+    stop = _sliding_start(
         *to_wedge(s.x, s.y, sin_t, cos_t), *to_wedge(s.u, s.w, sin_t, cos_t), 0.0
     )
-    if termination is None:
-        columns, termination = _run(s.x, s.y, s.u, s.w, 0.0, angle, 1)
-    if termination is not None:
-        return termination
-    return columns.rows[_T], WALLS[columns.wall[0]]
+    columns, termination = _run(s.x, s.y, s.u, s.w, 0.0, angle, 0 if stop else 1)
+    return stop or termination or (columns.rows[_T], WALLS[columns.wall[0]])
 
 
 def _sliding_start(
@@ -569,11 +572,14 @@ def _sliding_start(
 
 def _validate_run(
     initial: CartesianState, angle: WedgeAngle, n: int
-) -> tuple[tuple[float, float, float, float], float, Termination | None]:
+) -> tuple[tuple[float, float, float, float], CartesianState, Termination | None]:
     """The one start of both engines.  Raise ValueError for a launch they
     reject, else return the launch in the wedge frame, ``(x_tilde, y_tilde,
-    u_tilde, w_tilde)``, its clock as a float, and the :class:`Termination`
-    of a sliding start, or None; a run of no events has no start to test."""
+    u_tilde, w_tilde)``, the launch with each field taken as a float, which
+    the engine runs from and keeps, and the :class:`Termination` of a
+    sliding start, or None; a run of no events has no start to test.  The
+    checks read the caller's numbers, so a type they cannot compute with
+    (a ``Decimal`` or ``str`` position or momentum) raises TypeError."""
     if n < 0:
         raise ValueError(f"collision count must be nonnegative, got {n!r}")
     if not math.isfinite(initial.t):
@@ -594,10 +600,9 @@ def _validate_run(
                 f"launch on wall {wall.value} moves out of the wedge "
                 f"(normal momentum {p_n!r})"
             )
-    # a stop at the launch's clock and the oracle's clocks are floats whatever its type
-    t = float(initial.t)
-    stop = _sliding_start(x_tilde, y_tilde, u_tilde, w_tilde, t) if n > 0 else None
-    return (x_tilde, y_tilde, u_tilde, w_tilde), t, stop
+    launch = CartesianState(*map(float, (initial.x, initial.y, initial.u, initial.w, initial.t)))
+    stop = _sliding_start(x_tilde, y_tilde, u_tilde, w_tilde, launch.t) if n > 0 else None
+    return (x_tilde, y_tilde, u_tilde, w_tilde), launch, stop
 
 
 def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
@@ -605,16 +610,17 @@ def simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
 
     Vertex hits and grazing landings end the loop with a
     :class:`Termination`, and the trajectory keeps every event produced up
-    to that point.  Raises ValueError for a launch outside the wedge, with
-    energy outside (0, MAX_ENERGY], with a clock that is not finite, or
-    moving out through the wall it sits on.
+    to that point; a sliding launch ends it before the first.  The loop
+    runs from the launch :func:`_validate_run` returns, each field a float,
+    and the trajectory keeps that launch as ``initial``.  Raises ValueError
+    for a launch outside the wedge, with energy outside (0, MAX_ENERGY],
+    with a clock that is not finite, or moving out through the wall it sits
+    on.
     """
-    _, t, termination = _validate_run(initial, angle, n)
-    if termination is None:
-        columns, termination = _run(initial.x, initial.y, initial.u, initial.w, t, angle, n)
-    else:
-        columns = EventColumns(angle)
-    return Trajectory(initial, angle, EventSequence(columns), termination)
+    _, launch, stop = _validate_run(initial, angle, n)
+    x, y, u, w, t = launch.x, launch.y, launch.u, launch.w, launch.t
+    columns, termination = _run(x, y, u, w, t, angle, 0 if stop else n)
+    return Trajectory(launch, angle, EventSequence(columns), stop or termination)
 
 
 def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Trajectory:
@@ -639,12 +645,12 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     :func:`simulate` does.
     """
     import numpy as np
-    (xt, yt, ut, wt), t0, sliding = _validate_run(initial, angle, n)
+    (xt, yt, ut, wt), launch, sliding = _validate_run(initial, angle, n)
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
 
     def finish(termination: Termination | None) -> Trajectory:
-        return Trajectory(initial, angle, EventSequence(columns), termination)
+        return Trajectory(launch, angle, EventSequence(columns), termination)
 
     # a run of no events ends here too: the no-root test below would stop it
     if sliding is not None or n == 0:
@@ -656,7 +662,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
         # a bouncer with no root ahead stays beyond its wall, so the other
         # one's first hit lands past the vertex
         ahead = [hit for hit in first if hit is not None]
-        return finish(Termination(TerminationKind.VERTEX_HIT, t0 + min(ahead, default=0.0)))
+        return finish(Termination(TerminationKind.VERTEX_HIT, launch.t + min(ahead, default=0.0)))
     first, gravity = np.array(first), np.array([sin_t, cos_t])
     # every landing and takeoff of a bouncer of energy H is at speed sqrt(2H)
     h_x, h_y = wedge_energies(xt, yt, ut, wt, sin_t, cos_t)
@@ -695,7 +701,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     k = int(stops[0]) if stops.size else n
     termination = None
     if stops.size:
-        t_stop = t0 + float(r[k])
+        t_stop = launch.t + float(r[k])
         if vertex[k]:
             termination = Termination(TerminationKind.VERTEX_HIT, t_stop)
         else:
@@ -716,7 +722,7 @@ def decoupled_simulate(initial: CartesianState, angle: WedgeAngle, n: int) -> Tr
     del tilde_x, tilde_y
     # one event per row of the block, laid out as the store's rows
     block = np.empty((k, _ROW))
-    block[:, _T] = t0 + r[:k]
+    block[:, _T] = launch.t + r[:k]
     block[:, _X], block[:, _U_PRE], block[:, _U] = lab_x
     block[:, _Y], block[:, _W_PRE], block[:, _W] = lab_y
     del lab_x, lab_y

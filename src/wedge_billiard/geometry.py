@@ -31,10 +31,11 @@ class Wall(Enum):
 class WedgeAngle:
     """Tilt of the wedge, in radians, on the open interval (0, pi/2).
 
-    Validated once at construction; everything downstream assumes a valid
-    angle.  ``sin`` and ``cos`` are ``math.sin(theta)`` and
-    ``math.cos(theta)``, computed once at construction; equality, hashing
-    and the repr see ``theta`` alone.
+    Validated once at construction, then kept as a float whatever number
+    type it was given in; everything downstream assumes a valid angle.
+    ``sin`` and ``cos`` are ``math.sin(theta)`` and ``math.cos(theta)``,
+    computed once at construction; equality, hashing and the repr see
+    ``theta`` alone.
     """
 
     theta: float
@@ -46,6 +47,7 @@ class WedgeAngle:
             raise ValueError(
                 f"wedge angle must lie strictly inside (0, pi/2), got {self.theta!r}"
             )
+        _set_theta(self, float(self.theta))
         _set_sin(self, math.sin(self.theta))
         _set_cos(self, math.cos(self.theta))
 
@@ -58,8 +60,8 @@ class WedgeAngle:
         return cls(math.radians(degrees))
 
 
-# The frozen trig is filled through its slots' setters
-_set_sin, _set_cos = WedgeAngle.sin.__set__, WedgeAngle.cos.__set__
+# The frozen angle and trig are filled through their slots' setters
+_set_theta, _set_sin, _set_cos = (getattr(WedgeAngle, f).__set__ for f in ("theta", "sin", "cos"))
 
 
 def to_wedge(a, b, sin_t: float, cos_t: float):

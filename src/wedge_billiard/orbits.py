@@ -317,8 +317,9 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     prefix = span_lo == 0 and span_step == 1
     store = events._columns
     launch, held_angle, held_grid, first_arc, held = _HELD_CELLS.get(store, _NONE_HELD)
-    # the same launch and angle objects: an equal launch need not rasterize
-    # alike (one with a Fraction field raises where a float one does not)
+    # the same launch and angle objects: an engine's launch is all floats, but
+    # one swapped in with dataclasses.replace need not be, and an equal launch
+    # need not rasterize alike (a Fraction field raises where a float does not)
     if (prefix and launch is start and held_angle is angle and held_grid == (nx, ny)
             and first_arc <= n_arcs):
         visited = held.copy()

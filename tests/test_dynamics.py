@@ -7,6 +7,7 @@ import math
 import pickle
 import struct
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,9 @@ from conftest import (
     random_launch,
     random_wall_launch,
     read_trajectory_json,
+    trajectory_csv,
+    trajectory_json,
+    trajectory_svg,
     wall_axes,
     write_json,
 )
@@ -709,12 +713,21 @@ def number_type_launches(kind) -> list[tuple[CartesianState, WedgeAngle]]:
     return [(state, angle) for state in states for angle in angles]
 
 
+def exports_and_coverage(traj: Trajectory) -> tuple:
+    """The CSV, JSON and SVG exports of a run's first 10 events and their
+    coverage of a 64 x 64 grid, None for a run of no events; the exports'
+    rows are the stored columns, so 10 events test the rest."""
+    traj = dataclasses.replace(traj, events=traj.events[:10])
+    coverage = coverage_fraction(traj, (64, 64)) if traj.events else None
+    return trajectory_csv(traj), trajectory_json(traj), trajectory_svg(traj), coverage
+
+
 @pytest.mark.parametrize("kind", [int, bool, np.float64, Fraction], ids=lambda k: k.__name__)
 def test_launches_in_other_number_types_write_the_float_bits(kind):
-    # the loop's first row holds the launch's own u, and a stop at the
-    # launch's clock its own t; the columns take any number through
-    # __float__, so the bytes are the float launch's.  The oracle adds
-    # the launch clock to a numpy array of hit times
+    # both engines run from the launch taken as floats and keep it, so the
+    # loop's first row, which holds the launch's own u, the oracle's clocks,
+    # a stop at the launch's clock, the exports' header and the coverage's
+    # first arc all read the float launch
     for state, angle in number_type_launches(kind):
         values = dataclasses.astuple(state)
         given = CartesianState(*map(kind, values))
@@ -722,8 +735,11 @@ def test_launches_in_other_number_types_write_the_float_bits(kind):
         assert step_bits(next_collision(given, angle)) == step_bits(next_collision(state, angle))
         n = _CHUNK + 1
         for engine in (simulate, decoupled_simulate):
-            parts = list(run_digest_parts(engine(given, angle, n)))
-            assert parts == list(run_digest_parts(engine(state, angle, n)))
+            traj, expected = engine(given, angle, n), engine(state, angle, n)
+            assert list(run_digest_parts(traj)) == list(run_digest_parts(expected))
+            launch = dataclasses.astuple(traj.initial)
+            assert launch == values and [type(v) for v in launch] == [float] * 5
+            assert exports_and_coverage(traj) == exports_and_coverage(expected)
     # a run that stops at the launch's clock, sliding or with no landing
     # ahead, is stamped with the clock as a float by both engines
     at_60 = WedgeAngle.from_degrees(60)
@@ -733,6 +749,23 @@ def test_launches_in_other_number_types_write_the_float_bits(kind):
         stops = [engine(given, angle, 5).termination for engine in (simulate, decoupled_simulate)]
         assert stops[0] == stops[1]
         assert [type(stop.t) for stop in stops] == [float, float]
+    # the launches taken are those the checks take, which read the caller's
+    # numbers: a Decimal or str position or momentum raises TypeError, and
+    # a Decimal clock, read only by math.isfinite, runs as its float
+    state, angle = number_type_launches(kind)[-1]
+    for name in ("x", "y", "u", "w"):
+        for other in (Decimal, str):
+            given = dataclasses.replace(state, **{name: other(getattr(state, name))})
+            for run in (simulate, decoupled_simulate):
+                with pytest.raises(TypeError):
+                    run(given, angle, 5)
+            with pytest.raises(TypeError):
+                next_collision(given, angle)
+    given = dataclasses.replace(state, t=Decimal(state.t))
+    for engine in (simulate, decoupled_simulate):
+        traj, expected = engine(given, angle, 50), engine(state, angle, 50)
+        assert list(run_digest_parts(traj)) == list(run_digest_parts(expected))
+        assert exports_and_coverage(traj) == exports_and_coverage(expected)
 
 
 @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, "stop"])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ SQRT2_2 = math.sqrt(2) / 2
 
 
 class TestWedgeAngle:
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, math.pi, math.nan])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, math.pi, math.nan, "0.5"])
     def test_rejects_out_of_range(self, theta):
-        with pytest.raises(ValueError):
+        # a str is no number, so it is not taken as its float
+        with pytest.raises(TypeError if isinstance(theta, str) else ValueError):
             WedgeAngle(theta)
 
     def test_from_degrees(self):
@@ -34,11 +36,14 @@ class TestWedgeAngle:
         assert angle.cos.hex() == math.cos(theta).hex()
 
     def test_equality_hash_and_repr_see_theta_only(self):
-        angle, forged = WedgeAngle(0.7), WedgeAngle(0.7)
-        object.__setattr__(forged, "sin", 2.0)
-        object.__setattr__(forged, "cos", -2.0)
-        assert forged == angle and hash(forged) == hash(angle)
-        assert repr(forged) == repr(angle) == "WedgeAngle(theta=0.7)"
+        # theta is kept as a float whatever number type it is given in
+        for theta in (0.7, np.float64(0.7), Fraction(7, 10), 1, True):
+            angle, forged = WedgeAngle(float(theta)), WedgeAngle(theta)
+            assert type(forged.theta) is float
+            object.__setattr__(forged, "sin", 2.0)
+            object.__setattr__(forged, "cos", -2.0)
+            assert forged == angle and hash(forged) == hash(angle)
+            assert repr(forged) == repr(angle) == f"WedgeAngle(theta={float(theta)!r})"
         assert WedgeAngle(0.7) != WedgeAngle(0.8)
 
     def test_trig_is_not_a_constructor_argument(self):
