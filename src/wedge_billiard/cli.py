@@ -119,15 +119,19 @@ def _event_rows(traj: Trajectory, lo: int, hi: int, width: int) -> list:
     after row: the event index, then the values in ``CSV_COLUMNS`` order,
     and ``u_pre, w_pre`` too if ``width`` is 16.
 
-    Worked out in Python floats from the engine's stored rows.  An
-    event's ``u_bar, w_bar`` is its wedge-frame outgoing momentum, swapped
-    on wall B, as :attr:`~wedge_billiard.dynamics.CollisionEvent.rotating_post`
-    works it out.
+    Worked out in Python floats from the engine's stored columns, read
+    by name.  An event's ``u_bar, w_bar`` is its wedge-frame outgoing
+    momentum, swapped on wall B, as
+    :attr:`~wedge_billiard.dynamics.CollisionEvent.rotating_post` works it
+    out.
     """
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
     with_pre = width > len(CSV_COLUMNS)
+    view = traj.events[lo:hi]._view
+    names = ("wall", "t", "x", "y", "u_pre", "w_pre", "u", "w")
+    columns = [view(name).tolist() for name in names]
     flat = []
-    for index, (code, t, x, y, u_pre, w_pre, u, w) in enumerate(traj.events[lo:hi]._rows(), lo):
+    for index, code, t, x, y, u_pre, w_pre, u, w in zip(range(lo, hi), *columns):
         x_tilde, y_tilde = to_wedge(x, y, sin_t, cos_t)
         u_tilde, w_tilde = to_wedge(u, w, sin_t, cos_t)
         hx, hy = wedge_energies(x_tilde, y_tilde, u_tilde, w_tilde, sin_t, cos_t)

@@ -30,15 +30,18 @@ and appends each chunk with one ``struct.pack`` call, as :func:`_run` says.
 Both start through :func:`_validate_run`, which takes the launch as
 floats once checked, projects it once and tests only it for sliding; both
 run from that launch and keep it.  Both store each event in
-:class:`EventColumns` as a wall code and a row of floats, read in bulk by
-one span rule.  :attr:`Trajectory.events` builds a :class:`CollisionEvent`
-only when one is asked for, and its ``pre``, ``post`` and ``rotating_post``
-only when first read, and keeps them; ``rotating_post`` is worked out from
-the stored outgoing momentum and wall.  Its iterator is a generator that
-shares the sequence's one kept event, so ``zip(events, events[1:])`` builds
-each event once.  Frozen instances are filled through their slots' setters,
-as :class:`~wedge_billiard.collision_maps.MapState` fills its own.  Only
-the oracle and the columns' numpy views load numpy.
+:class:`EventColumns` as a wall code and a row of floats.  Every bulk read
+of the store goes through one reader, :meth:`EventSequence._view`, a strided
+``memoryview`` of one named column.  :attr:`Trajectory.events` builds a
+:class:`CollisionEvent` only when one is asked for, and its ``pre``,
+``post`` and ``rotating_post`` only when first read, and keeps them;
+``pre`` and ``post`` share one row reader, and ``rotating_post`` is worked
+out from the stored outgoing momentum and wall.  Its iterator is a
+generator that shares the sequence's one kept event, so ``zip(events,
+events[1:])`` builds each event once.  Frozen instances are filled through
+their slots' setters, as :class:`~wedge_billiard.collision_maps.MapState`
+fills its own.  Only the oracle, :meth:`EventSequence.column` and
+:func:`flight_starts` load numpy.
 """
 
 from __future__ import annotations
@@ -131,19 +134,22 @@ class CollisionEvent:
 
     @property
     def pre(self) -> CartesianState:
-        parts = self._parts
-        if parts[0] is None:
-            r, k = parts[3].rows, parts[4]
-            parts[0] = CartesianState(r[k + _X], r[k + _Y], r[k + _U_PRE], r[k + _W_PRE], self.t)
-        return parts[0]
+        return self._state(0, _U_PRE, _W_PRE)
 
     @property
     def post(self) -> CartesianState:
+        return self._state(1, _U, _W)
+
+    def _state(self, part: int, u_offset: int, w_offset: int) -> CartesianState:
+        """``pre`` (part 0) or ``post`` (part 1), read from the event's row
+        when first asked for: the collision point and the momentum at
+        ``u_offset, w_offset`` in the row."""
         parts = self._parts
-        if parts[1] is None:
+        if parts[part] is None:
             r, k = parts[3].rows, parts[4]
-            parts[1] = CartesianState(r[k + _X], r[k + _Y], r[k + _U], r[k + _W], self.t)
-        return parts[1]
+            x, y, u, w = r[k + _X], r[k + _Y], r[k + u_offset], r[k + w_offset]
+            parts[part] = CartesianState(x, y, u, w, self.t)
+        return parts[part]
 
     @property
     def rotating_post(self) -> RotatingFrameMomentum:
@@ -227,7 +233,9 @@ class EventSequence(Sequence):
     ``rotating_post`` when first read, then kept for repeat reads.  Two
     lookups of one index give equal events, not always one object.  A slice
     is another sequence over the same columns; equal to tuples of equal events.
-    :meth:`column` and the exports' rows (:meth:`_rows`) read by :meth:`_span`.
+    Every bulk read goes through one reader, :meth:`_view`, a strided view
+    of one named column: :meth:`column` in numpy, and the exports through
+    its ``tolist``.
     """
 
     __slots__ = ("_columns", "_range", "_memo")
@@ -274,33 +282,27 @@ class EventSequence(Sequence):
         """Read-only numpy array of one column the engine wrote, without
         building events: ``wall`` of dtype uint8, the others float64."""
         import numpy as np
-        if name not in _COLUMN_NAMES:
-            names = ", ".join(_COLUMN_NAMES)
-            raise ValueError(f"no stored column {name!r}; the columns are {names}")
-        lo, hi, step = self._span()
-        if name == "wall":
-            values = np.frombuffer(self._columns.wall, np.uint8)[lo:hi]
-        else:
-            values = np.frombuffer(self._columns.rows)[lo * _ROW + _OFFSETS[name]:hi * _ROW:_ROW]
-        values = values[::step]
+        values = np.asarray(self._view(name))
         values.flags.writeable = False
         return values
 
-    def _rows(self) -> list[tuple]:
-        """Each event's stored values in :data:`_COLUMN_NAMES` order, from one
-        slice of the rows, without numpy."""
-        lo, hi, step = self._span()
-        columns = self._columns
-        floats = iter(columns.rows[lo * _ROW:hi * _ROW])
-        return list(zip(columns.wall[lo:hi], *[floats] * _ROW))[::step]
-
-    def _span(self) -> tuple[int, int, int]:
-        """The one rule for bulk reads: the events are store indices ``lo`` to
-        ``hi - 1`` read by ``step``, from ``hi - 1`` down if it is negative."""
-        r = self._range
-        if not r:
-            return 0, 0, 1
-        return (r[0], r[-1] + 1, r.step) if r.step > 0 else (r[-1], r[0] + 1, r.step)
+    def _view(self, name: str) -> memoryview:
+        """The one bulk reader: the view's events of the stored column
+        ``name``, a strided ``memoryview`` of the store that copies nothing.
+        Its ``tolist`` gives Python ints (``wall``) or floats, so the
+        exports read it without numpy."""
+        columns, r = self._columns, self._range
+        if name == "wall":
+            view = memoryview(columns.wall)
+        elif name in _OFFSETS:
+            view = memoryview(columns.rows)[_OFFSETS[name]::_ROW]
+        else:
+            names = ", ".join(_COLUMN_NAMES)
+            raise ValueError(f"no stored column {name!r}; the columns are {names}")
+        # from the first event by the step, as many as there are, not up to
+        # the range's stop: a descending range's stop can be -1, which as a
+        # slice bound is the store's last event
+        return view[r[0]::r.step][:len(r)] if r else view[:0]
 
 
 def _event(columns: EventColumns, i: int, memo: list) -> CollisionEvent:

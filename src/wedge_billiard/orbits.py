@@ -313,8 +313,7 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     bracket = np.arange(-1.0, 3.0)
     n_arcs = len(columns[0])
     # a prefix reads its store's events 0 .. n_arcs - 1 in order
-    span_lo, _, span_step = events._span()
-    prefix = span_lo == 0 and span_step == 1
+    prefix = events._range.start == 0 and events._range.step == 1
     store = events._columns
     launch, held_angle, held_grid, first_arc, held = _HELD_CELLS.get(store, _NONE_HELD)
     # the same launch and angle objects: an engine's launch is all floats, but

@@ -539,6 +539,17 @@ def test_chunked_exports_working_set_does_not_grow():
         assert working_set(render, large) <= working_set(render, small) + 32 * 1024, render.__name__
 
 
+def test_strided_export_reads_only_the_rows_it_writes():
+    # events[::100] of a 5000-event run writes 50 rows, as events[:50] does;
+    # reading every row of its span would peak ~40 times higher
+    traj = dense60(5000)
+    strided, prefix = (
+        dataclasses.replace(traj, events=traj.events[view])
+        for view in (slice(None, None, 100), slice(50))
+    )
+    assert traced_peak(trajectory_csv, strided) <= 1.5 * traced_peak(trajectory_csv, prefix)
+
+
 def test_degrees_constant_is_math_degrees_bit_for_bit():
     thetas = [pt.theta for pt in sweep_periodic_points(150, 150)]
     assert bits([theta * _RAD_TO_DEG for theta in thetas]).tolist() == bits(

@@ -902,12 +902,12 @@ class TestEventSequence:
         ids=str,
     )
     def test_export_rows_read_the_span_the_columns_read(self, engine, index):
-        # the exports' rows are each event's eight stored values, in column
-        # order: the columns zipped, and the built events' fields
+        # the one reader's view of each stored column, which the exports and
+        # column read, holds the view's events' fields; the events are built
+        # from their rows by _event, not through _view
         events = dense_60(200, engine).events[index]
-        rows = events._rows()
-        assert rows == list(zip(*(events.column(name).tolist() for name in EVENT_FIELDS)))
-        assert rows == [tuple(field(e) for field in EVENT_FIELDS.values()) for e in events]
+        for name, field in EVENT_FIELDS.items():
+            assert events._view(name).tolist() == [field(e) for e in events], name
 
     @pytest.mark.parametrize("name", ["u_bar", "w_bar", "sin_t", "collision_frame", "_columns", ""])
     def test_only_stored_columns_are_read(self, name):
