@@ -344,15 +344,15 @@ def _sweep_svg_lines(points: list[SweepPoint]) -> Iterator[str]:
     x_span, y_span, u_span = width - 2 * pad, height - 2 * pad, 2.0 * u_range
 
     def centres(lo: int, hi: int) -> list[float]:
-        # each point's angle in degrees, then its u_bar, scaled to the frame
-        return [
-            v
-            for pt in points[lo:hi]
-            for v in (
+        # each point's angle in degrees, then its u_bar, scaled to the frame;
+        # extending one list per point costs less than a nested comprehension
+        values = []
+        for pt in points[lo:hi]:
+            values += (
                 pad + (pt.theta * _RAD_TO_DEG / 90.0) * x_span,
                 pad + (1.0 - (pt.u_bar + u_range) / u_span) * y_span,
             )
-        ]
+        return values
 
     return _svg_document(
         width,
@@ -384,11 +384,10 @@ def render_plot(data: Trajectory | list[SweepPoint], path: str) -> None:
 
 def _sweep_csv_lines(points: list[SweepPoint]) -> Iterator[str]:
     def fields(lo: int, hi: int) -> list:
-        return [
-            v
-            for pt in points[lo:hi]
-            for v in (pt.p, pt.q, pt.theta, pt.theta * _RAD_TO_DEG, pt.u_bar)
-        ]
+        values = []
+        for pt in points[lo:hi]:
+            values += (pt.p, pt.q, pt.theta, pt.theta * _RAD_TO_DEG, pt.u_bar)
+        return values
 
     rows = _format_rows("%d,%d,%.17g,%.17g,%.17g", len(points), fields, _CHUNK_ROWS)
     return _lines(["p,q,theta_rad,theta_deg,u_bar"], rows)

@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 import operator
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .collision_maps import MapState
 from .dynamics import (
@@ -56,6 +58,7 @@ _HELD_CELLS = weakref.WeakKeyDictionary()
 _NONE_HELD = (None, None, None, 0, None)
 
 SENSITIVITY_COLLISIONS = 1000
+_new = object.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +123,7 @@ class SweepPoint:
 
     def __init__(self, p: int, q: int, theta: float, u_bar: float) -> None:
         # slot setters, as in MapState: the generated frozen __init__ costs
-        # half as much again per point of a sweep
+        # half as much again per point
         _set_p(self, p)
         _set_q(self, q)
         _set_theta(self, theta)
@@ -428,7 +431,10 @@ def sweep_periodic_points(
     With ``half=True`` only pairs with q > p are kept, restricting the
     angles to (0, pi/4).  Points come in increasing angle: the fractions
     p/q are walked in Farey order, so no gcd is taken and nothing is
-    sorted.
+    sorted.  The walk emits the integers p and q as two columns; the
+    points are then made in one pass, and each field is set for every
+    point in one pass more.  Each point equals ``SweepPoint(p, q,
+    atan2(p, q), sqrt(energy)*(q - p)/(q + p))``, bit for bit.
     """
     p_max, q_max = operator.index(p_max), operator.index(q_max)
     if p_max < 1 or q_max < 1:
@@ -436,9 +442,9 @@ def sweep_periodic_points(
     if not math.isfinite(energy) or energy <= 0.0:
         raise ValueError(f"energy must be positive and finite, got {energy!r}")
     root_e = math.sqrt(energy)
-    atan2 = math.atan2
-    points = []
-    append = points.append
+    # the walk's fractions as two integer columns, numerators and denominators
+    ps, qs = [], []
+    append_p, append_q = ps.append, qs.append
     # Neighbours a/b < c/d among the fractions with p <= p_max, q <= q_max
     # have bc - ad = 1, and the next one is (kc - a)/(kd - b) for the largest
     # k that stays in range (Hardy & Wright, ch. III).  So the walk from 0/1,
@@ -452,7 +458,21 @@ def sweep_periodic_points(
     # d <= 0, which ends the walk
     limit = 1 if half else p_max + 1
     while c < limit * d:
-        append(SweepPoint(c, d, atan2(c, d), root_e * (d - c) / (d + c)))
-        k = min((q_max + b) // d, (p_max + a) // c)
+        append_p(c)
+        append_q(d)
+        # the smaller k by one comparison: a min() call takes twice its time
+        k, k_p = (q_max + b) // d, (p_max + a) // c
+        if k_p < k:
+            k = k_p
         a, b, c, d = c, d, k * c - a, k * d - b
+    # each field set for every point in one pass of its slot setter, with no
+    # Python frame per point
+    points = list(map(_new, repeat(SweepPoint, len(ps))))
+    for setter, values in (
+        (_set_p, ps),
+        (_set_q, qs),
+        (_set_theta, map(math.atan2, ps, qs)),
+        (_set_u_bar, [root_e * (d - c) / (d + c) for c, d in zip(ps, qs)]),
+    ):
+        deque(map(setter, points, values), 0)
     return points

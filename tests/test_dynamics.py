@@ -7,6 +7,7 @@ import math
 import pickle
 import struct
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -606,6 +607,28 @@ def test_a_landing_time_that_overflows_is_no_landing():
         assert len(traj.events) == 0 and traj.termination == stop
 
 
+def tiny_angle_launch(theta: float) -> tuple[CartesianState, WedgeAngle]:
+    """A wall-A launch at E = 1e299 in a wedge of angle ``theta``."""
+    angle, energy = WedgeAngle(theta), 1e299
+    r = math.sqrt(energy)
+    return launch_from_wall(Wall.A, 0.25 * energy / angle.cos, 0.3 * r, 0.9 * r, angle), angle
+
+
+@pytest.mark.parametrize("theta", [1e-158, 1e-157, 3e-157])
+def test_engines_agree_where_late_hit_times_overflow(theta):
+    # the oracle's later hit times on wall A pass the float range; both
+    # engines run every event, and no overflow warning leaks out
+    initial, angle = tiny_angle_launch(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = simulate(initial, angle, 200), decoupled_simulate(initial, angle, 200)
+    assert len(a.events) == len(b.events) == 200
+    assert a.termination is None and b.termination is None
+    assert (a.events.column("wall") == b.events.column("wall")).all()
+    t_a, t_b = a.events.column("t"), b.events.column("t")
+    assert np.all(np.abs(t_a - t_b) <= 1e-12 * np.abs(t_a))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="FOUND in CHANGES.md: the wall-A landing time overflows, which the oracle reads "
@@ -613,9 +636,7 @@ def test_a_landing_time_that_overflows_is_no_landing():
     "reads it as inf and runs on along wall B",
 )
 def test_engines_agree_where_one_landing_time_overflows():
-    angle, energy = WedgeAngle(1e-160), 1e299
-    r = math.sqrt(energy)
-    initial = launch_from_wall(Wall.A, 0.25 * energy / angle.cos, 0.3 * r, 0.9 * r, angle)
+    initial, angle = tiny_angle_launch(1e-160)
     a, b = simulate(initial, angle, 200), decoupled_simulate(initial, angle, 200)
     assert len(a.events) == len(b.events)
     assert a.termination == b.termination

@@ -821,12 +821,28 @@ def sweep_bits(points) -> tuple:
 @pytest.mark.parametrize("energy", [1e-9, 1.0, 1e200])
 def test_farey_walk_is_the_sorted_enumeration_bit_for_bit(half, energy):
     bounds = [(p, q) for p in range(1, 31) for q in range(1, 31)]
-    for p_max, q_max in [*bounds, (57, 44), (150, 150), (301, 299)]:
+    # (300, 7) and (7, 300) turn the walk's smaller k from one bound to the
+    # other on many steps
+    for p_max, q_max in [*bounds, (57, 44), (150, 150), (301, 299), (300, 7), (7, 300)]:
         expected = sweep_bits(sweep_by_gcd_and_sort(p_max, q_max, energy, half))
         assert sweep_bits(sweep_periodic_points(p_max, q_max, energy, half)) == expected, (
             p_max,
             q_max,
         )
+
+
+def test_sweep_peaks_near_the_bytes_it_returns():
+    # the points' bytes plus transient integer and u_bar columns; no
+    # temporary sized max**2 and no tuple per point
+    sweep_periodic_points(3, 3)  # leaves out what only a first call allocates
+    tracemalloc.start()
+    try:
+        points = sweep_periodic_points(150, 150)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 13715
+    assert peak <= 1.3 * held
 
 
 class TestSweepPoint:

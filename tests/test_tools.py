@@ -1,0 +1,41 @@
+"""The repository's measuring tools run and report what their docstrings say."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_side_by_side_times_each_tree_as_its_own_module_set():
+    # each side's submodules load under its own package, from its own tree
+    setup = (
+        "assert orbits.__name__.split('.')[0] == dynamics.__name__.split('.')[0]"
+        " and orbits.__name__ in ('parent.orbits', 'change.orbits')"
+        " and orbits.__file__.startswith(%r)" % str(ROOT / "src")
+    )
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "tools" / "side_by_side.py"),
+            str(ROOT),
+            str(ROOT),
+            "orbits.sweep_periodic_points(3, 3)",
+            "--setup",
+            setup,
+            "--pairs",
+            "3",
+            "--number",
+            "2",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.splitlines()
+    assert out[0] == (
+        "orbits.sweep_periodic_points(3, 3): 3 pairs of 2 runs, seconds per run at host scale"
+    )
+    assert out[1].split()[:2] == ["parent", "median"]
+    assert out[2].split()[:2] == ["change", "median"]
+    assert out[3].startswith("  change/parent ") and out[3].endswith(" pairs")
