@@ -64,7 +64,9 @@ class MapState:
 
     The energy rides along because the cross-wall maps are not closed
     without it.  Both momenta are finite, and ``w_bar**2`` may exceed ``2E``
-    by at most ``RADICAND_TOL*E``.
+    by at most ``RADICAND_TOL*E``.  The constructor admits such a state in
+    one chained test; any other state goes through the checks one at a
+    time, which raise with the first failing field's message.
     """
 
     u_bar: float
@@ -73,25 +75,35 @@ class MapState:
 
     def __init__(self, u_bar: float, w_bar: float, energy: float) -> None:
         # checks and slot setters in one frame: the generated __init__ plus
-        # __post_init__ cost half as much again per state.  Each compare is
-        # false for NaN.
-        if not 0.0 < energy < _INF:
-            raise ValueError(f"energy must be positive, got {energy!r}")
-        if not _NEG_INF < u_bar < _INF:
-            raise ValueError(f"u_bar must be finite, got {u_bar!r}")
-        if not w_bar >= 0.0:
-            raise ValueError(f"w_bar must be nonnegative, got {w_bar!r}")
-        excess = w_bar * w_bar - 2.0 * energy
-        if not _NEG_INF < excess < _INF:
-            # w_bar**2 overflowed (w_bar above ~1.3e154) or 2E did (E above
-            # ~9e307), or both (inf - inf is NaN).  Quartered, the squares
-            # round alike and stay finite; an infinite w_bar gives inf.
-            excess = 4.0 * ((0.5 * w_bar) * (0.5 * w_bar) - 0.5 * energy)
-        if excess > RADICAND_TOL * energy:
-            raise EnergyViolationError(
-                f"normal kinetic energy w_bar**2/2 = {w_bar * w_bar / 2.0!r} "
-                f"exceeds total {energy!r}"
-            )
+        # __post_init__ cost half as much again per state.  A valid state
+        # passes the one chained test.  Each compare is false for NaN, so a
+        # NaN anywhere goes on to the checks one at a time; an excess of
+        # -inf passes, a finite w_bar**2 against an overflowed 2E, which is
+        # always within budget (w_bar**2/2 <= ~9e307 < E)
+        if not (
+            0.0 < energy < _INF
+            and _NEG_INF < u_bar < _INF
+            and w_bar >= 0.0
+            and w_bar * w_bar - 2.0 * energy <= RADICAND_TOL * energy
+        ):
+            if not 0.0 < energy < _INF:
+                raise ValueError(f"energy must be positive, got {energy!r}")
+            if not _NEG_INF < u_bar < _INF:
+                raise ValueError(f"u_bar must be finite, got {u_bar!r}")
+            if not w_bar >= 0.0:
+                raise ValueError(f"w_bar must be nonnegative, got {w_bar!r}")
+            excess = w_bar * w_bar - 2.0 * energy
+            if not _NEG_INF < excess < _INF:
+                # w_bar**2 overflowed (w_bar above ~1.3e154) or 2E did (E
+                # above ~9e307), or both (inf - inf is NaN).  Quartered, the
+                # squares round alike and stay finite; an infinite w_bar
+                # gives inf.
+                excess = 4.0 * ((0.5 * w_bar) * (0.5 * w_bar) - 0.5 * energy)
+            if excess > RADICAND_TOL * energy:
+                raise EnergyViolationError(
+                    f"normal kinetic energy w_bar**2/2 = {w_bar * w_bar / 2.0!r} "
+                    f"exceeds total {energy!r}"
+                )
         _set_u_bar(self, u_bar)
         _set_w_bar(self, w_bar)
         _set_energy(self, energy)
@@ -107,18 +119,22 @@ def apply_map(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:
     momentum scaled with cot(theta) (wall A) or tan(theta) (wall B) and keep
     the normal momentum.  Cross-wall maps draw the new normal momentum from
     the conserved energy budget, ``w_bar'**2 = 2E - w_bar**2`` with the
-    outgoing (nonnegative) branch.
+    outgoing (nonnegative) branch.  ``tan(theta)`` is the angle's kept
+    ``sin / cos``, worked out once per angle, not once per step.
     """
     u_bar, w_bar, energy = state.u_bar, state.w_bar, state.energy
-    tan_t = angle.sin / angle.cos
+    tan_t = angle.tan
     if map_id is _FA:
         u_next, w_next = u_bar - 2.0 * w_bar / tan_t, w_bar
     elif map_id is _GA:
         u_next, w_next = u_bar - 2.0 * w_bar * tan_t, w_bar
     else:
         # MapState admits a radicand down to -RADICAND_TOL * energy: a
-        # grazing arrival, clamped to 0
-        w_next = math.sqrt(max(2.0 * energy - w_bar * w_bar, 0.0))
+        # grazing arrival, clamped to 0.  max(r, 0.0) without the call: a
+        # NaN (inf - inf, where both squares overflow) still goes to sqrt
+        # and on to the finite check
+        r = 2.0 * energy - w_bar * w_bar
+        w_next = math.sqrt(r) if not r < 0.0 else 0.0
         if map_id is _FB:
             u_next = w_bar - (u_bar + w_next) * tan_t
         else:
@@ -152,7 +168,7 @@ def fixed_point(map_id: MapId, energy: float, angle: WedgeAngle) -> MapState:
         raise ValueError(f"energy must be positive, got {energy!r}")
     root_e = math.sqrt(energy)
     if map_id is MapId.FB:
-        tan_t = angle.sin / angle.cos
+        tan_t = angle.tan
         return MapState(root_e * (1.0 - tan_t) / (1.0 + tan_t), root_e, energy)
     if map_id is MapId.GB:
         cot_t = angle.cos / angle.sin

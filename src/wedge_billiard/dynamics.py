@@ -37,11 +37,11 @@ of the store goes through one reader, :meth:`EventSequence._view`, a strided
 ``post`` and ``rotating_post`` only when first read, and keeps them;
 ``pre`` and ``post`` share one row reader, and ``rotating_post`` is worked
 out from the stored outgoing momentum and wall.  Its iterator is a
-generator that shares the sequence's one kept event, so ``zip(events,
-events[1:])`` builds each event once.  Frozen instances are filled through
-their slots' setters, as :class:`~wedge_billiard.collision_maps.MapState`
-fills its own.  Only the oracle, :meth:`EventSequence.column` and
-:func:`flight_starts` load numpy.
+generator that builds each event in its own frame and shares the
+sequence's one kept event, so ``zip(events, events[1:])`` builds each event
+once.  Frozen instances are filled through their slots' setters, as
+:class:`~wedge_billiard.collision_maps.MapState` fills its own.  Only the
+oracle, :meth:`EventSequence.column` and :func:`flight_starts` load numpy.
 """
 
 from __future__ import annotations
@@ -252,8 +252,9 @@ class EventSequence(Sequence):
     def __init__(self, columns: EventColumns, indices: range | None = None):
         self._columns = columns
         self._range = range(len(columns.wall)) if indices is None else indices
-        # last (index, event) built, shared with slices: zip(events, events[1:]) builds each once
-        self._memo = [(-1, None)]
+        # last index and event built, shared with slices, and set in place,
+        # with no tuple per event: zip(events, events[1:]) builds each once
+        self._memo = [-1, None]
 
     def __len__(self) -> int:
         return len(self._range)
@@ -264,14 +265,30 @@ class EventSequence(Sequence):
             view._memo = self._memo
             return view
         i = self._range[index]
-        held, event = self._memo[0]
-        return event if held == i else _event(self._columns, i, self._memo)
+        memo = self._memo
+        return memo[1] if memo[0] == i else _event(self._columns, i, memo)
 
     def __iter__(self) -> Iterator[CollisionEvent]:
+        """The view's events in order, each built as :func:`_event` builds
+        it, or taken from the kept event, as indexing takes it.
+
+        :func:`_event`'s body is written out here, with its globals held as
+        locals: the call per event was ~9% of a bare pass.  A test pins the
+        two copies to the same bits."""
         columns, memo = self._columns, self._memo
+        wall, rows = columns.wall, columns.rows
+        new, set_wall, set_t, set_parts, walls = _new, _set_wall, _set_t, _set_parts, WALLS
         for i in self._range:
-            held, event = memo[0]
-            yield event if held == i else _event(columns, i, memo)
+            if memo[0] == i:
+                yield memo[1]
+            else:
+                k = i * _ROW
+                event = new(CollisionEvent)
+                set_wall(event, walls[wall[i]])
+                set_t(event, rows[k + _T])
+                set_parts(event, [None, None, None, columns, k])
+                memo[0], memo[1] = i, event
+                yield event
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventSequence):
@@ -316,13 +333,14 @@ class EventSequence(Sequence):
 
 def _event(columns: EventColumns, i: int, memo: list) -> CollisionEvent:
     """Event ``i`` of ``columns``, its parts left to be built when read, kept
-    as ``memo``'s one event: the one builder of a stored event."""
+    as ``memo``'s one event: indexing's builder of a stored event, of which
+    :meth:`EventSequence.__iter__` holds a written-out copy."""
     k = i * _ROW
     event = _new(CollisionEvent)
     _set_wall(event, WALLS[columns.wall[i]])
     _set_t(event, columns.rows[k + _T])
     _set_parts(event, [None, None, None, columns, k])
-    memo[0] = (i, event)
+    memo[0], memo[1] = i, event
     return event
 
 

@@ -34,13 +34,15 @@ class WedgeAngle:
     Validated once at construction, then kept as a float whatever number
     type it was given in; everything downstream assumes a valid angle.
     ``sin`` and ``cos`` are ``math.sin(theta)`` and ``math.cos(theta)``,
-    computed once at construction; equality, hashing and the repr see
-    ``theta`` alone.
+    and ``tan`` is ``sin / cos``, all computed once at construction, so
+    the collision maps divide no trig per step; equality, hashing, the
+    repr and pickling see ``theta`` alone.
     """
 
     theta: float
     sin: float = field(init=False, repr=False, compare=False)
     cos: float = field(init=False, repr=False, compare=False)
+    tan: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta) or not 0.0 < self.theta < math.pi / 2:
@@ -50,6 +52,7 @@ class WedgeAngle:
         _set_theta(self, float(self.theta))
         _set_sin(self, math.sin(self.theta))
         _set_cos(self, math.cos(self.theta))
+        _set_tan(self, self.sin / self.cos)
 
     def __reduce__(self):
         # pickle and copy rebuild from theta, so the trig is computed afresh
@@ -61,7 +64,9 @@ class WedgeAngle:
 
 
 # The frozen angle and trig are filled through their slots' setters
-_set_theta, _set_sin, _set_cos = (getattr(WedgeAngle, f).__set__ for f in ("theta", "sin", "cos"))
+_set_theta, _set_sin, _set_cos, _set_tan = (
+    getattr(WedgeAngle, f).__set__ for f in ("theta", "sin", "cos", "tan")
+)
 
 
 def to_wedge(a, b, sin_t: float, cos_t: float):

@@ -112,6 +112,52 @@ class TestMapState:
             if energy >= sys.float_info.min:
                 assert {verdicts[w_bar] for w_bar in near_edge} == {True, False}, energy
 
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        ),
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=1.2e154, max_value=1.5e154),
+            st.sampled_from([0.0, -0.0, 1.3e154, math.sqrt(sys.float_info.max), math.inf, math.nan]),
+        ),
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=8.5e307, max_value=sys.float_info.max),
+            st.sampled_from([5e-324, 9e307, sys.float_info.max / 2, sys.float_info.max, math.inf, math.nan]),
+        ),
+        st.one_of(st.none(), st.integers(min_value=-4, max_value=4)),
+    )
+    @example(0.5, 1.4e154, 1e308, None)
+    @example(0.0, 1.5e154, 1e308, None)
+    @example(0.0, math.inf, math.inf, None)
+    @example(math.nan, -1.0, -1.0, None)
+    @example(0.0, 0.0, 9e307, 0)
+    @example(0.0, -5e-324, 1.0, None)
+    @example(0.0, 0.0, 1e-300, 4)
+    def test_checks_accept_and_reject_as_the_sequential_checks(self, u_bar, w_bar, energy, ulps):
+        # the constructor's one chained test for a valid state, then its
+        # checks in turn, admit exactly what the checks alone admit, and
+        # otherwise raise the same type and message.  With ulps set, w_bar
+        # is moved that many ulp from the largest value the energy admits
+        if ulps is not None and 0.0 < energy < math.inf:
+            w_bar = math.sqrt(2.0) * math.sqrt(energy) * math.sqrt(1.0 + RADICAND_TOL / 2)
+            for _ in range(abs(ulps)):
+                w_bar = math.nextafter(w_bar, math.copysign(math.inf, ulps))
+        try:
+            sequential_checks(u_bar, w_bar, energy)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                MapState(u_bar, w_bar, energy)
+            assert type(raised.value) is type(error)
+            assert str(raised.value) == str(error)
+        else:
+            state = MapState(u_bar, w_bar, energy)
+            assert bits([state.u_bar, state.w_bar, state.energy]).tolist() == bits(
+                [u_bar, w_bar, energy]
+            ).tolist()
+
     def test_keyword_construction(self):
         state = MapState(energy=2.0, w_bar=0.5, u_bar=-0.3)
         assert state == MapState(-0.3, 0.5, 2.0)
@@ -256,11 +302,39 @@ class TestApplyMap:
                     == bits([expected.u_bar, expected.w_bar, expected.energy]).tolist()
                 )
 
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.2])
+    def test_cross_maps_raise_where_both_squares_overflow(self, theta):
+        # a valid state whose 2E and w_bar**2 both overflow: the radicand is
+        # inf - inf, NaN, which the clamp must pass on, not take for 0
+        state = MapState(0.5, 1.4e154, 1e308)
+        for map_id in (MapId.FB, MapId.GB):
+            with pytest.raises(ValueError, match="^u_bar must be finite, got nan$"):
+                apply_map(map_id, state, WedgeAngle(theta))
+
     def test_grazing_radicand_clamps_to_zero(self):
         energy = 1.0
         w_bar = math.sqrt(2 * energy)  # rounding may land a hair above 2E
         out = apply_map(MapId.FB, MapState(0.2, w_bar, energy), WedgeAngle(0.6))
         assert out.w_bar == 0.0
+
+
+def sequential_checks(u_bar: float, w_bar: float, energy: float) -> None:
+    """MapState's checks one after another, each with its own message: the
+    reference that the constructor's chained test must agree with."""
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"energy must be positive, got {energy!r}")
+    if not -math.inf < u_bar < math.inf:
+        raise ValueError(f"u_bar must be finite, got {u_bar!r}")
+    if not w_bar >= 0.0:
+        raise ValueError(f"w_bar must be nonnegative, got {w_bar!r}")
+    excess = w_bar * w_bar - 2.0 * energy
+    if not -math.inf < excess < math.inf:
+        excess = 4.0 * ((0.5 * w_bar) * (0.5 * w_bar) - 0.5 * energy)
+    if excess > RADICAND_TOL * energy:
+        raise EnergyViolationError(
+            f"normal kinetic energy w_bar**2/2 = {w_bar * w_bar / 2.0!r} "
+            f"exceeds total {energy!r}"
+        )
 
 
 def map_by_constructor(map_id: MapId, state: MapState, angle: WedgeAngle) -> MapState:

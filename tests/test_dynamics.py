@@ -45,6 +45,7 @@ from wedge_billiard.dynamics import (
     EventSequence,
     RotatingFrameMomentum,
     Termination,
+    _event,
     _first_hit,
 )
 from wedge_billiard.geometry import from_wedge, to_wedge
@@ -929,6 +930,33 @@ class TestEventSequence:
         events = dense_60(200, engine).events[index]
         for name, field in EVENT_FIELDS.items():
             assert events._view(name).tolist() == [field(e) for e in events], name
+
+    @pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "index",
+        [slice(None), slice(None, None, 37), slice(None, None, -3), slice(150, 20, -7), slice(5, 40)],
+        ids=str,
+    )
+    def test_iterating_and_indexing_build_the_same_event_bits(self, engine, index):
+        # the iterator writes _event out; indexing calls it.  Each reads a
+        # sequence of its own, so that neither is handed the other's kept
+        # event, and every part is compared as float.hex
+        def parts(event):
+            pre, post, frame = event.pre, event.post, event.rotating_post
+            floats = (
+                event.t, pre.x, pre.y, pre.u, pre.w, pre.t, post.x, post.y, post.u, post.w,
+                post.t, frame.u_bar, frame.w_bar,
+            )
+            return event.wall, [f.hex() for f in floats]
+
+        view = dense_60(200, engine).events[index]
+        columns, r = view._columns, view._range
+        iterated = [parts(e) for e in EventSequence(columns, r)]
+        by_index = EventSequence(columns, r)
+        indexed = [parts(by_index[j]) for j in range(len(r))]
+        built = [parts(_event(columns, i, [-1, None])) for i in r]
+        assert len(iterated) == len(view) > 0
+        assert iterated == indexed == built
 
     @pytest.mark.parametrize("name", ["u_bar", "w_bar", "sin_t", "collision_frame", "_columns", ""])
     def test_only_stored_columns_are_read(self, name):

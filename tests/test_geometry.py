@@ -36,12 +36,15 @@ class TestWedgeAngle:
         assert angle.cos.hex() == math.cos(theta).hex()
 
     def test_equality_hash_and_repr_see_theta_only(self):
-        # theta is kept as a float whatever number type it is given in
+        # theta is kept as a float whatever number type it is given in, and
+        # the kept tangent is sin / cos to the bit
         for theta in (0.7, np.float64(0.7), Fraction(7, 10), 1, True):
             angle, forged = WedgeAngle(float(theta)), WedgeAngle(theta)
             assert type(forged.theta) is float
+            assert forged.tan.hex() == (forged.sin / forged.cos).hex()
             object.__setattr__(forged, "sin", 2.0)
             object.__setattr__(forged, "cos", -2.0)
+            object.__setattr__(forged, "tan", 3.0)
             assert forged == angle and hash(forged) == hash(angle)
             assert repr(forged) == repr(angle) == f"WedgeAngle(theta={float(theta)!r})"
         assert WedgeAngle(0.7) != WedgeAngle(0.8)
@@ -49,12 +52,14 @@ class TestWedgeAngle:
     def test_trig_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             WedgeAngle(0.7, 0.5)
-        with pytest.raises(ValueError):
-            dataclasses.replace(WedgeAngle(0.7), sin=0.5)
+        for name in ("sin", "cos", "tan"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(WedgeAngle(0.7), **{name: 0.5})
 
     def test_replace_recomputes_trig(self):
         angle = dataclasses.replace(WedgeAngle(0.7), theta=0.3)
         assert (angle.sin, angle.cos) == (math.sin(0.3), math.cos(0.3))
+        assert angle.tan == math.sin(0.3) / math.cos(0.3)
 
     @pytest.mark.parametrize(
         "clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.copy, copy.deepcopy]
@@ -63,11 +68,13 @@ class TestWedgeAngle:
         forged = WedgeAngle(0.7)
         object.__setattr__(forged, "sin", 2.0)
         object.__setattr__(forged, "cos", -2.0)
+        object.__setattr__(forged, "tan", 3.0)
         angle = clone(forged)
         assert angle == forged
         assert (angle.sin, angle.cos) == (math.sin(0.7), math.cos(0.7))
+        assert angle.tan == math.sin(0.7) / math.cos(0.7)
 
-    @pytest.mark.parametrize("name", ["theta", "sin", "cos"])
+    @pytest.mark.parametrize("name", ["theta", "sin", "cos", "tan"])
     def test_frozen(self, name):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(WedgeAngle(0.7), name, 0.5)

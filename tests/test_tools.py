@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,8 +36,39 @@ def test_side_by_side_times_each_tree_as_its_own_module_set():
         timeout=60,
     ).stdout.splitlines()
     assert out[0] == (
-        "orbits.sweep_periodic_points(3, 3): 3 pairs of 2 runs, seconds per run at host scale"
+        "orbits.sweep_periodic_points(3, 3): 3 pairs of 2 runs, seconds per run at host scale,"
+        " garbage collector off"
     )
     assert out[1].split()[:2] == ["parent", "median"]
     assert out[2].split()[:2] == ["change", "median"]
     assert out[3].startswith("  change/parent ") and out[3].endswith(" pairs")
+
+
+@pytest.mark.parametrize("flags, mode", [([], "off"), (["--gc"], "on")])
+def test_side_by_side_times_with_the_collector_as_asked(flags, mode):
+    # the statement fails unless the collector is in the mode the report names
+    stmt = "assert gc.isenabled()" if mode == "on" else "assert not gc.isenabled()"
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "tools" / "side_by_side.py"),
+            str(ROOT),
+            str(ROOT),
+            stmt,
+            "--setup",
+            "import gc",
+            "--pairs",
+            "2",
+            "--number",
+            "3",
+            *flags,
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.splitlines()
+    assert out[0] == (
+        f"{stmt}: 2 pairs of 3 runs, seconds per run at host scale, garbage collector {mode}"
+    )
+    assert out[3].startswith("  change/parent ")

@@ -10,12 +10,14 @@ statement runs in a namespace that holds each submodule by its short name
 
 The two sides are timed alternately, ``--pairs`` times, and the side that
 goes first alternates too.  Each timing is ``--number`` runs of the
-statement (``timeit``, so with the garbage collector off), scaled by the
-mean of two passes of ``perfbench/hostref.reference_s`` taken just before
-and just after it: a time at a fixed host speed, in seconds per run, at the
-scale of ``hostref.REF_S``.  It prints each side's median and quartiles,
-the ratio of the change's median to the parent's, and the number of pairs
-the change won (ties count for neither).  Only the standard library and
+statement (``timeit``, so with the garbage collector off unless ``--gc``
+turns it on, as it is in perfbench's runs), scaled by the mean of two
+passes of ``perfbench/hostref.reference_s`` taken just before and just
+after it: a time at a fixed host speed, in seconds per run, at the scale of
+``hostref.REF_S``.  With the collector off, a change that keeps more
+objects alive reads faster than it runs.  It prints the collector's mode,
+each side's median and quartiles, the ratio of the change's median to the
+parent's, and the number of pairs the change won (ties count for neither).  Only the standard library and
 ``hostref`` are used, and nothing under ``perfbench/`` is changed.
 
 Run from anywhere, with the two trees as paths to their repository roots
@@ -84,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--setup", default="pass", help="run once per side before timing")
     parser.add_argument("--pairs", type=int, default=15, help="alternations of the two sides")
     parser.add_argument("--number", type=int, help="runs of the statement per timing")
+    parser.add_argument(
+        "--gc", action="store_true", help="time with the garbage collector on, as perfbench runs"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -94,7 +99,11 @@ def main(argv: list[str] | None = None) -> int:
     for side, root in zip(SIDES, (args.parent, args.change)):
         namespace = load_tree(root.resolve(), side)
         exec(args.setup, namespace)
-        timers[side] = timeit.Timer(args.stmt, globals=namespace)
+        # timeit turns the collector off around each timing; a setup that
+        # turns it back on runs inside that window
+        timers[side] = timeit.Timer(
+            args.stmt, "import gc; gc.enable()" if args.gc else "pass", globals=namespace
+        )
     number = args.number or timers["parent"].autorange()[0]
     # one untimed pass each, so that neither side pays a first call's costs
     for timer in timers.values():
@@ -105,7 +114,11 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             times[side].append(scaled_time(timers[side], number))
 
-    print(f"{args.stmt}: {args.pairs} pairs of {number} runs, seconds per run at host scale")
+    mode = "on" if args.gc else "off"
+    print(
+        f"{args.stmt}: {args.pairs} pairs of {number} runs, seconds per run at host scale,"
+        f" garbage collector {mode}"
+    )
     for side in SIDES:
         q1, median, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
         print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
