@@ -24,8 +24,10 @@ loop per event.  The two share only the first-hit rule and must
 agree event for event; each serves as an oracle for the other.  The loop
 holds that rule written out, so that an event makes no Python function
 call; :func:`_first_hit` is the oracle's copy, and a test pins the two
-copies to the same bits.  It buffers a chunk of events as the store's rows
-and appends each chunk with one ``struct.pack`` call, as :func:`_run` says.
+copies to the same bits.  It buffers a chunk of events in one list, each
+event's wall code followed by its row, and at each chunk's flush splits the
+codes off with one slice and appends the rows with one ``struct.pack``
+call, as :func:`_run` says.
 
 Both start through :func:`_validate_run`, which takes the launch as
 floats once checked, projects it once and tests only it for sliding; both
@@ -464,9 +466,11 @@ def _first_hit(d0: float, v0: float, g: float) -> float | None:
     return first if T_EPS < first < math.inf else None
 
 
-# Events the loop buffers as rows before it appends them to the store;
-# 256 costs ~0.1 MB, and with the packed flush 128, 512 and 1024 were no
-# faster on 8 runs of 1e4 events
+# Events the loop buffers before it appends them to the store; 256 costs
+# ~0.1 MB.  With the flush that splits the wall codes off, against 256 in
+# 8 alternations of fresh processes (GC on, median of 12 host-normalized
+# rounds of 8 runs of 1e4 events each), 128 read 1.002x (4/8 faster), 512
+# 1.016x (1/8) and 1024 0.997x (4/8) with 0.12 MB more peak RSS
 _CHUNK = 256
 
 
@@ -490,19 +494,25 @@ def _run(
     Each wall's placement and reflection stay written out in their own
     branch after the stops: one shared step with the wall's tangent and
     normal picked in the branch kept the bits but took 1.09x the time.
-    Events are buffered as the store's rows and appended to it a chunk at a
-    time, each chunk packed by one ``struct.pack`` call: ``array("d",
-    rows)`` converts floats one at a time through the argument parser
-    (``PyArg_Parse`` on CPython 3.11), at over twice the cost.
+    Events are buffered in one list and appended to the store a chunk at a
+    time, so that an event makes no call: each event adds its wall code and
+    then its row with one ``+=``.  At the flush one slice of every
+    ``_ROW + 1``-th item takes the codes out as the wall column's bytes, a
+    ``del`` of the same slice leaves the store's rows, and one
+    ``struct.pack`` call packs them: ``array("d", rows)`` converts floats
+    one at a time through the argument parser (``PyArg_Parse`` on CPython
+    3.11), at over twice the cost.  The stops' two negated bands are worked
+    out once per run, not once per event.
     """
     sin_t, cos_t = angle.sin, angle.cos
     columns = EventColumns(angle)
     # first hits inline, one row write per event: 0.8x the time of 2 _first_hit calls + 7 appends
     two_sin, two_cos = 2.0 * sin_t, 2.0 * cos_t
+    tie_lo, grazing_lo = -TIE_EPS, -GRAZING_EPS
     sqrt, inf, pack = math.sqrt, math.inf, struct.pack
-    add_wall, add_rows = columns.wall.append, columns.rows.frombytes
+    add_walls, add_rows = columns.wall.frombytes, columns.rows.frombytes
+    # each event's wall code, then its row of floats
     rows: list[float] = []
-    add_row = rows.extend
     termination = None
     start = 0
     while start < n and termination is None:
@@ -537,10 +547,10 @@ def _run(
             else:
                 termination = Termination(TerminationKind.VERTEX_HIT, t)
                 break
-            if s_land < VERTEX_EPS or -TIE_EPS <= gap <= TIE_EPS:
+            if s_land < VERTEX_EPS or tie_lo <= gap <= TIE_EPS:
                 termination = Termination(TerminationKind.VERTEX_HIT, t + dt)
                 break
-            if -GRAZING_EPS < v_n < GRAZING_EPS:
+            if grazing_lo < v_n < GRAZING_EPS:
                 termination = Termination(TerminationKind.DEGENERATE, t + dt, abs(v_n))
                 break
             # The root has rounding-level residual; place the collision exactly
@@ -549,20 +559,22 @@ def _run(
             # to_wedge is).  The reflection (u, w) -= 2 * p_n * normal is
             # written out with each wall's normal, (-cos, sin) on wall A and
             # (sin, cos) on wall B: negation and doubling are exact, so the
-            # bits are the same.  A row, laid out as the store's rows, reads u
-            # before the walrus rebinds it.
+            # bits are the same.  The wall code, then a row laid out as the
+            # store's rows, which reads u before the walrus rebinds it.
             t += dt
             w_land = w - dt
             if gap < 0.0:
                 x, y = s_land * sin_t, s_land * cos_t
                 p2 = 2.0 * (w_land * sin_t - u * cos_t)
-                add_wall(0)
-                add_row((t, x, y, u, w_land, u := u + p2 * cos_t, w := w_land - p2 * sin_t))
+                rows += (0, t, x, y, u, w_land, u := u + p2 * cos_t, w := w_land - p2 * sin_t)
             else:
                 x, y = -s_land * cos_t, s_land * sin_t
                 p2 = 2.0 * (u * sin_t + w_land * cos_t)
-                add_wall(1)
-                add_row((t, x, y, u, w_land, u := u - p2 * sin_t, w := w_land - p2 * cos_t))
+                rows += (1, t, x, y, u, w_land, u := u - p2 * sin_t, w := w_land - p2 * cos_t)
+        # every (_ROW + 1)th item is a wall code: split the codes off, then
+        # pack the floats that are left, the store's rows in order
+        add_walls(bytes(rows[::_ROW + 1]))
+        del rows[::_ROW + 1]
         add_rows(pack(f"{len(rows)}d", *rows))
         rows.clear()
         start += _CHUNK

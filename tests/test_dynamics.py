@@ -38,6 +38,8 @@ from wedge_billiard import (
 from wedge_billiard.cli import OutputFormat, export_trajectory
 from wedge_billiard.dynamics import (
     _CHUNK,
+    _ROW,
+    _X,
     GRAZING_EPS,
     MAX_ENERGY,
     WALLS,
@@ -821,6 +823,41 @@ def test_runs_across_buffer_flushes_are_prefixes_and_resume(n):
         rest = simulate(events[k - 1].post, angle, n - k)
         same_bits(rest.events, events[k:])
         assert rest.termination == full.termination
+
+
+def split_runs():
+    """Runs that end by budget on either side of the loop's chunk flushes,
+    every edge launch at four budgets and the tiny-angle launches."""
+    angle = WedgeAngle.from_degrees(60)
+    initial = launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle)
+    for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        yield f"budget-{n}", initial, angle, n
+    for name, (initial, angle) in sorted(edge_launches().items()):
+        for n in (1, 2, 30, 300):
+            yield f"{name}-n{n}", initial, angle, n
+    for theta in (1e-158, 1e-157, 3e-157):
+        yield f"tiny_angle_{theta:g}", *tiny_angle_launch(theta), 300
+
+
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+def test_each_event_keeps_its_own_wall_code(engine):
+    # the loop carries each event's wall code at the head of its row and
+    # splits the codes off at each chunk's flush: one code per stored row,
+    # each 0 or 1, and each the wall the placement put the event on, which
+    # it tells by the sign of x, as s_land >= VERTEX_EPS and cos(theta) > 0
+    events = 0
+    for name, initial, angle, n in split_runs():
+        traj = engine(initial, angle, n)
+        store = traj.events._columns
+        assert len(store.rows) == _ROW * len(store.wall), name
+        if name.startswith("budget"):
+            assert len(store.wall) == n and traj.termination is None, name
+        codes = store.wall.tolist()
+        assert set(codes) <= {0, 1}, name
+        x = store.rows[_X::_ROW].tolist()
+        assert all(x_k >= 0.0 if code == 0 else x_k < 0.0 for code, x_k in zip(codes, x)), name
+        events += len(codes)
+    assert events > 4 * _CHUNK
 
 
 @pytest.mark.parametrize("w_bar", [1e-3, 1e-4])

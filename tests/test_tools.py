@@ -42,6 +42,13 @@ def test_side_by_side_times_each_tree_as_its_own_module_set():
     assert out[1].split()[:2] == ["parent", "median"]
     assert out[2].split()[:2] == ["change", "median"]
     assert out[3].startswith("  change/parent ") and out[3].endswith(" pairs")
+    # the per-pair ratios, ordered quartiles about their median
+    words = out[4].split()
+    assert words[:3] == ["paired", "change/parent", "median"] and words[4] == "quartiles"
+    assert words[6] == ".."
+    q1, median, q3 = float(words[5]), float(words[3]), float(words[7])
+    assert 0.0 < q1 <= median <= q3
+    assert len(out) == 5
 
 
 @pytest.mark.parametrize("flags, mode", [([], "off"), (["--gc"], "on")])

@@ -17,8 +17,12 @@ after it: a time at a fixed host speed, in seconds per run, at the scale of
 ``hostref.REF_S``.  With the collector off, a change that keeps more
 objects alive reads faster than it runs.  It prints the collector's mode,
 each side's median and quartiles, the ratio of the change's median to the
-parent's, and the number of pairs the change won (ties count for neither).  Only the standard library and
-``hostref`` are used, and nothing under ``perfbench/`` is changed.
+parent's, the number of pairs the change won (ties count for neither), and
+the median and quartiles of the per-pair ratios, change over parent.  A
+pair's two timings are taken back to back, so its ratio shares their host
+phase, which the medians of the two sides, each over every phase, do not.
+Only the standard library and ``hostref`` are used, and nothing under
+``perfbench/`` is changed.
 
 Run from anywhere, with the two trees as paths to their repository roots
 (a copy of the parent made with ``git archive``, and this checkout):
@@ -125,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     ratio = statistics.median(times["change"]) / statistics.median(times["parent"])
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     print(f"  change/parent {ratio:.3f}, change faster in {wins}/{args.pairs} pairs")
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"  paired change/parent median {median:.3f}  quartiles {q1:.3f} .. {q3:.3f}")
     return 0
 
 
