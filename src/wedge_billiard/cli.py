@@ -23,8 +23,9 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .dynamics import (
@@ -335,23 +336,30 @@ def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
 _RAD_TO_DEG = 180.0 / math.pi
 
 
-def _sweep_svg_lines(points: list[SweepPoint]) -> Iterator[str]:
+def _sweep_columns(points: Sequence[SweepPoint]) -> tuple[Sequence, ...]:
+    """The one reader of a sweep: its ``p``, ``q``, ``theta`` and ``u_bar``
+    columns.  Those of ``sweep_periodic_points`` are read as they are held;
+    a list or tuple of points is gathered into columns in one pass."""
+    columns = getattr(points, "_columns", None)
+    if columns is None:
+        columns = tuple(zip(*map(attrgetter("p", "q", "theta", "u_bar"), points))) or ((),) * 4
+    return columns
+
+
+def _sweep_svg_lines(points: Sequence[SweepPoint]) -> Iterator[str]:
     """Scatter of periodic-orbit seeds: angle in degrees against u_bar; no
     points give the empty frame."""
+    _, _, theta, u_bar = _sweep_columns(points)
     width, height = SVG_WIDTH, 480.0
     pad = 40.0
-    u_range = max(max((abs(pt.u_bar) for pt in points), default=0.0), 1e-9) * 1.05
+    u_range = max(max(map(abs, u_bar), default=0.0), 1e-9) * 1.05
     x_span, y_span, u_span = width - 2 * pad, height - 2 * pad, 2.0 * u_range
 
     def centres(lo: int, hi: int) -> list[float]:
-        # each point's angle in degrees, then its u_bar, scaled to the frame;
-        # extending one list per point costs less than a nested comprehension
-        values = []
-        for pt in points[lo:hi]:
-            values += (
-                pad + (pt.theta * _RAD_TO_DEG / 90.0) * x_span,
-                pad + (1.0 - (pt.u_bar + u_range) / u_span) * y_span,
-            )
+        # each point's angle in degrees, then its u_bar, scaled to the frame
+        values = [0.0] * (2 * (hi - lo))
+        values[0::2] = [pad + (t * _RAD_TO_DEG / 90.0) * x_span for t in theta[lo:hi]]
+        values[1::2] = [pad + (1.0 - (u + u_range) / u_span) * y_span for u in u_bar[lo:hi]]
         return values
 
     return _svg_document(
@@ -373,8 +381,8 @@ def _sweep_svg_lines(points: list[SweepPoint]) -> Iterator[str]:
     )
 
 
-def render_plot(data: Trajectory | list[SweepPoint], path: str) -> None:
-    """Render a trajectory or a list of sweep points to a self-contained
+def render_plot(data: Trajectory | Sequence[SweepPoint], path: str) -> None:
+    """Render a trajectory or a sequence of sweep points to a self-contained
     SVG, written a chunk at a time."""
     if isinstance(data, Trajectory):
         _write_text(path, _trajectory_svg_lines(data))
@@ -382,18 +390,25 @@ def render_plot(data: Trajectory | list[SweepPoint], path: str) -> None:
         _write_text(path, _sweep_svg_lines(data))
 
 
-def _sweep_csv_lines(points: list[SweepPoint]) -> Iterator[str]:
+def _sweep_csv_lines(points: Sequence[SweepPoint]) -> Iterator[str]:
+    p, q, theta, u_bar = _sweep_columns(points)
+
     def fields(lo: int, hi: int) -> list:
-        values = []
-        for pt in points[lo:hi]:
-            values += (pt.p, pt.q, pt.theta, pt.theta * _RAD_TO_DEG, pt.u_bar)
+        # each row's five fields, gathered column by column
+        rad = theta[lo:hi]
+        values = [0] * (5 * len(rad))
+        values[0::5] = p[lo:hi]
+        values[1::5] = q[lo:hi]
+        values[2::5] = rad
+        values[3::5] = [t * _RAD_TO_DEG for t in rad]
+        values[4::5] = u_bar[lo:hi]
         return values
 
     rows = _format_rows("%d,%d,%.17g,%.17g,%.17g", len(points), fields, _CHUNK_ROWS)
     return _lines(["p,q,theta_rad,theta_deg,u_bar"], rows)
 
 
-def sweep_csv(points: list[SweepPoint]) -> str:
+def sweep_csv(points: Sequence[SweepPoint]) -> str:
     return "".join(_sweep_csv_lines(points))
 
 

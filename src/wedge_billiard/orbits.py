@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 from .collision_maps import MapState
 from .dynamics import (
@@ -58,7 +57,6 @@ _HELD_CELLS = weakref.WeakKeyDictionary()
 _NONE_HELD = (None, None, None, 0, None)
 
 SENSITIVITY_COLLISIONS = 1000
-_new = object.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +131,43 @@ class SweepPoint:
 _set_p, _set_q, _set_theta, _set_u_bar = (
     getattr(SweepPoint, f).__set__ for f in SweepPoint.__slots__
 )
+
+
+class _Sweep(Sequence):
+    """Read-only sequence of sweep points, held as four equal-length lists:
+    ``p``, ``q``, ``theta`` and ``u_bar``, in that order.
+
+    A point is built only when one is indexed or iterated, so a sweep that
+    is only exported never makes one: ``cli`` reads ``_columns``.  A slice
+    is another sweep over the sliced columns.  A sweep equals an equal sweep
+    and a list of equal points, and, like a list, it is unhashable.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[list, list, list, list]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Sweep(tuple(column[index] for column in self._columns))
+        return SweepPoint(*(column[index] for column in self._columns))
+
+    def __iter__(self) -> Iterator[SweepPoint]:
+        return map(SweepPoint, *self._columns)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Sweep):
+            return self._columns == other._columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<sweep of {len(self)} points>"
 
 
 def critical_angle(spec: OrbitSpec) -> WedgeAngle:
@@ -425,15 +460,16 @@ def sensitivity_probe(
 
 def sweep_periodic_points(
     p_max: int, q_max: int, energy: float = 1.0, half: bool = False
-) -> list[SweepPoint]:
+) -> Sequence[SweepPoint]:
     """Periodic-orbit seeds (theta*, u_bar*) for all coprime pairs in range.
 
     With ``half=True`` only pairs with q > p are kept, restricting the
     angles to (0, pi/4).  Points come in increasing angle: the fractions
     p/q are walked in Farey order, so no gcd is taken and nothing is
-    sorted.  The walk emits the integers p and q as two columns; the
-    points are then made in one pass, and each field is set for every
-    point in one pass more.  Each point equals ``SweepPoint(p, q,
+    sorted.  The walk emits the integers p and q as two columns, and theta
+    and u_bar are each worked out as one column more.  The result is a
+    read-only sequence over the four columns, which builds a point only
+    when one is indexed or iterated.  Each point equals ``SweepPoint(p, q,
     atan2(p, q), sqrt(energy)*(q - p)/(q + p))``, bit for bit.
     """
     p_max, q_max = operator.index(p_max), operator.index(q_max)
@@ -465,14 +501,11 @@ def sweep_periodic_points(
         if k_p < k:
             k = k_p
         a, b, c, d = c, d, k * c - a, k * d - b
-    # each field set for every point in one pass of its slot setter, with no
-    # Python frame per point
-    points = list(map(_new, repeat(SweepPoint, len(ps))))
-    for setter, values in (
-        (_set_p, ps),
-        (_set_q, qs),
-        (_set_theta, map(math.atan2, ps, qs)),
-        (_set_u_bar, [root_e * (d - c) / (d + c) for c, d in zip(ps, qs)]),
-    ):
-        deque(map(setter, points, values), 0)
-    return points
+    return _Sweep(
+        (
+            ps,
+            qs,
+            list(map(math.atan2, ps, qs)),
+            [root_e * (d - c) / (d + c) for c, d in zip(ps, qs)],
+        )
+    )

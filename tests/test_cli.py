@@ -557,6 +557,23 @@ def test_degrees_constant_is_math_degrees_bit_for_bit():
     ).tolist()
 
 
+@pytest.mark.parametrize("half", [False, True])
+def test_sweep_exports_read_a_sweep_and_its_points_alike(half, tmp_path):
+    # the sweep's own columns and the columns gathered from its points feed
+    # one formatting path, so both give the same bytes
+    points = sweep_periodic_points(25, 25, half=half)
+    empty = sweep_periodic_points(1, 1, half=True)
+    assert len(empty) == 0
+    for sweep in (points, points[::3], points[-2::-5], points[7:7], empty):
+        csv_text = sweep_csv(sweep)
+        render_plot(sweep, str(tmp_path / "sweep.svg"))
+        svg_bytes = (tmp_path / "sweep.svg").read_bytes()
+        for listed in (list(sweep), tuple(sweep)):
+            assert sweep_csv(listed) == csv_text
+            render_plot(listed, str(tmp_path / "listed.svg"))
+            assert (tmp_path / "listed.svg").read_bytes() == svg_bytes
+
+
 class TestWrittenInChunks:
     """Exports and plots are written to their files a chunk at a time."""
 

@@ -845,6 +845,127 @@ def test_sweep_peaks_near_the_bytes_it_returns():
     assert peak <= 1.3 * held
 
 
+def test_sweep_holds_at_most_90_bytes_a_point():
+    # four columns, two of small ints and two of floats: ~83 B a point; a
+    # SweepPoint held for every point made it ~121
+    sweep_periodic_points(3, 3)  # leaves out what only a first call allocates
+    tracemalloc.start()
+    try:
+        points = sweep_periodic_points(150, 150)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 90 * len(points)
+
+
+class TestSweepSequence:
+    """The sweep is a read-only sequence over its columns that builds each
+    point it gives, by index or by iteration, as a list would hold it."""
+
+    points = sweep_periodic_points(12, 12)
+    reference = sweep_by_gcd_and_sort(12, 12, 1.0, False)
+    VIEWS = [
+        slice(None),
+        slice(2, 9),
+        slice(None, None, 3),
+        slice(1, -1, 4),
+        slice(None, None, -1),
+        slice(-2, 3, -2),
+        slice(None, None, -7),
+        slice(5, 5),
+        slice(9, 2),
+        slice(2, 9, -1),
+        slice(100, 200),
+    ]
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("energy", [1e-9, 1.0, 1e200])
+    def test_built_points_are_the_sorted_enumeration_bit_for_bit(self, half, energy):
+        for p_max, q_max in ((1, 1), (3, 11), (11, 3), (57, 44), (150, 150)):
+            points = sweep_periodic_points(p_max, q_max, energy, half)
+            expected = sweep_by_gcd_and_sort(p_max, q_max, energy, half)
+            assert sweep_bits([points[i] for i in range(len(points))]) == sweep_bits(expected)
+            assert sweep_bits(list(reversed(points))) == sweep_bits(expected[::-1])
+            for view in (slice(None, None, 7), slice(-3, None, -5)):
+                assert sweep_bits(points[view]) == sweep_bits(expected[view])
+
+    def test_indexing(self):
+        n = len(self.reference)
+        assert len(self.points) == n
+        for i in range(-n, n):
+            point = self.points[i]
+            assert type(point) is SweepPoint and point == self.reference[i]
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                self.points[i]
+        assert self.points[np.int64(-2)] == self.reference[-2]
+        with pytest.raises(TypeError):
+            self.points[1.0]
+
+    def test_slices(self):
+        for view in self.VIEWS:
+            sliced, expected = self.points[view], self.reference[view]
+            assert type(sliced) is type(self.points)
+            assert len(sliced) == len(expected)
+            assert list(sliced) == expected
+            # a slice of a slice, and its last point by a negative index
+            assert list(sliced[::-2]) == expected[::-2]
+            if expected:
+                assert sliced[-1] == expected[-1]
+        assert len(sweep_periodic_points(1, 1, half=True)) == 0
+
+    def test_iteration_and_reversed(self):
+        assert all(type(point) is SweepPoint for point in self.points)
+        assert list(self.points) == self.reference
+        assert list(reversed(self.points)) == self.reference[::-1]
+        assert list(iter(self.points)) == list(iter(self.points))
+        point = self.reference[5]
+        assert point in self.points and self.points.index(point) == 5
+        assert self.points.count(point) == 1
+
+    def test_equality(self):
+        same = sweep_periodic_points(12, 12)
+        assert self.points == same and same == self.points
+        assert self.points == self.reference and self.reference == self.points
+        assert self.points[2:9] == self.reference[2:9] == self.points[2:9]
+        assert not self.points != self.reference
+        moved = [*self.reference[:-1], dataclasses.replace(self.reference[-1], u_bar=0.5)]
+        for other in (
+            moved,
+            self.reference[:-1],
+            sweep_periodic_points(12, 11),
+            sweep_periodic_points(12, 12, 2.0),
+            sweep_periodic_points(12, 12, half=True),
+        ):
+            assert self.points != other and other != self.points
+        # like the list it replaces, a sweep equals no tuple
+        assert self.points != tuple(self.reference)
+        assert self.points != tuple(self.points)
+
+    def test_read_only_and_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self.points)
+        with pytest.raises(TypeError):
+            hash(self.points[1:3])
+        with pytest.raises(TypeError):
+            self.points[0] = self.reference[0]
+        with pytest.raises(TypeError):
+            del self.points[0]
+        assert not hasattr(self.points, "append")
+        assert not hasattr(self.points, "__dict__")
+
+    def test_pickle_and_copy(self):
+        for points in (self.points, self.points[::-3], self.points[5:5]):
+            for copied in (
+                pickle.loads(pickle.dumps(points)),
+                copy.copy(points),
+                copy.deepcopy(points),
+            ):
+                assert type(copied) is type(points)
+                assert copied == points and copied == list(points)
+                assert sweep_bits(copied) == sweep_bits(points)
+
+
 class TestSweepPoint:
     point = SweepPoint(2, 5, math.atan2(2, 5), 3 / 7)
 

@@ -79,3 +79,33 @@ def test_side_by_side_times_with_the_collector_as_asked(flags, mode):
         f"{stmt}: 2 pairs of 3 runs, seconds per run at host scale, garbage collector {mode}"
     )
     assert out[3].startswith("  change/parent ")
+
+
+def test_side_by_side_picks_the_count_of_the_faster_side():
+    # the parent's runs sleep 4 times as long as the change's; the count
+    # autorange picks for the change (a timing of at least 0.2 s at under 1
+    # ms a run: 200 or more) is then the larger, and both sides run it, where
+    # the parent's own count (at least 2 ms a run: 100 or fewer) would time
+    # the change for under 0.2 s
+    stmt = "time.sleep(0.002 if dynamics.__name__.startswith('parent') else 0.0005)"
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "tools" / "side_by_side.py"),
+            str(ROOT),
+            str(ROOT),
+            stmt,
+            "--setup",
+            "import time",
+            "--pairs",
+            "2",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.splitlines()
+    head, tail = out[0].split(" runs (the larger autorange count of the two sides), ")
+    prefix = f"{stmt}: 2 pairs of "
+    assert head.startswith(prefix) and int(head[len(prefix):]) >= 200
+    assert tail == "seconds per run at host scale, garbage collector off"

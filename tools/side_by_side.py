@@ -30,8 +30,12 @@ Run from anywhere, with the two trees as paths to their repository roots
     python3 tools/side_by_side.py PARENT_ROOT CHANGE_ROOT \\
         "orbits.sweep_periodic_points(150, 150)" --pairs 25
 
-``--number`` defaults to what ``timeit``'s ``autorange`` picks for the
-parent, used for both sides.
+``--number`` defaults to the larger of the counts that ``timeit``'s
+``autorange`` picks for the two sides, used for both: each side's timing
+then lasts at least autorange's 0.2 s, however much slower the other side
+is.  The header line says when the count was picked.  Autorange can pick
+different counts in different runs of one statement, so runs meant to be
+compared with each other should pass ``--number``.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         timers[side] = timeit.Timer(
             args.stmt, "import gc; gc.enable()" if args.gc else "pass", globals=namespace
         )
-    number = args.number or timers["parent"].autorange()[0]
+    number = args.number or max(timer.autorange()[0] for timer in timers.values())
     # one untimed pass each, so that neither side pays a first call's costs
     for timer in timers.values():
         timer.timeit(number)
@@ -119,9 +123,10 @@ def main(argv: list[str] | None = None) -> int:
             times[side].append(scaled_time(timers[side], number))
 
     mode = "on" if args.gc else "off"
+    picked = "" if args.number else " (the larger autorange count of the two sides)"
     print(
-        f"{args.stmt}: {args.pairs} pairs of {number} runs, seconds per run at host scale,"
-        f" garbage collector {mode}"
+        f"{args.stmt}: {args.pairs} pairs of {number} runs{picked}, seconds per run at host"
+        f" scale, garbage collector {mode}"
     )
     for side in SIDES:
         q1, median, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
