@@ -2,9 +2,11 @@
 
 Angles are degrees on the command line and radians everywhere else.  Output
 files are byte-deterministic: identical invocations produce identical bytes
-(fixed field order, 17 significant digits, LF newlines).  The environment
-variable WEDGE_SEED is accepted for script compatibility but ignored; the
-dynamics are deterministic.
+(fixed field order, 17 significant digits, LF newlines).  SVG coordinates
+have three decimals, as ``"%.3f"`` writes them; the trajectory SVG's arc
+points are written from numpy by a kernel that gives the same bytes.  The
+environment variable WEDGE_SEED is accepted for script compatibility but
+ignored; the dynamics are deterministic.
 
 Exit codes: 0 success, 2 invalid arguments, 3 simulation ended early
 (vertex hit or sliding) although a collision count was required, 4 I/O
@@ -41,6 +43,8 @@ from .dynamics import (
 from .geometry import Wall, WedgeAngle, config_bounds, from_wedge, to_wedge
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .orbits import SweepPoint
 
 EXIT_OK = 0
@@ -84,21 +88,20 @@ def _fmt(value: float) -> str:
 # Rows formatted per ``%`` call: enough to cost little per row, few enough
 # that no value list or string grows with the export.
 _CHUNK_ROWS = 128
-# Arcs per call in the trajectory SVG; each arc is one row of 130 values.
+# Arcs per _format_3f call in the trajectory SVG; each arc is 130 values.
 _CHUNK_ARCS = 64
 
 
-def _format_rows(
-    template: str, count: int, values: Callable[[int, int], list], chunk: int
-) -> Iterator[str]:
-    """``count`` rows of ``template``, formatted ``chunk`` rows per ``%`` call.
+def _format_rows(template: str, count: int, values: Callable[[int, int], list]) -> Iterator[str]:
+    """``count`` rows of ``template``, formatted ``_CHUNK_ROWS`` rows per ``%`` call.
 
     ``values(lo, hi)`` gives the fields of rows ``lo`` to ``hi - 1``, row
     after row.  Each chunk is yielded as its rows joined by newlines: no
-    string is made per row or per value.
+    string is made per row or per value.  Every bulk export is formatted
+    here but the trajectory SVG's arcs, which :func:`_format_3f` writes.
     """
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
+    for lo in range(0, count, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, count)
         yield "\n".join([template] * (hi - lo)) % tuple(values(lo, hi))
 
 
@@ -155,7 +158,6 @@ def _trajectory_csv_lines(traj: Trajectory) -> Iterator[str]:
         _CSV_ROW,
         len(traj.events),
         lambda lo, hi: _event_rows(traj, lo, hi, len(CSV_COLUMNS)),
-        _CHUNK_ROWS,
     )
     return _lines([",".join(CSV_COLUMNS)], rows)
 
@@ -209,7 +211,6 @@ def _json_rows(traj: Trajectory) -> Iterator[str]:
         _JSON_ROW + ",",
         len(traj.events),
         lambda lo, hi: _event_rows(traj, lo, hi, len(CSV_COLUMNS) + 2),
-        _CHUNK_ROWS,
     )
     previous = None
     for chunk in chunks:
@@ -257,18 +258,81 @@ def _svg_document(width: float, height: float, *body: Iterable[str]) -> Iterator
     return _lines([head], *body, ["</svg>"])
 
 
-_SVG_ARC = (
-    '<polyline fill="none" stroke="#1f77b4" stroke-width="1" points="'
-    + " ".join(["%.3f,%.3f"] * (_SVG_ARC_STEPS + 1))
-    + '"/>'
-)
+_SVG_ARC_HEAD = '<polyline fill="none" stroke="#1f77b4" stroke-width="1" points="'
+_SVG_ARC_TAIL = '"/>'
+_SVG_ARC = _SVG_ARC_HEAD + " ".join(["%.3f,%.3f"] * (_SVG_ARC_STEPS + 1)) + _SVG_ARC_TAIL
+# the byte after each of an arc's values: "x,y x,y ... x,y", then a newline
+_SVG_ARC_ENDS = (b", " * (_SVG_ARC_STEPS + 1))[:-1] + b"\n"
+# _format_3f handles the values whose rounded thousandths fit an int32
+_FORMAT_3F_LIMIT = 2**31
+
+
+def _format_3f(values: np.ndarray, ends: bytes) -> str | None:
+    """Each of ``values`` as ``"%.3f" % v`` writes it, followed by its byte
+    of ``ends``, which repeats along the last axis; or None when a value is
+    not finite or its rounded thousandths do not fit an int32.
+
+    ``v * 1000`` is worked out exactly as ``high + low`` (Dekker's product,
+    with ``v`` split by Veltkamp's method; 1000 needs no split), and rounded
+    half to even as ``%`` rounds it.  The digits come from integer division
+    by 10, one column of a byte matrix at a time; the matrix is compressed
+    by a mask that drops the leading zeros, and the minus sign of a value
+    whose sign bit is clear (so ``-0.0`` and a tiny negative value give
+    ``-0.000``, as ``%`` does).  The scratch arrays are worked in place and
+    dropped as soon as they are read.
+    """
+    import numpy as np
+
+    sign = np.signbit(values)
+    a = np.abs(values)
+    # a value that is not finite, or too large, turns to nan or inf silently
+    # and fails the limit check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = a * 134217729.0  # 2**27 + 1, for Veltkamp's split
+        np.subtract(low, low - a, out=low)  # a's high half
+        high = a * 1000.0
+        np.subtract(a, low, out=a)  # and its low half
+        np.multiply(low, 1000.0, out=low)
+        np.subtract(low, high, out=low)
+        np.multiply(a, 1000.0, out=a)
+        np.add(low, a, out=low)  # high + low is a * 1000 exactly
+        del a
+        rounded = np.rint(high)
+        np.subtract(high, rounded, out=high)  # what rint dropped
+        # a dropped half is a tie for high alone; low breaks it
+        rounded += (high == 0.5) & (low > 0)
+        rounded -= (high == -0.5) & (low < 0)
+        del low, high
+        if not (rounded < _FORMAT_3F_LIMIT).all():
+            return None
+    q = rounded.astype(np.int32)
+    del rounded
+    n_digits = max(4, len(str(q.max(initial=0))))
+    point = n_digits - 2
+    text = np.empty((*values.shape, n_digits + 3), np.uint8)
+    keep = np.ones(text.shape, bool)
+    text[..., 0] = ord("-")
+    keep[..., 0] = sign
+    text[..., point] = ord(".")
+    text[..., -1] = np.frombuffer(ends, np.uint8)
+    for col in (*range(n_digits + 1, point, -1), *range(point - 1, 0, -1)):
+        if col < point - 1:  # no leading zero left of the units digit
+            keep[..., col] = q > 0
+        tens = q // 10
+        text[..., col] = q - tens * 10 + ord("0")
+        q = tens
+    return text[keep].tobytes().decode("ascii")
 
 
 def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
     """Configuration-space picture: wedge walls plus one polyline per flight arc.
 
     The viewport frames the reachable box for the trajectory's energy with a
-    5% margin.  A run with no events is drawn as its walls alone.
+    5% margin.  A run with no events is drawn as its walls alone.  The arcs'
+    points are worked out in numpy and written ``_CHUNK_ARCS`` arcs at a
+    time by :func:`_format_3f`; a chunk with a value that it does not
+    handle is formatted by ``%`` from the same ``_SVG_ARC`` template, so
+    the bytes do not depend on the path.
     """
     import numpy as np
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
@@ -298,7 +362,7 @@ def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
     columns = [traj.events.column(name) for name in ("t", "x", "y", "u", "w")]
     steps = np.arange(_SVG_ARC_STEPS + 1.0)
 
-    def arc_points(lo: int, hi: int) -> list[float]:
+    def arc_points(lo: int, hi: int) -> np.ndarray:
         t0, x0, y0, u0, w0 = (
             start[:, None] for start in flight_starts(traj.initial, columns, lo, hi)
         )
@@ -309,7 +373,18 @@ def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
             x = x0 + u0 * tau
             y = y0 + w0 * tau - 0.5 * tau * tau
             points = np.stack(((x - x_min) * scale, (y_max - y) * scale), axis=-1)
-        return points.ravel().tolist()
+        return points.reshape(hi - lo, -1)
+
+    def arcs() -> Iterator[str]:
+        count = len(traj.events)
+        for lo in range(0, count, _CHUNK_ARCS):
+            points = arc_points(lo, min(lo + _CHUNK_ARCS, count))
+            rows = _format_3f(points, _SVG_ARC_ENDS)
+            if rows is None:
+                yield "\n".join([_SVG_ARC] * len(points)) % tuple(points.ravel().tolist())
+            else:
+                between = _SVG_ARC_TAIL + "\n" + _SVG_ARC_HEAD
+                yield _SVG_ARC_HEAD + rows[:-1].replace("\n", between) + _SVG_ARC_TAIL
 
     walls = []
     for end in corners[1:3]:
@@ -327,7 +402,7 @@ def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
         SVG_WIDTH,
         height,
         walls,
-        _format_rows(_SVG_ARC, len(traj.events), arc_points, _CHUNK_ARCS),
+        arcs(),
         labels,
     )
 
@@ -370,7 +445,7 @@ def _sweep_svg_lines(points: Sequence[SweepPoint]) -> Iterator[str]:
             f'height="{y_span}" fill="none" stroke="black"/>'
         ],
         _format_rows(
-            '<circle cx="%.3f" cy="%.3f" r="2" fill="#1f77b4"/>', len(points), centres, _CHUNK_ROWS
+            '<circle cx="%.3f" cy="%.3f" r="2" fill="#1f77b4"/>', len(points), centres
         ),
         [
             f'<text x="{width / 2:.1f}" y="{height - 8:.1f}" font-size="14" '
@@ -404,7 +479,7 @@ def _sweep_csv_lines(points: Sequence[SweepPoint]) -> Iterator[str]:
         values[4::5] = u_bar[lo:hi]
         return values
 
-    rows = _format_rows("%d,%d,%.17g,%.17g,%.17g", len(points), fields, _CHUNK_ROWS)
+    rows = _format_rows("%d,%d,%.17g,%.17g,%.17g", len(points), fields)
     return _lines(["p,q,theta_rad,theta_deg,u_bar"], rows)
 
 

@@ -8,10 +8,13 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wedge_billiard
 from wedge_billiard import (
@@ -31,6 +34,7 @@ from wedge_billiard import (
 from wedge_billiard.cli import (
     _CHUNK_ARCS,
     _CHUNK_ROWS,
+    _FORMAT_3F_LIMIT,
     _RAD_TO_DEG,
     _SVG_ARC_STEPS,
     CSV_COLUMNS,
@@ -38,6 +42,7 @@ from wedge_billiard.cli import (
     SVG_WIDTH,
     OutputFormat,
     _event_rows,
+    _format_3f,
     _svg_document,
     build_parser,
     export_trajectory,
@@ -45,7 +50,7 @@ from wedge_billiard.cli import (
     render_plot,
     sweep_csv,
 )
-from wedge_billiard.dynamics import WALLS, wedge_energies
+from wedge_billiard.dynamics import WALLS, EventSequence, wedge_energies
 from wedge_billiard.geometry import config_bounds, from_wedge, to_wedge
 from wedge_billiard.orbits import _periodic_launch
 
@@ -53,11 +58,13 @@ from conftest import (
     bits,
     collision_frame,
     coprime_pairs,
+    filled_columns,
     flights,
     json_round_trips,
     random_angle,
     random_launch,
     read_trajectory_json,
+    stored_values,
     sweep_svg,
     trajectory_csv,
     trajectory_json,
@@ -420,6 +427,100 @@ class TestChunkedExports:
     def test_sweeps(self, half, energy):
         for limit in (1, 2, 8, 25):
             assert_sweep_exports_match(sweep_periodic_points(limit, limit, energy, half=half))
+
+
+def handled_by_format_3f(value: float) -> bool:
+    # a Fraction's round is exact and half to even, as "%.3f" rounds
+    return math.isfinite(value) and abs(round(Fraction(value) * 1000)) < _FORMAT_3F_LIMIT
+
+
+def assert_formats_as_percent(values) -> None:
+    values = np.asarray(values, dtype=float)
+    text = _format_3f(values, b"\n")
+    assert text is not None
+    assert text.split("\n") == ["%.3f" % v for v in values.tolist()] + [""]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFormat3f:
+    """The SVG's numpy kernel writes each value it handles as ``"%.3f" % v``
+    does, bit for bit, and reports the others as not handled; none warns."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3e6, 3e6))
+    def test_finite_doubles(self, value):
+        expected = "%.3f\n" % value if handled_by_format_3f(value) else None
+        assert _format_3f(np.array([value]), b"\n") == expected
+
+    def test_exact_ties_and_their_neighbours(self):
+        # v * 1000 ends in exactly .5 for v = k/16 with k odd
+        rng = np.random.default_rng(35)
+        k = np.append(np.arange(-20_000, 20_000), rng.integers(-34_000_000, 34_000_000, 40_000))
+        ties = k / 16.0
+        for values in (ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)):
+            assert_formats_as_percent(values)
+
+    def test_zeros_subnormals_and_tiny_negatives(self):
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308]
+        tiny += [-1e-300, -4e-4, -5e-4, 5e-4, math.nextafter(-5e-4, -1.0), 1.5e-3, -2.5e-3]
+        assert_formats_as_percent(tiny)
+        assert _format_3f(np.array([-0.0, 5e-324, -1e-300]), b" ") == "-0.000 0.000 -0.000 "
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(977)
+        values = rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(float)
+        values = values[np.isfinite(values)]
+        values = values[np.abs(values) < (_FORMAT_3F_LIMIT - 1) / 1000]
+        assert len(values) > 150_000
+        assert_formats_as_percent(values)
+
+    def test_values_whose_thousandths_round_up_to_the_limit(self):
+        # an int32 cast of the thousandths, checked on |v| alone, overflows here
+        edge = []
+        for centre in (2147483.6465, 2147483.647, 2147483.6475, 2147483.648):
+            value = centre
+            for _ in range(4):
+                value = math.nextafter(value, 0.0)
+            for _ in range(9):
+                edge += (value, -value)
+                value = math.nextafter(value, math.inf)
+        fits = [handled_by_format_3f(value) for value in edge]
+        assert any(fits) and not all(fits)
+        for value, fit in zip(edge, fits):
+            assert _format_3f(np.array([value]), b"\n") == ("%.3f\n" % value if fit else None)
+
+    def test_values_it_does_not_handle(self):
+        inside = np.linspace(-700.0, 700.0, 1001)
+        assert_formats_as_percent(inside)
+        outside = [math.nan, math.inf, -math.inf, 2147483.648, -2147483.648, 1e16, 1e300]
+        for value in outside + [sys.float_info.max, -sys.float_info.max]:
+            assert not handled_by_format_3f(value)
+            assert _format_3f(np.array([value]), b"\n") is None
+            assert _format_3f(np.append(inside, value), b"\n") is None
+
+
+@pytest.mark.parametrize("value", [math.nan, 1e9])
+def test_svg_chunk_the_kernel_does_not_handle_is_formatted_by_percent(value, monkeypatch):
+    from wedge_billiard import cli
+
+    handled = []
+
+    def format_3f(values, ends):
+        text = _format_3f(values, ends)
+        handled.append(text is not None)
+        return text
+
+    monkeypatch.setattr(cli, "_format_3f", format_3f)
+    dense = dense60(3 * _CHUNK_ARCS + 5)
+    stored = stored_values(dense)
+    # the start of an arc in the second chunk
+    stored["x"][_CHUNK_ARCS + 10] = value
+    traj = dataclasses.replace(dense, events=EventSequence(filled_columns(dense.theta, stored)))
+    assert trajectory_svg(traj) == svg_by_points(traj)
+    assert handled == [True, False, True, True]
+    for n_events, calls in ((1, [True]), (0, [])):
+        handled.clear()
+        assert trajectory_svg(dense60(n_events)) == svg_by_points(dense60(n_events))
+        assert handled == calls
 
 
 def numpy_event_rows(traj, lo: int, hi: int) -> tuple:
@@ -1168,10 +1269,12 @@ def modules_loaded_by(argv: tuple[str, ...]) -> set[str]:
         (("periodic", "--p", "2", "--q", "3", "--out", "x.csv"), False),
         (("fixed-points", "--theta-deg", "50"), False),
         (("sweep", "--max", "5", "--out", "x.csv"), False),
+        (("sweep", "--max", "5", "--out", "x.svg"), False),
         (("simulate", "--p", "2", "--q", "3", *SIMULATE_ARGS[3:], "--out", "x.csv"), False),
         # the positive controls: the probe sees numpy where it is used
         (("classify", *SIMULATE_ARGS[1:], "--n", "50"), True),
         ((*SIMULATE_ARGS, "--out", "x.svg"), True),
+        (("periodic", "--p", "2", "--q", "3", "--out", "x.svg"), True),
     ],
     ids=lambda v: (" ".join(v) or "import wedge_billiard") if isinstance(v, tuple) else None,
 )
