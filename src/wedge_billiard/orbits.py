@@ -46,8 +46,8 @@ from .geometry import Wall, WedgeAngle, config_bounds, to_wedge
 # of a grid cell diagonal.
 COVERAGE_STEP_FRACTION = 0.01
 # Arcs rasterized per numpy pass, so that no temporary array grows with the
-# horizon.  Each pass makes about 60 numpy calls; the result does not depend
-# on the chunk size.
+# horizon.  Each pass makes about 100 numpy calls, half of them over all its
+# samples, mostly in place; the result does not depend on the chunk size.
 _COVERAGE_CHUNK_ARCS = 64
 # Each live run's visited cells from its latest prefix call, keyed by the
 # run's event store: ``(launch, angle, (nx, ny), arcs rasterized, cells)``.
@@ -110,7 +110,7 @@ class OrbitClass:
                 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     """One periodic-orbit seed in (theta, u_bar) space."""
 
@@ -118,19 +118,6 @@ class SweepPoint:
     q: int
     theta: float
     u_bar: float
-
-    def __init__(self, p: int, q: int, theta: float, u_bar: float) -> None:
-        # slot setters, as in MapState: the generated frozen __init__ costs
-        # half as much again per point
-        _set_p(self, p)
-        _set_q(self, q)
-        _set_theta(self, theta)
-        _set_u_bar(self, u_bar)
-
-
-_set_p, _set_q, _set_theta, _set_u_bar = (
-    getattr(SweepPoint, f).__set__ for f in SweepPoint.__slots__
-)
 
 
 class _Sweep(Sequence):
@@ -301,8 +288,10 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     is two parabolas, so a sample can fall in another cell than its
     neighbours only next to a grid-line crossing, an apex or an end of the
     arc.  Only the samples around those times are computed, and they find
-    the same cells as sampling the whole arc.  Nondecreasing in the number
-    of events for a fixed grid.
+    the same cells as sampling the whole arc.  A chunk's samples are
+    evaluated in place, four rows of one sample per critical time, and each
+    sample's cell is written as one flat index into the grid.
+    Nondecreasing in the number of events for a fixed grid.
 
     The cells of a prefix of a run (``events[:h]``) are a subset of those of
     any longer prefix, so a prefix call keeps its cells, one ``nx x ny``
@@ -341,10 +330,14 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     speed_cap = math.sqrt(2.0 * energy)
 
     # per wedge axis (rows x_tilde, y_tilde): gravity, cells per unit length
-    # and the last inner grid line
+    # and the last inner grid line; then, shaped (2, 1, 1) to meet the
+    # samples' (2, 4, m) rows, the box's sides, cells per side and last cell
     gravity = np.array([[cos_t], [sin_t]])
     per_length = np.array([[nx / width], [ny / height]])
     inner = np.array([[nx - 1.0], [ny - 1.0]])
+    sides = np.array([[[width]], [[height]]])
+    per_side = np.array([[[nx]], [[ny]]], dtype=float)
+    top = np.array([[[nx - 1]], [[ny - 1]]])
 
     # samples evaluated around a critical time tau, as offsets from the last
     # sample at or before it: two on either side
@@ -362,13 +355,14 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         visited = held.copy()
     else:
         first_arc, visited = 0, np.zeros((ny, nx), dtype=bool)
+    # cell (ix, iy) is element iy * nx + ix
+    cells = visited.ravel()
     for lo in range(first_arc, n_arcs, _COVERAGE_CHUNK_ARCS):
         hi = min(lo + _COVERAGE_CHUNK_ARCS, n_arcs)
         t0, x0, y0, u0, w0 = flight_starts(start, columns, lo, hi)
         duration = columns[0][lo:hi] - t0
         # an arc's samples are np.linspace(0, duration, last + 1)
         last = np.maximum(np.ceil(duration * speed_cap / step), 1.0)
-        spacing = duration / last
         arcs, taus = _critical_times(
             duration,
             np.array(to_wedge(x0, y0, sin_t, cos_t)),
@@ -377,20 +371,41 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
             per_length,
             inner,
         )
-        # two samples on either side of each critical time, with linspace's
-        # values: i * spacing, and the arc's end for the last one
-        gap, end = spacing[arcs], last[arcs, None]
-        # an arc of zero duration (two events at one time) has all its
-        # samples at index 0
-        below = np.floor(np.divide(taus, gap, out=np.zeros_like(taus), where=gap != 0.0))
-        index = np.clip(below[:, None] + bracket, 0.0, end)
-        ts = np.where(index == end, duration[arcs, None], index * gap[:, None])
-        xs = x0[arcs, None] + u0[arcs, None] * ts
-        ys = y0[arcs, None] + w0[arcs, None] * ts - 0.5 * ts * ts
-        x_tilde, y_tilde = to_wedge(xs, ys, sin_t, cos_t)
-        ix = np.clip((x_tilde / width * nx).astype(int), 0, nx - 1)
-        iy = np.clip((y_tilde / height * ny).astype(int), 0, ny - 1)
-        visited[iy, ix] = True
+        # the values of each critical time's arc, in one gather
+        per_arc = np.stack((u0, w0, x0, y0, duration, duration / last, last)).take(arcs, axis=1)
+        speeds, starts, (until, gap, end) = per_arc[:2, None], per_arc[2:4, None], per_arc[4:]
+        # two samples on either side of each critical time, as rows (4, m),
+        # with linspace's values: i * spacing, and the arc's end for the
+        # last one; an arc of zero duration (two events at one time) has all
+        # its samples at index 0
+        below = np.divide(taus, gap, out=np.zeros_like(taus), where=gap != 0.0)
+        index = np.add(bracket[:, None], np.floor(below, out=below))
+        # np.clip(index, 0.0, end), bit for bit, without clip's overhead
+        np.maximum(index, 0.0, out=index)
+        np.minimum(index, end, out=index)
+        ts = np.multiply(index, gap)
+        np.copyto(ts, until, where=index == end)
+        # lab positions (2, 4, m): x0 + u0*ts and y0 + w0*ts - 0.5*ts*ts
+        lab = np.multiply(speeds, ts)
+        lab += starts
+        np.multiply(ts, 0.5, out=index)
+        index *= ts
+        np.subtract(lab[1], index, out=lab[1])
+        # to_wedge's x*sin + y*cos and -x*cos + y*sin, in place, the second
+        # written y*sin - x*cos: negation is exact and addition commutes
+        np.multiply(lab[0], sin_t, out=ts)
+        np.multiply(lab[1], cos_t, out=index)
+        np.multiply(lab[0], cos_t, out=lab[0])
+        np.multiply(lab[1], sin_t, out=lab[1])
+        np.subtract(lab[1], lab[0], out=lab[1])
+        np.add(ts, index, out=lab[0])
+        lab /= sides
+        lab *= per_side
+        cell = lab.astype(int)
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, top, out=cell)
+        np.multiply(cell[1], nx, out=cell[1])
+        cells[np.add(cell[1], cell[0], out=cell[1])] = True
     if prefix:
         _HELD_CELLS[store] = (start, angle, (nx, ny), n_arcs, visited)
     return float(visited.sum()) / float(nx * ny)
@@ -409,32 +424,42 @@ def _critical_times(duration, starts, speeds, gravity, per_length, inner):
     """
     import numpy as np
     n = len(duration)
-    apex = speeds / gravity
-    turn = np.clip(apex, 0.0, duration)
-    at_start, at_turn, at_end = (
-        (starts + speeds * tau - 0.5 * gravity * tau * tau) * per_length
-        for tau in (0.0, turn, duration)
-    )
-    # rows: x_tilde rising, y_tilde rising, x_tilde falling, y_tilde falling
-    low = np.concatenate((np.minimum(at_start, at_turn), np.minimum(at_turn, at_end)))
-    high = np.concatenate((np.maximum(at_start, at_turn), np.maximum(at_turn, at_end)))
-    first = np.maximum(np.ceil(low), 1.0)
-    stop = np.minimum(np.floor(high), np.concatenate((inner, inner)))
+    # each row's values along its axis: apex time, start, cells per unit
+    # length and gravity, (4, rows rising and falling, 2, n)
+    per_row = np.empty((4, 2, 2, n))
+    apex = np.divide(speeds, gravity, out=per_row[0, 0])
+    per_row[1, 0], per_row[2, 0], per_row[3, 0] = starts, per_length, gravity
+    per_row[:, 1] = per_row[:, 0]
+    # positions at tau = 0, turn and duration, in cells, (3, 2, n); turn is
+    # np.clip's, whose sign of a zero turn depends on duration's shape
+    tau = np.zeros((3, 2, n))
+    turn = np.clip(apex, 0.0, duration, out=tau[1])
+    tau[2] = duration
+    at = (starts + speeds * tau - 0.5 * gravity * tau * tau) * per_length
+    # rows (4, n): x_tilde rising, y_tilde rising, x_tilde falling, y_tilde
+    # falling
+    first = np.maximum(np.ceil(np.minimum(at[:2], at[1:])), 1.0)
+    stop = np.minimum(np.floor(np.maximum(at[:2], at[1:])), inner)
     counts = np.maximum(stop - first + 1.0, 0.0).astype(np.int64).ravel()
-    piece = np.repeat(np.arange(counts.size), counts)
-    lines = first.ravel()[piece] + (np.arange(piece.size) - (np.cumsum(counts) - counts)[piece])
-    row, arc = np.divmod(piece, n)
-    axis = row % 2
-    at_apex = apex[axis, arc]
-    from_apex = np.sqrt(
-        np.maximum(
-            at_apex * at_apex
-            + 2.0 * (starts[axis, arc] - lines / per_length[axis, 0]) / gravity[axis, 0],
-            0.0,
-        )
-    )
-    crossings = at_apex + np.where(row < 2, -from_apex, from_apex)
-    arcs = np.concatenate((np.tile(np.arange(n), 4), arc))
+    ends = counts.cumsum()
+    # each crossing's line: first, first + 1, ... along its row's run
+    lines = (first.ravel() - (ends - counts)).repeat(counts)
+    lines += np.arange(lines.size, dtype=float)
+    at_apex, start, length, fall = per_row.reshape(4, 4 * n).repeat(counts, axis=1)
+    # s = sqrt(max(apex**2 + 2*(start - line/length)/gravity, 0))
+    from_apex = np.divide(lines, length, out=lines)
+    np.subtract(start, from_apex, out=from_apex)
+    from_apex *= 2.0
+    from_apex /= fall
+    from_apex += np.multiply(at_apex, at_apex, out=start)
+    np.maximum(from_apex, 0.0, out=from_apex)
+    np.sqrt(from_apex, out=from_apex)
+    # the rising rows come first, and meet their lines at apex - s
+    rising = ends[2 * n - 1]
+    np.negative(from_apex[:rising], out=from_apex[:rising])
+    row_arcs = np.arange(4 * n) % n
+    arcs = np.concatenate((row_arcs, row_arcs.repeat(counts)))
+    crossings = np.add(at_apex, from_apex, out=at_apex)
     taus = np.concatenate((np.zeros(n), duration, turn.ravel(), crossings))
     return arcs, taus
 

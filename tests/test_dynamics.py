@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedge_billiard import (
     CartesianState,
@@ -872,6 +874,60 @@ def test_slow_entry_from_just_outside_a_wall_bounces_on(engine, w_bar):
     assert traj.events[0].wall is Wall.A
     landing = (w_bar + math.sqrt(w_bar * w_bar - 2 * angle.sin * 5e-13)) / angle.sin
     assert traj.events[0].t == pytest.approx(landing, rel=1e-6)
+
+
+# Item 18's properties of the wall word, which need no tolerance.  The
+# y_tilde bouncer hits wall A once per period T_A and the x_tilde bouncer
+# wall B once per T_B, so at time t the counts are N_A = floor(t/T_A + a)
+# and N_B = floor(t/T_B + b) for some a, b in [0, 1).  With rho = T_B/T_A =
+# tan(theta)*sqrt(Hx/Hy) (the ``orbits`` docstring), after n = N_A + N_B
+# events N_A - n*rho/(1 + rho) = ((a - f_A) - rho*(b - f_B))/(1 + rho) with
+# f_A, f_B in [0, 1): strictly within 1 of zero.  Such a word is mechanical,
+# so balanced (Lothaire, Algebraic Combinatorics on Words, 2002, ch. 2).
+#
+# rho is computed, not exact.  In these launches Hx and Hy are each at least
+# 0.005 (a launch's normal momentum is at least 0.1 and its arclength 0.3),
+# and each carries a few roundings of at most 2**-53 of terms of size at most
+# 3, so Hx/Hy, its square root and the product with tan(theta) are within
+# ~1e-13 relative.  n*rho/(1 + rho) then moves by at most 2000 * 1e-13 / 4 =
+# 5e-11 events, which the strict bound of 1 leaves unread unless a run's
+# exact count lies that close to it.
+WORD_EVENTS = 2000
+
+
+def word_of(traj: Trajectory) -> np.ndarray:
+    """1 for each wall-A event of ``traj``, 0 for each wall-B event."""
+    return (traj.events.column("wall") == WALLS.index(Wall.A)).astype(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.15, math.pi / 2 - 0.15),
+    st.sampled_from([Wall.A, Wall.B]),
+    st.floats(0.3, 1.5),
+    st.floats(-1.2, 1.2),
+    st.floats(0.1, 1.5),
+)
+def test_wall_words_are_balanced_and_track_the_hit_ratio(theta, wall, s, u_bar, w_bar):
+    angle = WedgeAngle(theta)
+    initial = launch_from_wall(wall, s, u_bar, w_bar, angle)
+    hx, hy = wedge_hamiltonians(initial, angle)
+    rho = angle.tan * math.sqrt(hx / hy)
+    for engine in (simulate, decoupled_simulate):
+        # each property of a word holds for its every prefix
+        traj = engine(initial, angle, WORD_EVENTS)
+        if traj.termination is not None:
+            continue
+        word = word_of(traj)
+        counts = np.cumsum(word)
+        # the A count after each k events, against k*rho/(1 + rho)
+        deviation = counts - np.arange(1, len(word) + 1) * (rho / (1.0 + rho))
+        assert np.abs(deviation).max() < 1.0, (engine.__name__, float(np.abs(deviation).max()))
+        # any two windows of one length hold A counts that differ by at most 1
+        prefix = np.concatenate(([0], counts))
+        for length in range(1, len(word)):
+            windows = prefix[length:] - prefix[:-length]
+            assert windows.max() - windows.min() <= 1, (engine.__name__, length)
 
 
 def dense_60(n: int, engine=simulate):

@@ -395,9 +395,10 @@ class TestCoverageFraction:
             coverage_fraction(dataclasses.replace(traj, initial=initial), (8, 8))
 
 
-def coverage_by_sampling(traj, grid: tuple[int, int]) -> float:
+def coverage_by_sampling(traj, grid: tuple[int, int]) -> np.ndarray:
     """Per-arc loop that evaluates every sample: the reference for the
-    samples ``coverage_fraction`` finds from grid-line crossings."""
+    samples ``coverage_fraction`` finds from grid-line crossings.  Returns
+    the visited cells, an ``ny x nx`` bool grid."""
     nx, ny = grid
     angle = traj.theta
     sin_t, cos_t = angle.sin, angle.cos
@@ -417,7 +418,19 @@ def coverage_by_sampling(traj, grid: tuple[int, int]) -> float:
         ix = np.clip((x_tilde / width * nx).astype(int), 0, nx - 1)
         iy = np.clip((y_tilde / height * ny).astype(int), 0, ny - 1)
         visited[iy, ix] = True
-    return float(visited.sum()) / float(nx * ny)
+    return visited
+
+
+def assert_covers_as_sampling(traj, grid: tuple[int, int]) -> None:
+    """``coverage_fraction`` of ``traj`` is the sampling reference's, and so
+    are the cells it visits: those its call on a copy of the events holds,
+    the copy being a prefix of a fresh store."""
+    expected = coverage_by_sampling(traj, grid)
+    assert coverage_fraction(traj, grid) == float(expected.sum()) / float(expected.size)
+    copied = with_events(traj, range(len(traj.events)))
+    coverage_fraction(copied, grid)
+    cells = orbits._HELD_CELLS[copied.events._columns][4]
+    assert np.array_equal(cells, expected), np.argwhere(cells != expected).tolist()
 
 
 def scaled_run(traj: Trajectory, factor: float) -> Trajectory:
@@ -448,26 +461,26 @@ class TestCoverageAgainstSampling:
             angle = random_angle(rng)
             traj = simulate(random_launch(rng, angle), angle, 120)
             for grid in COVERAGE_GRIDS:
-                assert coverage_fraction(traj, grid) == coverage_by_sampling(traj, grid)
+                assert_covers_as_sampling(traj, grid)
 
     def test_apex_tangent_launch(self):
         # an even energy split at 60 degrees puts every apex on a grid line
         angle = WedgeAngle.from_degrees(60)
         traj = simulate(launch_from_wall(Wall.A, 1.0, 0.0, 1.0, angle), angle, 500)
-        assert coverage_fraction(traj, (64, 64)) == coverage_by_sampling(traj, (64, 64))
+        assert_covers_as_sampling(traj, (64, 64))
 
     @pytest.mark.parametrize("p, q", coprime_pairs(5))
     def test_periodic_orbits(self, p, q):
         traj = build_periodic_orbit(OrbitSpec(p, q, 1.0), n_collisions=4 * (p + q))
         for grid in ((64, 64), (13, 7)):
-            assert coverage_fraction(traj, grid) == coverage_by_sampling(traj, grid)
+            assert_covers_as_sampling(traj, grid)
 
     @pytest.mark.parametrize("energy", [1e-9, 1e300])
     def test_energy_scales(self, energy):
         angle = WedgeAngle.from_degrees(50)
         traj = scaled_run(simulate(launch_from_wall(Wall.A, 1.0, 0.2, 1.0, angle), angle, 80), energy)
         for grid in COVERAGE_GRIDS:
-            assert coverage_fraction(traj, grid) == coverage_by_sampling(traj, grid)
+            assert_covers_as_sampling(traj, grid)
 
     def test_event_views_and_repeated_events(self):
         angle = WedgeAngle.from_degrees(40)
@@ -480,7 +493,7 @@ class TestCoverageAgainstSampling:
             with_events(traj, [0, 1, 1, 2, 3]),
         ):
             for grid in COVERAGE_GRIDS:
-                assert coverage_fraction(sub, grid) == coverage_by_sampling(sub, grid)
+                assert_covers_as_sampling(sub, grid)
 
     @pytest.mark.parametrize("launch", ["dense60", "seed977"])
     def test_chunk_size_does_not_change_the_value(self, launch, monkeypatch):
@@ -587,7 +600,8 @@ class TestCoverageHeldCells:
             fresh = with_events(runs[run], range(n)[slice(*view)])
             expected[run, view, grid] = coverage_fraction(fresh, grid)
             if run == "traj":
-                assert expected[run, view, grid] == coverage_by_sampling(fresh, grid)
+                cells = orbits._HELD_CELLS[fresh.events._columns][4]
+                assert np.array_equal(cells, coverage_by_sampling(fresh, grid))
         for view in horizons:
             for grid in grids:
                 assert expected["copied", view, grid] == expected["traj", view, grid]
