@@ -35,7 +35,7 @@ from .dynamics import (
     WALLS,
     CartesianState,
     Trajectory,
-    flight_starts,
+    flight_arcs,
     launch_from_wall,
     simulate,
     wedge_energies,
@@ -88,8 +88,6 @@ def _fmt(value: float) -> str:
 # Rows formatted per ``%`` call: enough to cost little per row, few enough
 # that no value list or string grows with the export.
 _CHUNK_ROWS = 128
-# Arcs per _format_3f call in the trajectory SVG; each arc is 130 values.
-_CHUNK_ARCS = 64
 
 
 def _format_rows(template: str, count: int, values: Callable[[int, int], list]) -> Iterator[str]:
@@ -329,10 +327,11 @@ def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
 
     The viewport frames the reachable box for the trajectory's energy with a
     5% margin.  A run with no events is drawn as its walls alone.  The arcs'
-    points are worked out in numpy and written ``_CHUNK_ARCS`` arcs at a
-    time by :func:`_format_3f`; a chunk with a value that it does not
-    handle is formatted by ``%`` from the same ``_SVG_ARC`` template, so
-    the bytes do not depend on the path.
+    points are worked out in numpy and written a chunk of
+    :func:`~wedge_billiard.dynamics.flight_arcs` at a time by
+    :func:`_format_3f`, each arc 130 values; a chunk with a value that it
+    does not handle is formatted by ``%`` from the same ``_SVG_ARC``
+    template, so the bytes do not depend on the path.
     """
     import numpy as np
     sin_t, cos_t = traj.theta.sin, traj.theta.cos
@@ -362,23 +361,16 @@ def _trajectory_svg_lines(traj: Trajectory) -> Iterator[str]:
     columns = [traj.events.column(name) for name in ("t", "x", "y", "u", "w")]
     steps = np.arange(_SVG_ARC_STEPS + 1.0)
 
-    def arc_points(lo: int, hi: int) -> np.ndarray:
-        t0, x0, y0, u0, w0 = (
-            start[:, None] for start in flight_starts(traj.initial, columns, lo, hi)
-        )
-        # to_svg's arithmetic on the arc's equal time steps, in its order;
-        # a non-finite value gives nan or inf silently, as in Python floats
-        with np.errstate(invalid="ignore", over="ignore"):
-            tau = (columns[0][lo:hi, None] - t0) * steps / _SVG_ARC_STEPS
-            x = x0 + u0 * tau
-            y = y0 + w0 * tau - 0.5 * tau * tau
-            points = np.stack(((x - x_min) * scale, (y_max - y) * scale), axis=-1)
-        return points.reshape(hi - lo, -1)
-
     def arcs() -> Iterator[str]:
-        count = len(traj.events)
-        for lo in range(0, count, _CHUNK_ARCS):
-            points = arc_points(lo, min(lo + _CHUNK_ARCS, count))
+        for _, x0, y0, u0, w0, duration in flight_arcs(traj.initial, columns):
+            # to_svg's arithmetic on the arc's equal time steps, in its order;
+            # a non-finite value gives nan or inf silently, as in Python floats
+            with np.errstate(invalid="ignore", over="ignore"):
+                tau = duration[:, None] * steps / _SVG_ARC_STEPS
+                x = x0[:, None] + u0[:, None] * tau
+                y = y0[:, None] + w0[:, None] * tau - 0.5 * tau * tau
+                points = np.stack(((x - x_min) * scale, (y_max - y) * scale), axis=-1)
+            points = points.reshape(len(duration), -1)
             rows = _format_3f(points, _SVG_ARC_ENDS)
             if rows is None:
                 yield "\n".join([_SVG_ARC] * len(points)) % tuple(points.ravel().tolist())
@@ -580,7 +572,15 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
     return _check_complete(traj, spec.period * args.periods)
 
 
+# The largest --max of the sweep command.  A sweep holds ~0.61 * max**2
+# points at ~83 B each before it writes a row: ~50 MB at 1000, and ~5 GB at
+# 10000
+_SWEEP_MAX = 1000
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.max > _SWEEP_MAX:
+        raise ValueError(f"--max must be at most {_SWEEP_MAX}, got {args.max}")
     fmt = _resolve_format(args)
     if fmt is OutputFormat.JSON:
         raise ValueError("sweep writes CSV or SVG, not JSON")

@@ -38,12 +38,15 @@ of the store goes through one reader, :meth:`EventSequence._view`, a strided
 :class:`CollisionEvent` only when one is asked for, and its ``pre``,
 ``post`` and ``rotating_post`` only when first read, and keeps them;
 ``pre`` and ``post`` share one row reader, and ``rotating_post`` is worked
-out from the stored outgoing momentum and wall.  Its iterator is a
-generator that builds each event in its own frame and shares the
-sequence's one kept event, so ``zip(events, events[1:])`` builds each event
-once.  Frozen instances are filled through their slots' setters, as
-:class:`~wedge_billiard.collision_maps.MapState` fills its own.  Only the
-oracle, :meth:`EventSequence.column` and :func:`flight_starts` load numpy.
+out from the stored outgoing momentum and wall.  Its iterator is the one
+builder of an event: a generator that builds each event in its own frame
+and shares the sequence's one kept event, so ``zip(events, events[1:])``
+builds each event once, and indexing reads a one-event slice's iterator.
+Events and their collision frames are filled through their slots' setters,
+as :class:`~wedge_billiard.collision_maps.MapState` fills its own;
+``pre``, ``post`` and the launch are built by :class:`CartesianState`'s
+constructor.  Only the oracle, :meth:`EventSequence.column` and
+:func:`flight_arcs`, the one chunker of a run's flight arcs, load numpy.
 """
 
 from __future__ import annotations
@@ -149,12 +152,8 @@ class CollisionEvent:
         parts = self._parts
         if parts[part] is None:
             r, k = parts[3].rows, parts[4]
-            state = parts[part] = _new(CartesianState)
-            _set_x(state, r[k + _X])
-            _set_y(state, r[k + _Y])
-            _set_u(state, r[k + u_offset])
-            _set_w(state, r[k + w_offset])
-            _set_clock(state, self.t)
+            x, y, u, w = r[k + _X], r[k + _Y], r[k + u_offset], r[k + w_offset]
+            parts[part] = CartesianState(x, y, u, w, self.t)
         return parts[part]
 
     @property
@@ -179,11 +178,6 @@ class CollisionEvent:
 
 
 _set_u_bar, _set_w_bar = (getattr(RotatingFrameMomentum, f).__set__ for f in ("u_bar", "w_bar"))
-# CartesianState's slot setters: ~0.43 us for a state, against ~0.8 us through
-# the frozen __init__, which calls object.__setattr__ once per field
-_set_x, _set_y, _set_u, _set_w, _set_clock = (
-    getattr(CartesianState, f).__set__ for f in CartesianState.__slots__
-)
 _set_wall, _set_t, _set_parts = (
     getattr(CollisionEvent, f).__set__ for f in CollisionEvent.__slots__
 )
@@ -266,17 +260,16 @@ class EventSequence(Sequence):
             view = EventSequence(self._columns, self._range[index])
             view._memo = self._memo
             return view
-        i = self._range[index]
-        memo = self._memo
-        return memo[1] if memo[0] == i else _event(self._columns, i, memo)
+        # raises IndexError; the one-event slice shares the kept event
+        self._range[index]
+        return next(iter(self[index:index + 1 or None]))
 
     def __iter__(self) -> Iterator[CollisionEvent]:
-        """The view's events in order, each built as :func:`_event` builds
-        it, or taken from the kept event, as indexing takes it.
-
-        :func:`_event`'s body is written out here, with its globals held as
-        locals: the call per event was ~9% of a bare pass.  A test pins the
-        two copies to the same bits."""
+        """The view's events in order, each taken from the kept event or
+        built from its row, its parts left to be built when read, and kept.
+        This is the one builder of a stored event: indexing takes an event
+        from a one-event slice's iterator.  The builder's globals are held
+        as locals, and it makes no call per event."""
         columns, memo = self._columns, self._memo
         wall, rows = columns.wall, columns.rows
         new, set_wall, set_t, set_parts, walls = _new, _set_wall, _set_t, _set_parts, WALLS
@@ -333,19 +326,6 @@ class EventSequence(Sequence):
         return view[r[0]::r.step][:len(r)] if r else view[:0]
 
 
-def _event(columns: EventColumns, i: int, memo: list) -> CollisionEvent:
-    """Event ``i`` of ``columns``, its parts left to be built when read, kept
-    as ``memo``'s one event: indexing's builder of a stored event, of which
-    :meth:`EventSequence.__iter__` holds a written-out copy."""
-    k = i * _ROW
-    event = _new(CollisionEvent)
-    _set_wall(event, WALLS[columns.wall[i]])
-    _set_t(event, columns.rows[k + _T])
-    _set_parts(event, [None, None, None, columns, k])
-    memo[0], memo[1] = i, event
-    return event
-
-
 @dataclass(frozen=True, slots=True)
 class Trajectory:
     """A simulated run: launch state, wedge angle, collision events and why
@@ -379,21 +359,34 @@ class Trajectory:
         return wedge_hamiltonians(self.initial, self.theta)
 
 
-def flight_starts(
-    initial: CartesianState, columns: Sequence[np.ndarray], lo: int, hi: int
-) -> list[np.ndarray]:
-    """The states flight arcs ``lo`` to ``hi - 1`` start from.
+# Flight arcs per chunk of flight_arcs, so that no array made from a chunk
+# grows with the run
+_ARC_CHUNK = 64
 
-    ``columns`` are the events' ``t, x, y, u, w`` columns, and the result
-    holds the same five values per arc.  Arc 0 starts from the launch and
-    arc i from event i - 1's outgoing state; arc i ends at event i.
+
+def flight_arcs(
+    initial: CartesianState, columns: Sequence[np.ndarray], first: int = 0
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Flight arcs ``first`` onward, ``_ARC_CHUNK`` at a time: each chunk's
+    start states ``t, x, y, u, w``, then their durations, one array each.
+
+    ``columns`` are the events' ``t, x, y, u, w`` columns.  Arc 0 starts
+    from the launch and arc i from event i - 1's outgoing state; arc i ends
+    at event i.  A value that is not finite gives a duration of nan or inf
+    silently, as in Python floats.
     """
     import numpy as np
     firsts = (initial.t, initial.x, initial.y, initial.u, initial.w)
-    return [
-        column[lo - 1:hi - 1] if lo else np.concatenate(([first], column[:hi - 1]))
-        for column, first in zip(columns, firsts)
-    ]
+    n = len(columns[0])
+    for lo in range(first, n, _ARC_CHUNK):
+        hi = min(lo + _ARC_CHUNK, n)
+        starts = [
+            column[lo - 1:hi - 1] if lo else np.concatenate(([start], column[:hi - 1]))
+            for column, start in zip(columns, firsts)
+        ]
+        with np.errstate(invalid="ignore", over="ignore"):
+            duration = columns[0][lo:hi] - starts[0]
+        yield (*starts, duration)
 
 
 def hamiltonian(s: CartesianState) -> float:
@@ -641,12 +634,7 @@ def _validate_run(
                 f"launch on wall {wall.value} moves out of the wedge "
                 f"(normal momentum {p_n!r})"
             )
-    launch = _new(CartesianState)
-    _set_x(launch, float(initial.x))
-    _set_y(launch, float(initial.y))
-    _set_u(launch, float(initial.u))
-    _set_w(launch, float(initial.w))
-    _set_clock(launch, float(initial.t))
+    launch = CartesianState(*map(float, (initial.x, initial.y, initial.u, initial.w, initial.t)))
     stop = _sliding_start(x_tilde, y_tilde, u_tilde, w_tilde, launch.t) if n > 0 else None
     return (x_tilde, y_tilde, u_tilde, w_tilde), launch, stop
 

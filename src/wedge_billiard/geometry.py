@@ -101,7 +101,12 @@ def contains(point: Sequence[float], angle: WedgeAngle) -> bool:
 
 def config_bounds(energy: float, angle: WedgeAngle) -> tuple[float, float]:
     """How far along walls A and B a trajectory of total energy E can travel:
-    ``(x_tilde_max, y_tilde_max) = (E/cos(theta), E/sin(theta))``."""
+    ``(x_tilde_max, y_tilde_max) = (E/cos(theta), E/sin(theta))``.  Raises
+    ValueError when a bound overflows, as ``E/sin(theta)`` does for a large
+    energy at a tiny angle: a box with an infinite side frames nothing."""
     if not energy > 0.0:
         raise ValueError(f"energy must be positive, got {energy!r}")
-    return energy / angle.cos, energy / angle.sin
+    bounds = energy / angle.cos, energy / angle.sin
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"the energy box of energy {energy!r} at angle {angle.theta!r} overflows")
+    return bounds

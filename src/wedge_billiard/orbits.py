@@ -35,7 +35,7 @@ from .dynamics import (
     CartesianState,
     TerminationKind,
     Trajectory,
-    flight_starts,
+    flight_arcs,
     hamiltonian,
     launch_from_wall,
     simulate,
@@ -45,10 +45,6 @@ from .geometry import Wall, WedgeAngle, config_bounds, to_wedge
 # Flight arcs are rasterized with a sample spacing of at most this fraction
 # of a grid cell diagonal.
 COVERAGE_STEP_FRACTION = 0.01
-# Arcs rasterized per numpy pass, so that no temporary array grows with the
-# horizon.  Each pass makes about 100 numpy calls, half of them over all its
-# samples, mostly in place; the result does not depend on the chunk size.
-_COVERAGE_CHUNK_ARCS = 64
 # Each live run's visited cells from its latest prefix call, keyed by the
 # run's event store: ``(launch, angle, (nx, ny), arcs rasterized, cells)``.
 # A held grid is never written again: a call that resumes from it copies it,
@@ -298,10 +294,13 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
     bool grid per live run, dropped with the run's events.  A later prefix
     call on the same run with the same launch and angle objects, an equal
     grid and at least as many events starts from a copy of them and
-    rasterizes only the arcs past them; the arcs are taken 64 at a time,
-    and the result does not depend on how they are grouped, so the value is
-    the same as from zero.  Any other call rasterizes every arc.  ``grid``
-    holds integers (``operator.index``).
+    rasterizes only the arcs past them; the arcs are taken a chunk of
+    :func:`~wedge_billiard.dynamics.flight_arcs` at a time, so that no
+    array grows with the horizon, and the result does not depend on how
+    they are grouped, so the value is the same as from zero.  Each chunk
+    makes about 100 numpy calls, half of them over all its samples.  Any
+    other call rasterizes every arc.  ``grid`` holds integers
+    (``operator.index``).
     """
     import numpy as np
     nx, ny = map(operator.index, grid)
@@ -357,10 +356,7 @@ def coverage_fraction(traj: Trajectory, grid: tuple[int, int]) -> float:
         first_arc, visited = 0, np.zeros((ny, nx), dtype=bool)
     # cell (ix, iy) is element iy * nx + ix
     cells = visited.ravel()
-    for lo in range(first_arc, n_arcs, _COVERAGE_CHUNK_ARCS):
-        hi = min(lo + _COVERAGE_CHUNK_ARCS, n_arcs)
-        t0, x0, y0, u0, w0 = flight_starts(start, columns, lo, hi)
-        duration = columns[0][lo:hi] - t0
+    for _, x0, y0, u0, w0, duration in flight_arcs(start, columns, first_arc):
         # an arc's samples are np.linspace(0, duration, last + 1)
         last = np.maximum(np.ceil(duration * speed_cap / step), 1.0)
         arcs, taus = _critical_times(

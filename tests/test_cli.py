@@ -32,7 +32,6 @@ from wedge_billiard import (
     sweep_periodic_points,
 )
 from wedge_billiard.cli import (
-    _CHUNK_ARCS,
     _CHUNK_ROWS,
     _FORMAT_3F_LIMIT,
     _RAD_TO_DEG,
@@ -50,7 +49,7 @@ from wedge_billiard.cli import (
     render_plot,
     sweep_csv,
 )
-from wedge_billiard.dynamics import WALLS, EventSequence, wedge_energies
+from wedge_billiard.dynamics import _ARC_CHUNK, WALLS, EventSequence, wedge_energies
 from wedge_billiard.geometry import config_bounds, from_wedge, to_wedge
 from wedge_billiard.orbits import _periodic_launch
 
@@ -395,15 +394,15 @@ class TestChunkedExports:
             assert_trajectory_exports_match(traj)
 
     def test_event_views(self):
-        traj = dense60(3 * _CHUNK_ARCS)
-        for view in (traj.events[::-1], traj.events[::3], traj.events[_CHUNK_ARCS - 1:]):
+        traj = dense60(3 * _ARC_CHUNK)
+        for view in (traj.events[::-1], traj.events[::3], traj.events[_ARC_CHUNK - 1:]):
             assert_trajectory_exports_match(dataclasses.replace(traj, events=view))
         # descending views that pass event 0: empty, or ending at it
         short = dense60(5)
         for view in DESCENDING_PAST_0:
             assert_trajectory_exports_match(dataclasses.replace(short, events=short.events[view]))
 
-    @pytest.mark.parametrize("chunk", [_CHUNK_ARCS, _CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [_ARC_CHUNK, _CHUNK_ROWS])
     def test_chunk_boundaries(self, chunk):
         traj = dense60(2 * chunk + 1)
         for n_events in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
@@ -416,9 +415,9 @@ class TestChunkedExports:
     @pytest.mark.parametrize("name", ["t", "x", "y", "u", "w", "u_pre", "w_pre"])
     def test_non_finite_and_extreme_values(self, name):
         extremes = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
-        dense = dense60(_CHUNK_ARCS + 8)
+        dense = dense60(_ARC_CHUNK + 8)
         # in the first chunk of arcs, and again at the start of the second
-        head = dense.events.column(name)[:_CHUNK_ARCS].tolist()
+        head = dense.events.column(name)[:_ARC_CHUNK].tolist()
         for values in (extremes, head + extremes):
             assert_trajectory_exports_match(with_values(dense, name, values))
 
@@ -510,10 +509,10 @@ def test_svg_chunk_the_kernel_does_not_handle_is_formatted_by_percent(value, mon
         return text
 
     monkeypatch.setattr(cli, "_format_3f", format_3f)
-    dense = dense60(3 * _CHUNK_ARCS + 5)
+    dense = dense60(3 * _ARC_CHUNK + 5)
     stored = stored_values(dense)
     # the start of an arc in the second chunk
-    stored["x"][_CHUNK_ARCS + 10] = value
+    stored["x"][_ARC_CHUNK + 10] = value
     traj = dataclasses.replace(dense, events=EventSequence(filled_columns(dense.theta, stored)))
     assert trajectory_svg(traj) == svg_by_points(traj)
     assert handled == [True, False, True, True]
@@ -816,6 +815,26 @@ class TestSweepCommand:
             assert root.findall(".//{http://www.w3.org/2000/svg}rect")
             assert not root.findall(".//{http://www.w3.org/2000/svg}circle")
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_max_above_the_cap_rejected(self, fmt, tmp_path, capsys):
+        out = tmp_path / f"s.{fmt}"
+        assert run("sweep", "--max", "1001", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --max must be at most 1000, got 1001\n"
+        assert not out.exists()
+
+    def test_max_at_the_cap_accepted(self, tmp_path, monkeypatch):
+        # the sweep itself takes ~2 s at the cap; the gate is what is tested
+        from wedge_billiard import orbits
+
+        bounds = []
+        monkeypatch.setattr(
+            orbits, "sweep_periodic_points", lambda *args, **kw: bounds.append(args) or []
+        )
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--max", "1000", "--out", str(out)) == 0
+        assert bounds == [(1000, 1000, 1.0)]
+        assert out.read_text() == "p,q,theta_rad,theta_deg,u_bar\n"
+
     @pytest.mark.parametrize(
         "name, extra", [("s.json", ()), ("s.csv", ("--format", "json"))]
     )
@@ -973,6 +992,26 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    # at 1e-150 rad, E/sin(theta) overflows: the energy box is (7e199, inf)
+    OVERFLOWING_BOX = (
+        "simulate", "--theta-deg", "5.729577951308232e-149",
+        "--wall", "A", "--s", "2.5e199", "--u-bar", "3e99", "--w-bar", "9e99", "--n", "5",
+    )
+
+    def test_svg_of_an_overflowing_box_rejected(self, tmp_path, capsys):
+        # the viewport is worked out before the file is opened, so no file
+        out = tmp_path / "t.svg"
+        assert run(*self.OVERFLOWING_BOX, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the energy box of energy 7e+199 at angle 1e-150 overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exports_of_an_overflowing_box_still_written(self, fmt, tmp_path):
+        out = tmp_path / f"t.{fmt}"
+        assert run(*self.OVERFLOWING_BOX, "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) > 5
 
     def test_early_termination_exit_code(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -49,7 +49,6 @@ from wedge_billiard.dynamics import (
     EventSequence,
     RotatingFrameMomentum,
     Termination,
-    _event,
     _first_hit,
 )
 from wedge_billiard.geometry import from_wedge, to_wedge
@@ -930,6 +929,36 @@ def test_wall_words_are_balanced_and_track_the_hit_ratio(theta, wall, s, u_bar, 
             assert windows.max() - windows.min() <= 1, (engine.__name__, length)
 
 
+# Item 18 again, for the periodic launch: its one-period word, p letters A
+# and q letters B, is a cyclic rotation of the Christoffel word of those
+# counts, whose letter i (i = 1 .. p + q) is A when floor(i*p/(p + q))
+# exceeds floor((i - 1)*p/(p + q)).  A primitive word (p and q are
+# coprime) every rotation of which is balanced is a rotation of a
+# Christoffel word (Berstel, Lauve, Reutenauer and Saliola, Combinatorics on
+# Words: Christoffel Words and Repetitions in Words, 2008, Part I).  Letters
+# are compared exactly; no tolerance enters.
+def christoffel_word(p: int, q: int) -> list[int]:
+    """1 for each A and 0 for each B of the Christoffel word with p letters
+    A and q letters B."""
+    n = p + q
+    return [int(i * p // n > (i - 1) * p // n) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("engine", [simulate, decoupled_simulate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("energy", [1e-6, 1.0, 1e6])
+def test_periodic_words_are_rotations_of_christoffel_words(engine, energy):
+    pairs = coprime_pairs(8)
+    assert len(pairs) == 43
+    for p, q in pairs:
+        spec = OrbitSpec(p, q, energy)
+        initial, angle = _periodic_launch(spec, 0.0)
+        traj = engine(initial, angle, spec.period)
+        assert traj.termination is None, (p, q)
+        word, christoffel = word_of(traj).tolist(), christoffel_word(p, q)
+        rotations = [christoffel[k:] + christoffel[:k] for k in range(p + q)]
+        assert word in rotations, (p, q, word)
+
+
 def dense_60(n: int, engine=simulate):
     """The paper's 60-degree launch (wall A, s = 1, u_bar = 0, w_bar = 1)."""
     angle = WedgeAngle.from_degrees(60)
@@ -1019,7 +1048,7 @@ class TestEventSequence:
     def test_export_rows_read_the_span_the_columns_read(self, engine, index):
         # the one reader's view of each stored column, which the exports and
         # column read, holds the view's events' fields; the events are built
-        # from their rows by _event, not through _view
+        # from their rows by the iterator, not through _view
         events = dense_60(200, engine).events[index]
         for name, field in EVENT_FIELDS.items():
             assert events._view(name).tolist() == [field(e) for e in events], name
@@ -1031,9 +1060,9 @@ class TestEventSequence:
         ids=str,
     )
     def test_iterating_and_indexing_build_the_same_event_bits(self, engine, index):
-        # the iterator writes _event out; indexing calls it.  Each reads a
-        # sequence of its own, so that neither is handed the other's kept
-        # event, and every part is compared as float.hex
+        # indexing takes its event from a one-event slice's iterator.  Each
+        # reads a sequence of its own, so that neither is handed the other's
+        # kept event, and every part is compared as float.hex
         def parts(event):
             pre, post, frame = event.pre, event.post, event.rotating_post
             floats = (
@@ -1047,9 +1076,8 @@ class TestEventSequence:
         iterated = [parts(e) for e in EventSequence(columns, r)]
         by_index = EventSequence(columns, r)
         indexed = [parts(by_index[j]) for j in range(len(r))]
-        built = [parts(_event(columns, i, [-1, None])) for i in r]
         assert len(iterated) == len(view) > 0
-        assert iterated == indexed == built
+        assert iterated == indexed
 
     @pytest.mark.parametrize("name", ["u_bar", "w_bar", "sin_t", "collision_frame", "_columns", ""])
     def test_only_stored_columns_are_read(self, name):

@@ -283,3 +283,25 @@ class TestConfigBounds:
     def test_nonpositive_energy_rejected(self, energy):
         with pytest.raises(ValueError):
             config_bounds(energy, WedgeAngle(0.7))
+
+    @pytest.mark.parametrize(
+        "energy, theta",
+        [
+            (7e199, 1e-150),
+            (1e300, 1e-9),
+            (1e300, math.nextafter(math.pi / 2, 0.0)),
+            (math.inf, 0.7),
+        ],
+    )
+    def test_overflowing_box_rejected(self, energy, theta):
+        # E/sin(theta) or E/cos(theta) past the float range: a box with an
+        # infinite side would frame every point at one edge
+        angle = WedgeAngle(theta)
+        with pytest.raises(ValueError) as error:
+            config_bounds(energy, angle)
+        assert str(error.value) == (
+            f"the energy box of energy {energy!r} at angle {angle.theta!r} overflows"
+        )
+
+    def test_largest_finite_box_accepted(self):
+        assert config_bounds(1e300, WedgeAngle(1e-8)) == (1e300 / math.cos(1e-8), 1e308)

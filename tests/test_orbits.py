@@ -30,7 +30,7 @@ from wedge_billiard import (
 from wedge_billiard.dynamics import EventSequence, Trajectory
 from wedge_billiard.dynamics import CartesianState, TerminationKind
 from wedge_billiard.geometry import from_wedge, to_wedge
-from wedge_billiard import orbits
+from wedge_billiard import dynamics, orbits
 from wedge_billiard.orbits import COVERAGE_STEP_FRACTION, OrbitClass, SweepPoint, _periodic_launch
 
 from conftest import (
@@ -373,6 +373,14 @@ class TestCoverageFraction:
         with pytest.raises(ValueError):
             coverage_fraction(traj, (8, 8))
 
+    def test_overflowing_box_rejected(self):
+        # E/sin(theta) overflows: every sample would fall in the grid's row 0
+        angle = WedgeAngle.from_degrees(5.729577951308232e-149)
+        traj = simulate(launch_from_wall(Wall.A, 2.5e199, 3e99, 9e99, angle), angle, 5)
+        assert len(traj.events) == 5
+        with pytest.raises(ValueError, match="energy box .* overflows"):
+            coverage_fraction(traj, (16, 16))
+
     def test_bad_grid_rejected(self):
         traj = build_periodic_orbit(OrbitSpec(1, 2, 1.0))
         with pytest.raises(ValueError):
@@ -508,7 +516,7 @@ class TestCoverageAgainstSampling:
         n = len(traj.events)
         values = set()
         for chunk in (1, 16, 64, n + 1):
-            monkeypatch.setattr(orbits, "_COVERAGE_CHUNK_ARCS", chunk)
+            monkeypatch.setattr(dynamics, "_ARC_CHUNK", chunk)
             # a fresh store for each size, so that no call starts from held cells
             values.add(coverage_fraction(with_events(traj, range(n)), (64, 64)))
         assert len(values) == 1
@@ -955,6 +963,10 @@ class TestSweepSequence:
         # like the list it replaces, a sweep equals no tuple
         assert self.points != tuple(self.reference)
         assert self.points != tuple(self.points)
+
+    def test_repr(self):
+        assert repr(self.points) == f"<sweep of {len(self.reference)} points>"
+        assert repr(self.points[5:5]) == "<sweep of 0 points>"
 
     def test_read_only_and_unhashable(self):
         with pytest.raises(TypeError):
